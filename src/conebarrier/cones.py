@@ -7,8 +7,13 @@ second-order (Lorentz) cones.  Each block carries its canonical barrier:
 * second-order cone (t,u): B(t,u) = -ln(t^2 - ||u||^2),   parameter 2
 
 Values, gradients, Hessians and the barrier parameter are additive across
-blocks.  All local-norm computations go through the lower Cholesky factor L
-of the barrier Hessian, nabla^2 B(x) = L L^T:
+blocks, and every barrier entry point walks the blocks through one
+strict-interiority check.  All local-norm computations go through the lower
+Cholesky factor L of the barrier Hessian, nabla^2 B(x) = L L^T, which is
+block diagonal.  ``BarrierFactor`` stores it one block at a time (the
+diagonal 1/x_b of an orthant block, the dense factor of a second-order cone
+block); this module is the only one that knows that format.  Everything else
+applies L through ``BarrierFactor.solve_lower`` and ``solve_upper``:
 
 * primal local norm  ||v||_x  = ||L^T v||
 * dual local norm    ||v||_x* = ||L^{-1} v||  (one forward substitution)
@@ -133,40 +138,42 @@ def dual_membership(cone: Cone, s: np.ndarray, tol: float = 0.0) -> bool:
     return True
 
 
-def barrier_value(cone: Cone, x: np.ndarray) -> float:
-    x = _check_dim(cone, x)
-    total = 0.0
+def _interior_blocks(cone: Cone, x: np.ndarray) -> Iterator[tuple[ConeBlock, slice, np.ndarray]]:
+    """(block, slice, x_block) per block of a dimension-checked x.
+
+    The one strict-interiority check behind every barrier entry point:
+    raises BoundaryError at the first block that x does not lie inside.
+    """
     for block, sl in cone.slices():
         xb = x[sl]
         if block.kind == ORTHANT:
             if np.any(xb <= 0.0):
                 raise BoundaryError("orthant component not strictly positive")
+        elif xb[0] <= 0.0 or _soc_gap(xb) <= 0.0:
+            raise BoundaryError("point not interior to second-order cone block")
+        yield block, sl, xb
+
+
+def barrier_value(cone: Cone, x: np.ndarray) -> float:
+    total = 0.0
+    for block, _, xb in _interior_blocks(cone, _check_dim(cone, x)):
+        if block.kind == ORTHANT:
             total -= float(np.sum(np.log(xb)))
         else:
-            gap = _soc_gap(xb)
-            if xb[0] <= 0.0 or gap <= 0.0:
-                raise BoundaryError("point not interior to second-order cone block")
-            total -= float(np.log(gap))
+            total -= float(np.log(_soc_gap(xb)))
     return total
 
 
 def barrier_gradient(cone: Cone, x: np.ndarray) -> np.ndarray:
     x = _check_dim(cone, x)
     grad = np.empty_like(x)
-    for block, sl in cone.slices():
-        xb = x[sl]
+    for block, sl, xb in _interior_blocks(cone, x):
         if block.kind == ORTHANT:
-            if np.any(xb <= 0.0):
-                raise BoundaryError("orthant component not strictly positive")
             grad[sl] = -1.0 / xb
         else:
             gap = _soc_gap(xb)
-            if xb[0] <= 0.0 or gap <= 0.0:
-                raise BoundaryError("point not interior to second-order cone block")
-            gb = np.empty(block.dim)
-            gb[0] = -2.0 * xb[0] / gap
-            gb[1:] = 2.0 * xb[1:] / gap
-            grad[sl] = gb
+            grad[sl.start] = -2.0 * xb[0] / gap
+            grad[sl.start + 1:sl.stop] = 2.0 * xb[1:] / gap
     return grad
 
 
@@ -184,69 +191,86 @@ def _soc_hessian(xb: np.ndarray) -> np.ndarray:
 
 def barrier_hessian(cone: Cone, x: np.ndarray) -> np.ndarray:
     """Dense barrier Hessian; block diagonal with small dense SOC blocks."""
-    x = _check_dim(cone, x)
     n = cone.total_dim
     hess = np.zeros((n, n))
-    for block, sl in cone.slices():
-        xb = x[sl]
+    for block, sl, xb in _interior_blocks(cone, _check_dim(cone, x)):
         if block.kind == ORTHANT:
-            if np.any(xb <= 0.0):
-                raise BoundaryError("orthant component not strictly positive")
             idx = np.arange(sl.start, sl.stop)
             hess[idx, idx] = 1.0 / xb**2
         else:
-            gap = _soc_gap(xb)
-            if xb[0] <= 0.0 or gap <= 0.0:
-                raise BoundaryError("point not interior to second-order cone block")
             hess[sl, sl] = _soc_hessian(xb)
     return hess
 
 
+def _block_solve(kind: str, f: np.ndarray, v: np.ndarray, lower: bool) -> np.ndarray:
+    """L_b^{-1} v (lower) or L_b^{-T} v (upper) for one block factor f."""
+    if kind == ORTHANT:  # L_b = diag(f), so both solves are one division
+        return v / f if v.ndim == 1 else v / f[:, None]
+    if lower:
+        return solve_triangular(f, v, lower=True, check_finite=False)
+    return solve_triangular(f.T, v, lower=False, check_finite=False)
+
+
 @dataclass(frozen=True)
 class BarrierFactor:
-    """Point x with the lower Cholesky factor of the barrier Hessian at x.
+    """Point x with the block-diagonal lower Cholesky factor L of the barrier Hessian.
 
-    ``diag`` holds the factor's diagonal when L is purely diagonal (cones
-    built from orthant blocks only), letting solves run as divisions.
+    ``blocks`` holds one factor per cone block, in block order: the vector
+    1/x_b (the diagonal of L_b) for an orthant block and the dense lower
+    Cholesky factor L_b for a second-order cone block.  That format is known
+    only to this module; callers use ``solve_lower``/``solve_upper``.
     Immutable after construction and safe to share between threads.
     """
 
     cone: Cone
     point: np.ndarray
-    lower: np.ndarray  # L with L L^T = nabla^2 B(point)
-    diag: np.ndarray | None = None
+    blocks: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
         return self.point.shape[0]
 
+    @property
+    def lower(self) -> np.ndarray:
+        """Dense L with L L^T = nabla^2 B(point), assembled on each access."""
+        lower = np.zeros((self.dim, self.dim))
+        for (block, sl), f in zip(self.cone.slices(), self.blocks):
+            lower[sl, sl] = np.diag(f) if block.kind == ORTHANT else f
+        return lower
+
+    def _solve(self, v: np.ndarray, lower: bool) -> np.ndarray:
+        if len(self.blocks) == 1:
+            return _block_solve(self.cone.blocks[0].kind, self.blocks[0], v, lower)
+        out = np.empty_like(v, dtype=float)
+        for (block, sl), f in zip(self.cone.slices(), self.blocks):
+            out[sl] = _block_solve(block.kind, f, v[sl], lower)
+        return out
+
+    def solve_lower(self, v: np.ndarray) -> np.ndarray:
+        """L^{-1} v for a vector or an n x m matrix; forward substitution."""
+        return self._solve(v, lower=True)
+
+    def solve_upper(self, v: np.ndarray) -> np.ndarray:
+        """L^{-T} v for a vector or an n x m matrix; backward substitution."""
+        return self._solve(v, lower=False)
+
 
 def barrier_factor(cone: Cone, x: np.ndarray, counters: OpCounters | None = None) -> BarrierFactor:
     """Factor the barrier Hessian at an interior point; counts one Cholesky."""
     x = _check_dim(cone, x)
-    n = cone.total_dim
-    all_orthant = all(block.kind == ORTHANT for block in cone.blocks)
-    lower = np.zeros((n, n))
-    for block, sl in cone.slices():
-        xb = x[sl]
+    blocks = []
+    for block, _, xb in _interior_blocks(cone, x):
         if block.kind == ORTHANT:
-            if np.any(xb <= 0.0):
-                raise BoundaryError("orthant component not strictly positive")
-            idx = np.arange(sl.start, sl.stop)
-            lower[idx, idx] = 1.0 / xb
-        else:
-            gap = _soc_gap(xb)
-            if xb[0] <= 0.0 or gap <= 0.0:
-                raise BoundaryError("point not interior to second-order cone block")
-            try:
-                lower[sl, sl] = np.linalg.cholesky(_soc_hessian(xb))
-            except np.linalg.LinAlgError as exc:
-                raise FactorizationError(
-                    "barrier Hessian block numerically indefinite (point near boundary)"
-                ) from exc
+            blocks.append(1.0 / xb)
+            continue
+        try:
+            blocks.append(np.linalg.cholesky(_soc_hessian(xb)))
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(
+                "barrier Hessian block numerically indefinite (point near boundary)"
+            ) from exc
     bump(counters, "cholesky")
-    diag = np.diagonal(lower).copy() if all_orthant else None
-    return BarrierFactor(cone=cone, point=x.copy(), lower=lower, diag=diag)
+    return BarrierFactor(cone=cone, point=x.copy(), blocks=tuple(blocks))
 
 
 def local_norm_primal(factor: BarrierFactor, v: np.ndarray) -> float:
@@ -256,9 +280,6 @@ def local_norm_primal(factor: BarrierFactor, v: np.ndarray) -> float:
 
 def local_norm_dual(factor: BarrierFactor, v: np.ndarray, counters: OpCounters | None = None) -> float:
     """||v||_x* = ||L^{-1} v||; one forward substitution."""
-    if factor.diag is not None:
-        w = v / factor.diag
-    else:
-        w = solve_triangular(factor.lower, v, lower=True, check_finite=False)
+    w = factor.solve_lower(v)
     bump(counters, "tri_solve")
     return float(np.linalg.norm(w))

@@ -1,8 +1,10 @@
 """Null-space projection calculus built on the barrier factor.
 
 Write L for the lower Cholesky factor of the barrier Hessian at the current
-iterate, so the inverse Hessian splits as M M^T with M = L^{-T}.  The
-workspace precomputes
+iterate, so the inverse Hessian splits as M M^T with M = L^{-T}.  This module
+applies L only through ``BarrierFactor.solve_lower`` (L^{-1}) and
+``solve_upper`` (L^{-T}) and never looks at how the factor is stored; its own
+triangular solves are with the m x m Schur factor.  The workspace precomputes
 
 * ``scaled_AT``  N = L^{-1} A^T            (m forward substitutions)
 * ``schur_lower`` C with C C^T = N^T N     (Schur complement A M M^T A^T)
@@ -87,15 +89,9 @@ class IterationWorkspace:
         self.affine = affine
         self.factor = factor
         self.counters = counters
-        self._diag = factor.diag
         m = affine.m
         if m > 0:
-            if self._diag is not None:
-                self.scaled_AT = affine.A.T / self._diag[:, None]
-            else:
-                self.scaled_AT = solve_triangular(
-                    factor.lower, affine.A.T, lower=True, check_finite=False
-                )
+            self.scaled_AT = factor.solve_lower(affine.A.T)
             bump(counters, "tri_solve", m)
             schur = self.scaled_AT.T @ self.scaled_AT
             bump(counters, "matT_mat")
@@ -132,16 +128,12 @@ class IterationWorkspace:
     def unscale(self, v: np.ndarray) -> np.ndarray:
         """M v = L^{-T} v; one backward substitution."""
         bump(self.counters, "tri_solve")
-        if self._diag is not None:
-            return v / self._diag
-        return solve_triangular(self.factor.lower.T, v, lower=False, check_finite=False)
+        return self.factor.solve_upper(v)
 
     def scale_dual(self, v: np.ndarray) -> np.ndarray:
         """M^T v = L^{-1} v; one forward substitution."""
         bump(self.counters, "tri_solve")
-        if self._diag is not None:
-            return v / self._diag
-        return solve_triangular(self.factor.lower, v, lower=True, check_finite=False)
+        return self.factor.solve_lower(v)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the null space of the scaled constraints."""
@@ -184,9 +176,3 @@ class IterationWorkspace:
         v4 = self.scale_dual(v3)
         v5 = self.project(v4)
         return v5 + mu * v1
-
-
-def build_workspace(
-    affine: AffineData, factor: BarrierFactor, counters: OpCounters | None = None
-) -> IterationWorkspace:
-    return IterationWorkspace(affine, factor, counters)

@@ -47,7 +47,6 @@ from .problems import ConicProblem
 from .trace import BRANCH_CG_NC, BRANCH_CG_SOL, BRANCH_MEO_NC, BRANCH_TERMINATE, IterationRecord, SolveTrace
 
 INTERIOR_GUARD = 1e-12  # solver-internal strict-interiority margin
-DESK_SCALE_LIMIT = 500  # largest n for dense certification
 
 
 class SolveStatus(str, Enum):
@@ -127,25 +126,6 @@ def grad_phi(problem: ConicProblem, ws: IterationWorkspace, mu: float,
     bump(counters, "grad_eval")
     x = ws.point
     return problem.gradient(x) + mu * barrier_gradient(problem.cone, x)
-
-
-def multiplier_first(ws: IterationWorkspace, grad_phi_val: np.ndarray) -> np.ndarray:
-    """Least-squares multiplier estimate from the current merit gradient."""
-    return ws.multipliers(grad_phi_val)
-
-
-def multiplier_second(
-    ws_prev: IterationWorkspace,
-    hess_step_prev: np.ndarray,
-    grad_phi_prev: np.ndarray,
-) -> np.ndarray:
-    """Multiplier estimate from the previous iterate's Newton-step residual.
-
-    ``hess_step_prev`` is the objective Hessian at the previous point applied
-    to the previous ambient step direction.  The caller enforces the gate
-    (previous direction of solution type and a unit step accepted).
-    """
-    return ws_prev.multipliers(hess_step_prev + grad_phi_prev)
 
 
 def first_order_gate(
@@ -306,7 +286,7 @@ class _PrevState:
 def _attach_certificate(problem: ConicProblem, result: SolveResult, params: SolverParams) -> None:
     eps = params.epsilon
     if result.status is SolveStatus.SOSP_CERTIFIED and problem.has_dense_hessian \
-            and problem.n <= DESK_SCALE_LIMIT:
+            and problem.n <= certify_mod.DESK_SCALE_LIMIT:
         report = certify_mod.check_sosp_dense(
             problem, result.x_final, result.lambda_final, eps_g=eps, eps_h=math.sqrt(eps)
         )
@@ -363,11 +343,12 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         grad_b = barrier_gradient(cone, x)
         gphi = grad_f + mu * grad_b
 
-        lambda1 = multiplier_first(ws, gphi)
+        lambda1 = ws.multipliers(gphi)
+        # lambda2 from the previous Newton-step residual holds only after a unit SOL step
         if prev.kind is DirectionKind.SOL and prev.alpha == 1.0 and prev.direction is not None:
             hess_step = problem.hess_vec(prev.ws.point, prev.step)
             bump(counters, "hess_vec")
-            lambda2 = multiplier_second(prev.ws, hess_step, prev.grad_phi)
+            lambda2 = prev.ws.multipliers(hess_step + prev.grad_phi)
         else:
             lambda2 = prev.lambda2
 
@@ -386,8 +367,6 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
 
         if not triggered:
             g = ws.null_step_t(gphi)
-            g_norm = float(np.linalg.norm(g))
-            assert g_norm > 0.0, "gate passed yet projected merit gradient vanished"
             cg_out = capped_cg(
                 phi_hessian_op,
                 g,

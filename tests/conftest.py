@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from conebarrier.cones import ORTHANT, Cone
+from conebarrier.cones import ORTHANT, Cone, ConeBlock, orthant, product, second_order
+
+
+CONE_FAMILIES = [
+    orthant(2),
+    orthant(10),
+    orthant(50),
+    second_order(2),
+    second_order(5),
+    second_order(20),
+    product(ConeBlock("orthant", 3), ConeBlock("soc", 4), ConeBlock("orthant", 2),
+            ConeBlock("soc", 2)),
+]
 
 
 def random_interior_point(cone: Cone, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -37,7 +37,7 @@ from conebarrier.cones import (
     second_order,
 )
 from conebarrier.lanczos import CERTIFIED, NC, lanczos_iteration_cap, min_eig_oracle
-from conebarrier.linops import AffineData, build_workspace
+from conebarrier.linops import AffineData, IterationWorkspace
 from conebarrier.problems import ConicProblem, builtin
 from conebarrier.solver import SolverParams, SolveStatus, solve
 
@@ -179,7 +179,7 @@ def test_criterion_2_operator_calculus():
             factor = barrier_factor(cone, x)
             affine = AffineData(A=a_mat, b=np.zeros(m)) if m \
                 else AffineData(A=np.zeros((0, n)), b=np.zeros(0))
-            ws = build_workspace(affine, factor)
+            ws = IterationWorkspace(affine, factor)
             m_d, q_d, p_d, r_d = dense_operators(a_mat if m else np.zeros((0, n)), factor.lower)
             v = rng.standard_normal(n)
             u = rng.standard_normal(n)

@@ -19,18 +19,7 @@ from conebarrier.cones import (
 from conebarrier.counters import OpCounters
 from conebarrier.errors import BoundaryError
 
-from conftest import random_interior_point
-
-CONE_FAMILIES = [
-    orthant(2),
-    orthant(10),
-    orthant(50),
-    second_order(2),
-    second_order(5),
-    second_order(20),
-    product(ConeBlock("orthant", 3), ConeBlock("soc", 4), ConeBlock("orthant", 2),
-            ConeBlock("soc", 2)),
-]
+from conftest import CONE_FAMILIES, random_interior_point
 
 
 def finite_diff_gradient(cone, x, h=1e-6):

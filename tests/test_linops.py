@@ -4,16 +4,16 @@ import pytest
 from conebarrier.cones import barrier_factor, local_norm_dual, local_norm_primal, orthant, second_order
 from conebarrier.counters import OpCounters
 from conebarrier.errors import FactorizationError
-from conebarrier.linops import AffineData, build_workspace, empty_affine
+from conebarrier.linops import AffineData, IterationWorkspace, empty_affine
 
-from conftest import dense_operators, random_interior_point
+from conftest import CONE_FAMILIES, dense_operators, random_interior_point
 
 
 def make_ws(A, b, x, cone=None, counters=None):
     cone = cone if cone is not None else orthant(len(x))
     affine = AffineData(A=np.asarray(A, float), b=np.asarray(b, float))
     factor = barrier_factor(cone, np.asarray(x, float))
-    return build_workspace(affine, factor, counters)
+    return IterationWorkspace(affine, factor, counters)
 
 
 class TestAffineData:
@@ -157,15 +157,16 @@ class TestMultipliers:
 
     def test_multiplier_residual_identity(self, rng):
         # ||null_step_t(g)|| equals the dual local norm of g + A^T multipliers(g)
-        n, m = 9, 3
-        cone = orthant(n)
-        a_mat = rng.standard_normal((m, n))
-        for _ in range(10):
-            ws = make_ws(a_mat, np.zeros(m), random_interior_point(cone, rng))
-            g = rng.standard_normal(n)
-            lhs = np.linalg.norm(ws.null_step_t(g))
-            rhs = local_norm_dual(ws.factor, g + a_mat.T @ ws.multipliers(g))
-            assert lhs == pytest.approx(rhs, rel=1e-8)
+        for cone in CONE_FAMILIES:
+            n = cone.total_dim
+            m = min(3, n - 1)
+            a_mat = rng.standard_normal((m, n))
+            for _ in range(10):
+                ws = make_ws(a_mat, np.zeros(m), random_interior_point(cone, rng), cone)
+                g = rng.standard_normal(n)
+                lhs = np.linalg.norm(ws.null_step_t(g))
+                rhs = local_norm_dual(ws.factor, g + a_mat.T @ ws.multipliers(g))
+                assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
 class TestReducedHessian:
@@ -206,7 +207,7 @@ class TestAgainstDenseAssembly:
             x = random_interior_point(cone, rng)
             factor = barrier_factor(cone, x)
             affine = AffineData(A=a_mat, b=np.zeros(m)) if m else empty_affine(n)
-            ws = build_workspace(affine, factor)
+            ws = IterationWorkspace(affine, factor)
             m_d, q_d, p_d, r_d = dense_operators(a_mat, factor.lower)
             for _ in range(3):
                 v = rng.standard_normal(n)
@@ -227,7 +228,7 @@ class TestAgainstDenseAssembly:
         a_mat = rng.standard_normal((m, n))
         x = random_interior_point(cone, rng)
         factor = barrier_factor(cone, x)
-        ws = build_workspace(AffineData(A=a_mat, b=np.zeros(m)), factor)
+        ws = IterationWorkspace(AffineData(A=a_mat, b=np.zeros(m)), factor)
         m_d, _, p_d, r_d = dense_operators(a_mat, factor.lower)
         np.testing.assert_allclose(
             (np.eye(n) + r_d.T @ a_mat) @ m_d, p_d, atol=1e-10

@@ -11,7 +11,7 @@ from conebarrier.cones import (
     orthant,
 )
 from conebarrier.errors import InfeasibleStart, LineSearchFailure, ParamError, ZeroDirection
-from conebarrier.linops import AffineData, build_workspace, empty_affine
+from conebarrier.linops import AffineData, IterationWorkspace, empty_affine
 from conebarrier.problems import ConicProblem, builtin
 from conebarrier.solver import (
     SolverParams,
@@ -21,8 +21,6 @@ from conebarrier.solver import (
     line_search_nc,
     line_search_sol,
     mu_from_epsilon,
-    multiplier_first,
-    multiplier_second,
     phi_value,
     scale_meo_direction,
     scale_nc_direction,
@@ -49,7 +47,7 @@ def ws_at(x, A=None, b=None):
     x = np.asarray(x, dtype=float)
     cone = orthant(x.size)
     affine = empty_affine(x.size) if A is None else AffineData(A=A, b=b)
-    return build_workspace(affine, barrier_factor(cone, x))
+    return IterationWorkspace(affine, barrier_factor(cone, x))
 
 
 class TestMuFormula:
@@ -97,30 +95,23 @@ class TestMultipliers:
         ws = ws_at([0.5, 0.5], A=np.array([[1.0, 1.0]]), b=np.array([1.0]))
         a, b = 0.7, -1.3
         np.testing.assert_allclose(
-            multiplier_first(ws, np.array([a, b])), [-0.5 * (a + b)], atol=1e-14
+            ws.multipliers(np.array([a, b])), [-0.5 * (a + b)], atol=1e-14
         )
 
     def test_first_zero(self):
         ws = ws_at([0.5, 0.5], A=np.array([[1.0, 1.0]]), b=np.array([1.0]))
-        np.testing.assert_allclose(multiplier_first(ws, np.zeros(2)), [0.0])
+        np.testing.assert_allclose(ws.multipliers(np.zeros(2)), [0.0])
 
     def test_first_single_coordinate(self):
         ws = ws_at([1.0, 1.0], A=np.array([[1.0, 0.0]]), b=np.array([1.0]))
-        np.testing.assert_allclose(multiplier_first(ws, np.array([3.0, 7.0])), [-3.0])
-
-    def test_second_collapses_without_direction(self):
-        ws = ws_at([0.5, 0.5], A=np.array([[1.0, 1.0]]), b=np.array([1.0]))
-        g = np.array([0.3, 0.9])
-        np.testing.assert_allclose(
-            multiplier_second(ws, np.zeros(2), g), multiplier_first(ws, g), atol=1e-14
-        )
+        np.testing.assert_allclose(ws.multipliers(np.array([3.0, 7.0])), [-3.0])
 
     def test_second_dense_example(self):
         ws = ws_at([0.5, 0.5], A=np.array([[1.0, 1.0]]), b=np.array([1.0]))
         step = ws.null_step(np.array([1.0, 0.0]))
         np.testing.assert_allclose(step, [0.25, -0.25], atol=1e-14)
-        # identity objective Hessian, zero merit gradient
-        np.testing.assert_allclose(multiplier_second(ws, step, np.zeros(2)), [0.0], atol=1e-14)
+        # identity objective Hessian applied to the step, plus a zero merit gradient
+        np.testing.assert_allclose(ws.multipliers(step + np.zeros(2)), [0.0], atol=1e-14)
 
 
 class TestFirstOrderGate:
@@ -128,7 +119,7 @@ class TestFirstOrderGate:
         grad_f = problem.gradient(ws.point)
         grad_b = barrier_gradient(problem.cone, ws.point)
         gphi = grad_f + mu * grad_b
-        lambda1 = multiplier_first(ws, gphi)
+        lambda1 = ws.multipliers(gphi)
         lambda2 = lambda1 if lambda2 is None else lambda2
         grad_b_prev = grad_b if grad_b_prev is None else grad_b_prev
         return first_order_gate(ws, mu, beta, grad_f, grad_b, lambda1, lambda2, grad_b_prev)
