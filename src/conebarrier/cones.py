@@ -10,10 +10,20 @@ Values, gradients, Hessians and the barrier parameter are additive across
 blocks, and every barrier entry point walks the blocks through one
 strict-interiority check.  All local-norm computations go through the lower
 Cholesky factor L of the barrier Hessian, nabla^2 B(x) = L L^T, which is
-block diagonal.  ``BarrierFactor`` stores it one block at a time (the
-diagonal 1/x_b of an orthant block, the dense factor of a second-order cone
-block); this module is the only one that knows that format.  Everything else
-applies L through ``BarrierFactor.solve_lower`` and ``solve_upper``:
+block diagonal.  ``BarrierFactor`` stores it one block at a time, and this
+module is the only one that knows that format:
+
+* orthant block: the diagonal 1/x_b of L_b;
+* second-order cone block (t, u) with gap gamma = (t - ||u||)(t + ||u||):
+  the Hessian is D + (4/gamma^2) w w^T with D = (2/gamma) diag(-1, 1, ..., 1)
+  and w = (t, -u), so its exact Cholesky factor is semiseparable,
+  L_b = (I + tril(w beta^T, -1)) diag(sqrt(dbar)), by the rank-one LDL^T
+  update of Gill, Golub, Murray & Saunders (Math. Comp. 1974).  It is built
+  from suffix sums of u_k^2 in O(d) and stored as four d-vectors; both
+  triangular solves are O(d) cumulative sums, and no d x d array is formed.
+
+Everything else applies L through ``BarrierFactor.solve_lower`` and
+``solve_upper``:
 
 * primal local norm  ||v||_x  = ||L^T v||
 * dual local norm    ||v||_x* = ||L^{-1} v||  (one forward substitution)
@@ -24,7 +34,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .counters import OpCounters, bump
 from .errors import BoundaryError, FactorizationError
@@ -105,9 +114,14 @@ def _check_dim(cone: Cone, x: np.ndarray) -> np.ndarray:
 
 
 def _soc_gap(xb: np.ndarray) -> float:
-    """t^2 - ||u||^2 for a second-order cone block (t, u)."""
-    t = xb[0]
-    return float(t * t - np.dot(xb[1:], xb[1:]))
+    """t^2 - ||u||^2 for a second-order cone block (t, u), as (t - ||u||)(t + ||u||).
+
+    Every barrier entry point and the factor read the gap from here.  For
+    t > 0 its sign is the sign of t - ||u|| (barring underflow), so the
+    strict-interiority check agrees with ``interior_membership`` at margin 0.
+    """
+    t, r = float(xb[0]), float(np.linalg.norm(xb[1:]))
+    return (t - r) * (t + r)
 
 
 def interior_membership(cone: Cone, x: np.ndarray, margin: float = 0.0) -> bool:
@@ -202,13 +216,81 @@ def barrier_hessian(cone: Cone, x: np.ndarray) -> np.ndarray:
     return hess
 
 
-def _block_solve(kind: str, f: np.ndarray, v: np.ndarray, lower: bool) -> np.ndarray:
+@dataclass(frozen=True)
+class SocFactor:
+    """Exact lower Cholesky factor of one second-order cone block's barrier Hessian.
+
+    L = (I + tril(w beta^T, -1)) diag(root) with beta = q / root^2, and the
+    unit lower part has the inverse I - tril(q p^T, -1).  So L^{-1} v and
+    L^{-T} v are one shifted cumulative sum each, for a vector or a d x m
+    matrix, and the factor is four d-vectors.
+    """
+
+    root: np.ndarray  # sqrt(dbar), the diagonal of L
+    w: np.ndarray  # (t, -u)
+    p: np.ndarray  # w / D
+    q: np.ndarray  # w / ia, with ia_j = 1 / alpha_j of the rank-one update
+
+    @property
+    def dense(self) -> np.ndarray:
+        """The d x d factor L, assembled on each access (for tests and views)."""
+        return np.tril(np.outer(self.w, self.q / self.root), -1) + np.diag(self.root)
+
+
+def _soc_factor(xb: np.ndarray) -> SocFactor:
+    """O(d) factor of (2/gap) diag(-1, 1, ..., 1) + (4/gap^2) w w^T at an interior xb.
+
+    The rank-one LDL^T update of Gill, Golub, Murray & Saunders runs through
+    ia_j = 1/alpha_j = ia_{j-1} + w_{j-1}^2 / D_{j-1}.  In closed form
+    ia_0 = gap^2/4 and ia_j = -(gap/4)(gap + 2 sum_{k>=j} u_k^2) for j >= 1,
+    taken from suffix sums so that nothing cancels; then
+    dbar_j = D_j ia_{j+1} / ia_j.
+    """
+    gap, d = _soc_gap(xb), xb.shape[0]
+    w = xb.copy()
+    w[1:] *= -1.0
+    diag = np.full(d, 2.0 / gap)
+    diag[0] = -diag[0]
+    tail = np.zeros(d)  # tail[j - 1] = sum_{k>=j} u_k^2 for j = 1..d
+    tail[:-1] = np.cumsum(xb[:0:-1] ** 2)[::-1]
+    ia = np.empty(d + 1)
+    ia[0] = gap * gap / 4.0
+    ia[1:] = -(gap / 4.0) * (gap + 2.0 * tail)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dbar = diag * ia[1:] / ia[:-1]
+    if not np.all(np.isfinite(dbar) & (dbar > 0.0)):
+        raise FactorizationError(
+            "second-order cone barrier Hessian has a non-finite or non-positive pivot "
+            "(point at an extreme scale)"
+        )
+    return SocFactor(root=np.sqrt(dbar), w=w, p=w / diag, q=w / ia[:-1])
+
+
+def _exclusive_cumsum(terms: np.ndarray, reverse: bool) -> np.ndarray:
+    """sum_{j<i} terms_j (sum_{j>i} when reverse) along axis 0, as a shifted cumsum.
+
+    ``np.add.accumulate`` is the ufunc behind ``np.cumsum``, without its
+    dispatch overhead, which dominates at the block sizes solved here.
+    """
+    if reverse:
+        terms = terms[::-1]
+    out = np.add.accumulate(terms, axis=0)
+    out[1:] = out[:-1]
+    out[0] = 0.0
+    return out[::-1] if reverse else out
+
+
+def _block_solve(kind: str, f: np.ndarray | SocFactor, v: np.ndarray, lower: bool) -> np.ndarray:
     """L_b^{-1} v (lower) or L_b^{-T} v (upper) for one block factor f."""
     if kind == ORTHANT:  # L_b = diag(f), so both solves are one division
         return v / f if v.ndim == 1 else v / f[:, None]
-    if lower:
-        return solve_triangular(f, v, lower=True, check_finite=False)
-    return solve_triangular(f.T, v, lower=False, check_finite=False)
+    root, p, q = f.root, f.p, f.q
+    if v.ndim == 2:
+        root, p, q = root[:, None], p[:, None], q[:, None]
+    if lower:  # z_i = v_i - q_i sum_{j<i} p_j v_j, then divide by root
+        return (v - q * _exclusive_cumsum(p * v, reverse=False)) / root
+    y = v / root  # then y_j - p_j sum_{i>j} q_i y_i
+    return y - p * _exclusive_cumsum(q * y, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -216,15 +298,15 @@ class BarrierFactor:
     """Point x with the block-diagonal lower Cholesky factor L of the barrier Hessian.
 
     ``blocks`` holds one factor per cone block, in block order: the vector
-    1/x_b (the diagonal of L_b) for an orthant block and the dense lower
-    Cholesky factor L_b for a second-order cone block.  That format is known
-    only to this module; callers use ``solve_lower``/``solve_upper``.
-    Immutable after construction and safe to share between threads.
+    1/x_b (the diagonal of L_b) for an orthant block and a ``SocFactor`` for
+    a second-order cone block.  That format is known only to this module;
+    callers use ``solve_lower``/``solve_upper``.  Immutable after
+    construction and safe to share between threads.
     """
 
     cone: Cone
     point: np.ndarray
-    blocks: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray | SocFactor, ...]
 
     @property
     def dim(self) -> int:
@@ -235,7 +317,7 @@ class BarrierFactor:
         """Dense L with L L^T = nabla^2 B(point), assembled on each access."""
         lower = np.zeros((self.dim, self.dim))
         for (block, sl), f in zip(self.cone.slices(), self.blocks):
-            lower[sl, sl] = np.diag(f) if block.kind == ORTHANT else f
+            lower[sl, sl] = np.diag(f) if block.kind == ORTHANT else f.dense
         return lower
 
     def _solve(self, v: np.ndarray, lower: bool) -> np.ndarray:
@@ -258,17 +340,10 @@ class BarrierFactor:
 def barrier_factor(cone: Cone, x: np.ndarray, counters: OpCounters | None = None) -> BarrierFactor:
     """Factor the barrier Hessian at an interior point; counts one Cholesky."""
     x = _check_dim(cone, x)
-    blocks = []
-    for block, _, xb in _interior_blocks(cone, x):
-        if block.kind == ORTHANT:
-            blocks.append(1.0 / xb)
-            continue
-        try:
-            blocks.append(np.linalg.cholesky(_soc_hessian(xb)))
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(
-                "barrier Hessian block numerically indefinite (point near boundary)"
-            ) from exc
+    blocks = [
+        1.0 / xb if block.kind == ORTHANT else _soc_factor(xb)
+        for block, _, xb in _interior_blocks(cone, x)
+    ]
     bump(counters, "cholesky")
     return BarrierFactor(cone=cone, point=x.copy(), blocks=tuple(blocks))
 

@@ -10,7 +10,7 @@ class BoundaryError(ConeBarrierError):
 
 
 class FactorizationError(ConeBarrierError):
-    """A Cholesky factorization failed (non-positive pivot)."""
+    """A factorization failed: a pivot is non-positive or not finite."""
 
 
 class ParamError(ConeBarrierError):
@@ -31,6 +31,10 @@ class HardCapExceeded(ConeBarrierError):
 
 class LineSearchFailure(ConeBarrierError):
     """Backtracking exhausted the trial budget without sufficient decrease."""
+
+
+class CallbackError(ConeBarrierError):
+    """An objective callback returned a NaN value or a non-finite or wrong-shape vector."""
 
 
 class InfeasibleStart(ConeBarrierError):

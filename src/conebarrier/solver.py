@@ -35,6 +35,7 @@ from .cones import (
 )
 from .counters import OpCounters, bump
 from .errors import (
+    CallbackError,
     DivergenceError,
     InfeasibleStart,
     LineSearchFailure,
@@ -116,8 +117,22 @@ def mu_from_epsilon(eps: float, beta: float, theta_barrier: float) -> float:
 
 def phi_value(problem: ConicProblem, x: np.ndarray, mu: float,
               counters: OpCounters | None = None) -> float:
+    """f(x) + mu B(x); a NaN f raises CallbackError, while +inf is a value to backtrack from."""
     bump(counters, "fun_eval")
-    return problem.value(x) + mu * barrier_value(problem.cone, x)
+    value = problem.value(x)
+    if math.isnan(value):
+        raise CallbackError("objective value callback returned NaN")
+    return value + mu * barrier_value(problem.cone, x)
+
+
+def _checked_vector(name: str, out: np.ndarray, n: int) -> np.ndarray:
+    """A callback's output, once it is known to be n finite floats."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != (n,):
+        raise CallbackError(f"{name} callback returned shape {out.shape}, expected ({n},)")
+    if not np.isfinite(out).all():
+        raise CallbackError(f"{name} callback returned a non-finite entry")
+    return out
 
 
 def grad_phi(problem: ConicProblem, ws: IterationWorkspace, mu: float,
@@ -338,7 +353,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         return res
 
     for k in range(params.max_outer_iters):
-        grad_f = problem.gradient(x)
+        grad_f = _checked_vector("gradient", problem.gradient(x), n)
         bump(counters, "grad_eval")
         grad_b = barrier_gradient(cone, x)
         gphi = grad_f + mu * grad_b
@@ -346,7 +361,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         lambda1 = ws.multipliers(gphi)
         # lambda2 from the previous Newton-step residual holds only after a unit SOL step
         if prev.kind is DirectionKind.SOL and prev.alpha == 1.0 and prev.direction is not None:
-            hess_step = problem.hess_vec(prev.ws.point, prev.step)
+            hess_step = _checked_vector("hess_vec", problem.hess_vec(prev.ws.point, prev.step), n)
             bump(counters, "hess_vec")
             lambda2 = prev.ws.multipliers(hess_step + prev.grad_phi)
         else:
@@ -357,7 +372,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         )
 
         def hess_vec_here(v, _x=x):
-            return problem.hess_vec(_x, v)
+            return _checked_vector("hess_vec", problem.hess_vec(_x, v), n)
 
         def phi_hessian_op(v):
             return ws.reduced_hessian_apply(hess_vec_here, mu, v)

@@ -3,9 +3,15 @@
 Each example draws one to four orthant and second-order cone blocks and an
 interior point from ``conftest.random_interior_point``.  The dense factor
 ``BarrierFactor.lower`` and ``scipy.linalg.solve_triangular`` are the
-reference for the block-wise solves; ``local_norm_dual`` is the reference for
-the certificate's closed-form dual norm.
+reference for the block-wise solves, ``np.linalg.cholesky`` of the dense
+Hessian is the reference for ``lower`` away from the boundary, and
+``local_norm_dual`` is the reference for the certificate's closed-form dual
+norm.  Near a second-order cone boundary the closed-form inverse Hessian
+x x^T - (gamma/2) diag(1, -1, ..., -1) is the reference instead, because a
+dense Cholesky factor of the ill-conditioned Hessian loses its accuracy there.
 """
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +50,36 @@ def sample(cone, seed):
     return rng, random_interior_point(cone, rng)
 
 
+def soc_gap_exact(xb):
+    """t^2 - ||u||^2 of a float block, rounded once from exact rational arithmetic."""
+    return float(Fraction(xb[0]) ** 2 - sum(Fraction(ui) ** 2 for ui in xb[1:]))
+
+
+def soc_pivots_exact(xb):
+    """Squared diagonal of the block's Cholesky factor, from exact leading principal minors.
+
+    The Hessian is D + c w w^T, so by the matrix determinant lemma
+    det(D_k + c w_k w_k^T) = det(D_k) (1 + c sum_{i<k} w_i^2 / D_i), and the
+    j-th pivot is the ratio of consecutive minors.
+    """
+    t, u = Fraction(xb[0]), [Fraction(ui) for ui in xb[1:]]
+    gap = t * t - sum(ui * ui for ui in u)
+    c = 4 / gap**2
+    pivots, lemma = [], Fraction(1)
+    for dj, wj in zip([-2 / gap] + [2 / gap] * len(u), [t] + [-ui for ui in u]):
+        lemma_next = lemma + c * wj * wj / dj
+        pivots.append(float(dj * lemma_next / lemma))
+        lemma = lemma_next
+    return np.array(pivots)
+
+
+def min_relative_soc_gap(cone, x):
+    """Smallest (t^2 - ||u||^2) / t^2 over the second-order cone blocks of x (1 if none)."""
+    gaps = [soc_gap_exact(x[sl]) / x[sl.start] ** 2
+            for block, sl in cone.slices() if block.kind == SOC]
+    return min(gaps, default=1.0)
+
+
 @PROPERTY_SETTINGS
 @given(cone=CONES, seed=SEEDS, cols=st.integers(1, 4))
 def test_block_solves_match_dense_triangular_solves(cone, seed, cols):
@@ -70,6 +106,11 @@ def test_lower_is_cholesky_factor_of_hessian(cone, seed):
     np.testing.assert_array_equal(lower, np.tril(lower))
     assert np.all(np.diag(lower) > 0.0)
     np.testing.assert_allclose(lower @ lower.T, hess, rtol=1e-10, atol=1e-10 * np.abs(hess).max())
+    # the Cholesky factor is unique, so away from the boundary the dense one is a reference
+    assert min_relative_soc_gap(cone, x) >= 1e-2
+    np.testing.assert_allclose(
+        lower, np.linalg.cholesky(hess), rtol=1e-9, atol=1e-12 * np.abs(lower).max()
+    )
 
 
 @PROPERTY_SETTINGS
@@ -98,3 +139,27 @@ def test_every_barrier_entry_point_rejects_the_same_boundary_points(cone, seed, 
     for entry_point in (barrier_value, barrier_gradient, barrier_hessian, barrier_factor):
         with pytest.raises(BoundaryError):
             entry_point(cone, x)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 50, 200])
+def test_soc_factor_accurate_up_to_the_boundary(dim):
+    # x = (1, r e) with ||e|| = 1 and r^2 = 1 - 10^-k, so the relative gap is about 10^-k
+    rng = np.random.default_rng(dim)
+    cone = Cone((ConeBlock(SOC, dim),))
+    sign = np.diag(np.r_[1.0, -np.ones(dim - 1)])
+    for k in range(11):
+        e = rng.standard_normal(dim - 1)
+        x = np.concatenate([[1.0], np.sqrt(1.0 - 10.0**-k) * e / np.linalg.norm(e)])
+        gap = soc_gap_exact(x)
+        factor = barrier_factor(cone, x)
+        # the pivots have condition number about t^2 / gap = 1 / gap, so a stable factor
+        # is within a few eps / gap of them; the dense Cholesky factor was up to 3e10 eps / gap off
+        pivots = np.diag(factor.lower) ** 2
+        np.testing.assert_allclose(pivots, soc_pivots_exact(x), rtol=16 * np.finfo(float).eps / gap)
+        for v in (rng.standard_normal(dim), rng.standard_normal((dim, 3))):
+            inverse_hessian_v = np.multiply.outer(x, x @ v) - 0.5 * gap * (sign @ v)
+            got = factor.solve_upper(factor.solve_lower(v))
+            rel = np.linalg.norm(got - inverse_hessian_v) / np.linalg.norm(inverse_hessian_v)
+            assert rel <= 1e-10, f"d={dim}, gap 1e-{k}: relative error {rel:.1e}"
+        g = rng.standard_normal(dim)
+        assert local_norm_dual(factor, g) == pytest.approx(dual_norm(cone, x, g), rel=1e-10)

@@ -17,7 +17,7 @@ from conebarrier.cones import (
     second_order,
 )
 from conebarrier.counters import OpCounters
-from conebarrier.errors import BoundaryError
+from conebarrier.errors import BoundaryError, FactorizationError
 
 from conftest import CONE_FAMILIES, random_interior_point
 
@@ -110,6 +110,12 @@ class TestBarrierFactor:
     def test_orthant_small(self):
         factor = barrier_factor(orthant(1), np.array([0.1]))
         np.testing.assert_allclose(factor.lower, [[10.0]])
+
+    @pytest.mark.parametrize("t", [1e-160, 1e160])
+    def test_soc_extreme_scale_raises_typed_error(self, t):
+        # interior points whose gap t^2 under- or overflows: the pivots are 1/0 or 0 * inf
+        with pytest.raises(FactorizationError):
+            barrier_factor(second_order(3), np.array([t, 0.0, 0.0]))
 
     def test_counter_increment(self):
         counters = OpCounters()

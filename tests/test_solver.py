@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,13 @@ from conebarrier.cones import (
     local_norm_primal,
     orthant,
 )
-from conebarrier.errors import InfeasibleStart, LineSearchFailure, ParamError, ZeroDirection
+from conebarrier.errors import (
+    CallbackError,
+    InfeasibleStart,
+    LineSearchFailure,
+    ParamError,
+    ZeroDirection,
+)
 from conebarrier.linops import AffineData, IterationWorkspace, empty_affine
 from conebarrier.problems import ConicProblem, builtin
 from conebarrier.solver import (
@@ -497,3 +504,52 @@ class TestSolveBasics:
         np.testing.assert_array_equal(r1.x_final, r2.x_final)
         assert r1.iterations == r2.iterations
         assert r1.trace.counters == r2.trace.counters
+
+
+class TestCallbackErrors:
+    """Misbehaving objective callbacks fail fast with a typed error."""
+
+    @staticmethod
+    def solve_with(**callbacks):
+        base = builtin("nonconvex_qp_simplex", 10)
+        p = dataclasses.replace(base, **callbacks)
+        return solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7))
+
+    def test_nan_value_raises_on_first_evaluation(self):
+        calls = []
+
+        def value(x):
+            calls.append(x)
+            return math.nan
+
+        with pytest.raises(CallbackError, match="NaN"):
+            self.solve_with(value=value)
+        assert len(calls) == 1
+
+    def test_inf_trial_value_backtracks(self):
+        base = builtin("nonconvex_qp_simplex", 10)
+        calls = []
+
+        def value(x):
+            calls.append(x)
+            return math.inf if len(calls) == 2 else base.value(x)  # the first trial point
+
+        res = self.solve_with(value=value)
+        assert res.status is SolveStatus.SOSP_CERTIFIED
+        assert res.trace.records[0].alpha < 1.0
+
+    def test_nan_gradient_raises(self):
+        with pytest.raises(CallbackError, match="non-finite"):
+            self.solve_with(gradient=lambda x: np.full(x.size, np.nan))
+
+    def test_wrong_shape_gradient_raises(self):
+        with pytest.raises(CallbackError, match=r"shape \(9,\)"):
+            self.solve_with(gradient=lambda x: np.zeros(x.size - 1))
+
+    @pytest.mark.parametrize(
+        "bad", [lambda v: np.full(v.size, np.inf), lambda v: np.zeros(v.size + 1)],
+        ids=["non-finite", "wrong-shape"],
+    )
+    def test_bad_hess_vec_raises(self, bad):
+        with pytest.raises(CallbackError):
+            self.solve_with(hessian=None, hess_vec_fn=lambda x, v: bad(v))
