@@ -1,95 +1,26 @@
 """Barrier Newton-CG solver for nonconvex conic programs with certificates."""
 
-from .capped_cg import CappedCgParams, CappedCgResult, DirectionKind, capped_cg, nc_curvature
-from .certify import CertificateReport, check_fosp, check_sosp_dense, scale_invariance_check
-from .cones import (
-    BarrierFactor,
-    Cone,
-    ConeBlock,
-    barrier_factor,
-    barrier_gradient,
-    barrier_hessian,
-    barrier_value,
-    dual_membership,
-    interior_membership,
-    local_norm_dual,
-    local_norm_primal,
-    orthant,
-    product,
-    second_order,
-)
-from .counters import OpCounters
-from .lanczos import MeoOutcome, lanczos_iteration_cap, min_eig_oracle, tridiagonal_min_ritz
-from .linops import AffineData, IterationWorkspace, empty_affine
-from .problems import ConicProblem, builtin, finite_diff_check, load_problem, perturb, save_problem
-from .solver import (
-    SolveResult,
-    SolverParams,
-    SolveStatus,
-    grad_phi,
-    line_search_nc,
-    line_search_sol,
-    mu_from_epsilon,
-    phi_value,
-    scale_meo_direction,
-    scale_nc_direction,
-    scale_sol_direction,
-    solve,
-)
-from .trace import IterationRecord, SolveTrace
+from .cones import Cone, ConeBlock, orthant, product, second_order
+from .linops import AffineData
+from .problems import ConicProblem, builtin, load_problem, perturb, save_problem
+from .solver import SolveResult, SolverParams, SolveStatus, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineData",
-    "BarrierFactor",
-    "CappedCgParams",
-    "CappedCgResult",
-    "CertificateReport",
     "Cone",
     "ConeBlock",
     "ConicProblem",
-    "DirectionKind",
-    "IterationRecord",
-    "IterationWorkspace",
-    "MeoOutcome",
-    "OpCounters",
     "SolveResult",
     "SolveStatus",
-    "SolveTrace",
     "SolverParams",
-    "barrier_factor",
-    "barrier_gradient",
-    "barrier_hessian",
-    "barrier_value",
     "builtin",
-    "capped_cg",
-    "check_fosp",
-    "check_sosp_dense",
-    "dual_membership",
-    "empty_affine",
-    "finite_diff_check",
-    "grad_phi",
-    "interior_membership",
-    "lanczos_iteration_cap",
-    "line_search_nc",
-    "line_search_sol",
     "load_problem",
-    "local_norm_dual",
-    "local_norm_primal",
-    "min_eig_oracle",
-    "mu_from_epsilon",
-    "nc_curvature",
     "orthant",
     "perturb",
-    "phi_value",
     "product",
     "save_problem",
-    "scale_invariance_check",
-    "scale_meo_direction",
-    "scale_nc_direction",
-    "scale_sol_direction",
     "second_order",
     "solve",
-    "tridiagonal_min_ritz",
 ]

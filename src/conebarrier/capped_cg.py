@@ -6,7 +6,7 @@ either an approximate solution (kind SOL) with
     ||(H + 2 eps I) d + g|| <= zeta_hat ||g||   and   d^T H d >= -eps ||d||^2
 
 or a negative-curvature direction (kind NC) with d^T H d < -eps ||d||^2.
-The operator-norm estimate U is refreshed on the fly from every computed
+The operator-norm estimate U starts at 0 and is refreshed on the fly from every computed
 matrix-vector product; the derived quantities kappa, zeta_hat, tau and T are
 recomputed after each refresh.  One fresh matvec is spent per iteration (on
 the new residual); products with the direction and solution iterates are
@@ -32,16 +32,12 @@ class DirectionKind(str, Enum):
 class CappedCgParams:
     epsilon: float
     zeta: float
-    u0: float = 0.0
-    max_iters_hard: int | None = None  # defaults to 10 n + 100 at call time
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.zeta < 1.0:
             raise ValueError("zeta must lie in (0, 1)")
-        if self.u0 < 0.0:
-            raise ValueError("u0 must be nonnegative")
 
 
 @dataclass
@@ -110,8 +106,8 @@ def capped_cg(
     if g_norm == 0.0:
         raise ZeroGradient("capped CG requires a nonzero right-hand side")
     eps = params.epsilon
-    hard_cap = params.max_iters_hard if params.max_iters_hard is not None else 10 * n + 100
-    mon = _Monitors(epsilon=eps, zeta=params.zeta, u=params.u0)
+    hard_cap = 10 * n + 100
+    mon = _Monitors(epsilon=eps, zeta=params.zeta, u=0.0)
 
     def result(kind: DirectionKind, direction: np.ndarray, iters: int) -> CappedCgResult:
         return CappedCgResult(

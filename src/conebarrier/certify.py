@@ -25,6 +25,7 @@ basis this is the smallest generalized eigenvalue of
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -38,6 +39,8 @@ from .errors import BoundaryError, ConeMismatch, SizeError
 from .problems import ConicProblem
 
 DESK_SCALE_LIMIT = 500
+FEAS_TOL = 1e-9  # max |Ax - b| allowed, relative to 1 + max |b|
+DUAL_TOL = 1e-9  # per-block slack allowed in the dual-cone test
 
 
 @dataclass
@@ -52,16 +55,7 @@ class CertificateReport:
     sosp_ok: bool | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "feasibility_ok": self.feasibility_ok,
-            "primal_residual": self.primal_residual,
-            "interior_ok": self.interior_ok,
-            "dual_cone_ok": self.dual_cone_ok,
-            "fosp_residual": self.fosp_residual,
-            "fosp_ok": self.fosp_ok,
-            "sosp_min_eig": self.sosp_min_eig,
-            "sosp_ok": self.sosp_ok,
-        }
+        return dataclasses.asdict(self)
 
 
 def dual_norm(cone: Cone, x: np.ndarray, s: np.ndarray) -> float:
@@ -82,8 +76,6 @@ def check_fosp(
     x: np.ndarray,
     lam: np.ndarray,
     eps_g: float,
-    feas_tol: float = 1e-9,
-    dual_tol: float = 1e-9,
 ) -> CertificateReport:
     """First-order report; failures are reported, never raised."""
     x = np.asarray(x, dtype=float)
@@ -97,11 +89,11 @@ def check_fosp(
     else:
         primal_residual = 0.0
         b_scale = 1.0
-    feasibility_ok = primal_residual <= feas_tol * b_scale
+    feasibility_ok = primal_residual <= FEAS_TOL * b_scale
 
     interior_ok = cones.interior_membership(problem.cone, x, margin=0.0)
     s = problem.gradient(x) + (affine.A.T @ lam if problem.m else 0.0)
-    dual_cone_ok = cones.dual_membership(problem.cone, s, tol=dual_tol)
+    dual_cone_ok = cones.dual_membership(problem.cone, s, tol=DUAL_TOL)
     fosp_residual = dual_norm(problem.cone, x, s) if interior_ok else math.inf
     fosp_ok = feasibility_ok and interior_ok and dual_cone_ok and fosp_residual <= eps_g
     return CertificateReport(
@@ -146,11 +138,9 @@ def check_sosp_dense(
     lam: np.ndarray,
     eps_g: float,
     eps_h: float,
-    feas_tol: float = 1e-9,
-    dual_tol: float = 1e-9,
 ) -> CertificateReport:
     """First- plus second-order report using a dense reduced eigensolve."""
-    report = check_fosp(problem, x, lam, eps_g, feas_tol=feas_tol, dual_tol=dual_tol)
+    report = check_fosp(problem, x, lam, eps_g)
     if report.interior_ok:
         report.sosp_min_eig = reduced_min_eig(problem, x)
         report.sosp_ok = report.fosp_ok and report.sosp_min_eig >= -eps_h

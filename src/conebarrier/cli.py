@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certify as certify_mod
+from .counters import CATEGORIES
 from .errors import ConeBarrierError
 from .problems import load_problem
 from .solver import SolverParams, solve
@@ -60,9 +61,7 @@ def _summary_line(result) -> str:
         f"status={result.status.value} iterations={result.iterations} "
         f"fosp_residual={fosp:.6e} "
         f"sosp_min_eig={'n/a' if sosp is None else format(sosp, '.6e')} "
-        f"cholesky={counters.get('cholesky', 0)} hess_vec={counters.get('hess_vec', 0)} "
-        f"tri_solve={counters.get('tri_solve', 0)} matT_mat={counters.get('matT_mat', 0)} "
-        f"grad_eval={counters.get('grad_eval', 0)} fun_eval={counters.get('fun_eval', 0)}"
+        + " ".join(f"{name}={counters.get(name, 0)}" for name in CATEGORIES)
     )
 
 

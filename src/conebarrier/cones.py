@@ -197,9 +197,18 @@ def _soc_hessian(xb: np.ndarray) -> np.ndarray:
     d = xb.shape[0]
     w = xb.copy()
     w[1:] *= -1.0
-    hess = (4.0 / gap**2) * np.outer(w, w)
-    hess[np.arange(d), np.arange(d)] += 2.0 / gap
-    hess[0, 0] -= 4.0 / gap
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            hess = (4.0 / gap**2) * np.outer(w, w)
+            hess[np.arange(d), np.arange(d)] += 2.0 / gap
+            hess[0, 0] -= 4.0 / gap
+        finite = bool(np.all(np.isfinite(hess)))
+    except ArithmeticError:  # gap**2 underflows to 0 or overflows
+        finite = False
+    if not finite:
+        raise FactorizationError(
+            "second-order cone barrier Hessian is not finite (point at an extreme scale)"
+        )
     return hess
 
 

@@ -11,29 +11,24 @@ accounting (see README for the per-iteration decomposition).
 """
 from __future__ import annotations
 
-import threading
-
 
 CATEGORIES = ("cholesky", "hess_vec", "tri_solve", "matT_mat", "grad_eval", "fun_eval")
 
 
 class OpCounters:
-    """Thread-safe tallies; share one instance across concurrent solves."""
+    """Tallies for one solve, one attribute per category."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         for name in CATEGORIES:
             setattr(self, name, 0)
 
     def add(self, category: str, amount: int = 1) -> None:
         if category not in CATEGORIES:
             raise KeyError(f"unknown counter category: {category}")
-        with self._lock:
-            setattr(self, category, getattr(self, category) + amount)
+        setattr(self, category, getattr(self, category) + amount)
 
     def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {name: getattr(self, name) for name in CATEGORIES}
+        return {name: getattr(self, name) for name in CATEGORIES}
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())

@@ -27,6 +27,7 @@ NC = "negative_curvature"
 CERTIFIED = "certified"
 
 _BREAKDOWN_TOL = 1e-12
+_POWER_ITERS = 10
 
 
 @dataclass
@@ -65,7 +66,6 @@ def estimate_operator_norm(
     matvec: Callable[[np.ndarray], np.ndarray],
     n: int,
     rng: np.random.Generator,
-    iters: int = 10,
 ) -> float:
     """Spectral-norm estimate via a short power iteration on H."""
     z = rng.standard_normal(n)
@@ -74,7 +74,7 @@ def estimate_operator_norm(
         return 0.0
     z /= z_norm
     estimate = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = matvec(z)
         estimate = float(np.linalg.norm(w))
         if estimate <= _BREAKDOWN_TOL:

@@ -73,8 +73,7 @@ def empty_affine(n: int) -> AffineData:
 class IterationWorkspace:
     """Per-iterate cache: barrier factor, scaled constraints, Schur factor.
 
-    Immutable after construction; the optional counters object is the only
-    shared mutable state and is itself thread-safe.
+    Immutable after construction.
     """
 
     def __init__(

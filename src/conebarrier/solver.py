@@ -135,14 +135,6 @@ def _checked_vector(name: str, out: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def grad_phi(problem: ConicProblem, ws: IterationWorkspace, mu: float,
-             counters: OpCounters | None = None) -> np.ndarray:
-    """Merit gradient grad f(x) + mu grad B(x) at the workspace point."""
-    bump(counters, "grad_eval")
-    x = ws.point
-    return problem.gradient(x) + mu * barrier_gradient(problem.cone, x)
-
-
 def first_order_gate(
     ws: IterationWorkspace,
     mu: float,
@@ -232,16 +224,12 @@ def _backtrack(
     decrease: float,
     params: SolverParams,
     counters: OpCounters | None,
-    step: np.ndarray | None,
-    phi0: float | None,
+    step: np.ndarray,
+    phi0: float,
 ) -> tuple[float, np.ndarray, float]:
-    """Shared backtracking loop; ``decrease`` multiplies theta^{2j}."""
+    """Backtrack from phi0 along ``step`` = null_step(d); ``decrease`` multiplies theta^{2j}."""
     if not np.any(d):
         raise ZeroDirection("line search requires a nonzero direction")
-    if step is None:
-        step = ws.null_step(d)
-    if phi0 is None:
-        phi0 = phi_value(problem, ws.point, mu, counters)
     x = ws.point
     for j in range(params.max_backtracks + 1):
         t = params.theta**j
@@ -261,8 +249,9 @@ def line_search_sol(
     d: np.ndarray,
     params: SolverParams,
     counters: OpCounters | None = None,
-    step: np.ndarray | None = None,
-    phi0: float | None = None,
+    *,
+    step: np.ndarray,
+    phi0: float,
 ) -> tuple[float, np.ndarray, float]:
     """Quadratic decrease target eta sqrt(eps) theta^{2j} ||d||^2."""
     decrease = params.eta * math.sqrt(params.epsilon) * float(d @ d)
@@ -276,8 +265,9 @@ def line_search_nc(
     d: np.ndarray,
     params: SolverParams,
     counters: OpCounters | None = None,
-    step: np.ndarray | None = None,
-    phi0: float | None = None,
+    *,
+    step: np.ndarray,
+    phi0: float,
 ) -> tuple[float, np.ndarray, float]:
     """Cubic decrease target eta theta^{2j} ||d||^3 / 2."""
     decrease = params.eta * float(np.linalg.norm(d)) ** 3 / 2.0
@@ -291,7 +281,6 @@ class _PrevState:
     ws: IterationWorkspace
     grad_phi: np.ndarray
     grad_b: np.ndarray
-    direction: np.ndarray | None = None
     step: np.ndarray | None = None  # ambient step direction before the alpha scaling
     kind: DirectionKind = DirectionKind.NC
     alpha: float = 0.0
@@ -360,7 +349,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
 
         lambda1 = ws.multipliers(gphi)
         # lambda2 from the previous Newton-step residual holds only after a unit SOL step
-        if prev.kind is DirectionKind.SOL and prev.alpha == 1.0 and prev.direction is not None:
+        if prev.kind is DirectionKind.SOL and prev.alpha == 1.0:
             hess_step = _checked_vector("hess_vec", problem.hess_vec(prev.ws.point, prev.step), n)
             bump(counters, "hess_vec")
             lambda2 = prev.ws.multipliers(hess_step + prev.grad_phi)
@@ -385,7 +374,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             cg_out = capped_cg(
                 phi_hessian_op,
                 g,
-                CappedCgParams(epsilon=sqrt_eps, zeta=params.zeta, u0=0.0),
+                CappedCgParams(epsilon=sqrt_eps, zeta=params.zeta),
             )
             d_hat = cg_out.direction
             if cg_out.kind is DirectionKind.NC:
@@ -447,7 +436,6 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             ws=ws,
             grad_phi=gphi,
             grad_b=grad_b,
-            direction=d,
             step=step,
             kind=kind,
             alpha=alpha,

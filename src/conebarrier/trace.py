@@ -10,6 +10,7 @@ the final certificate report.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,16 +36,7 @@ class IterationRecord:
     lanczos_iters: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "k": self.k,
-            "phi_mu": self.phi_mu,
-            "residual": self.residual,
-            "branch": self.branch,
-            "alpha": self.alpha,
-            "dir_norm": self.dir_norm,
-            "cg_iters": self.cg_iters,
-            "lanczos_iters": self.lanczos_iters,
-        }
+        return dataclasses.asdict(self)
 
     def to_csv_row(self) -> str:
         return (

@@ -116,6 +116,8 @@ class TestBarrierFactor:
         # interior points whose gap t^2 under- or overflows: the pivots are 1/0 or 0 * inf
         with pytest.raises(FactorizationError):
             barrier_factor(second_order(3), np.array([t, 0.0, 0.0]))
+        with pytest.raises(FactorizationError):
+            barrier_hessian(second_order(3), np.array([t, 0.0, 0.0]))
 
     def test_counter_increment(self):
         counters = OpCounters()
