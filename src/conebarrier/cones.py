@@ -197,31 +197,25 @@ def _soc_hessian(xb: np.ndarray) -> np.ndarray:
     d = xb.shape[0]
     w = xb.copy()
     w[1:] *= -1.0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            hess = (4.0 / gap**2) * np.outer(w, w)
-            hess[np.arange(d), np.arange(d)] += 2.0 / gap
-            hess[0, 0] -= 4.0 / gap
-        finite = bool(np.all(np.isfinite(hess)))
-    except ArithmeticError:  # gap**2 underflows to 0 or overflows
-        finite = False
-    if not finite:
-        raise FactorizationError(
-            "second-order cone barrier Hessian is not finite (point at an extreme scale)"
-        )
+    hess = (4.0 / gap**2) * np.outer(w, w)
+    hess[np.arange(d), np.arange(d)] += 2.0 / gap
+    hess[0, 0] -= 4.0 / gap
     return hess
 
 
 def barrier_hessian(cone: Cone, x: np.ndarray) -> np.ndarray:
-    """Dense barrier Hessian; block diagonal with small dense SOC blocks."""
+    """Dense barrier Hessian, block diagonal; FactorizationError where an entry overflows."""
     n = cone.total_dim
     hess = np.zeros((n, n))
-    for block, sl, xb in _interior_blocks(cone, _check_dim(cone, x)):
-        if block.kind == ORTHANT:
-            idx = np.arange(sl.start, sl.stop)
-            hess[idx, idx] = 1.0 / xb**2
-        else:
-            hess[sl, sl] = _soc_hessian(xb)
+    try:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for block, sl, xb in _interior_blocks(cone, _check_dim(cone, x)):
+                hess[sl, sl] = np.diag(1.0 / xb**2) if block.kind == ORTHANT else _soc_hessian(xb)
+        finite = bool(np.all(np.isfinite(hess)))
+    except ArithmeticError:  # gap**2 underflows to 0 or overflows
+        finite = False
+    if not finite:
+        raise FactorizationError("barrier Hessian is not finite (point at an extreme scale)")
     return hess
 
 

@@ -165,13 +165,11 @@ class IterationWorkspace:
         """Product of the scaled, projected and barrier-damped Hessian with v.
 
         Returns project(scale_dual(hess_vec(unscale(project(v))))) + mu * project(v),
-        costing one Hessian-vector product and six triangular solves (two of
-        size n, four of size m).
+        costing one call of ``hess_vec`` and six triangular solves (two of size
+        n, four of size m); only the solves are counted here.
         """
         v1 = self.project(v)
         v2 = self.unscale(v1)
-        v3 = hess_vec(v2)
-        bump(self.counters, "hess_vec")
-        v4 = self.scale_dual(v3)
+        v4 = self.scale_dual(hess_vec(v2))
         v5 = self.project(v4)
         return v5 + mu * v1

@@ -72,10 +72,12 @@ class ConicProblem:
     def has_dense_hessian(self) -> bool:
         return self.hessian is not None
 
-    def hess_vec(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def hess_vec_at(self, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The product v -> (Hessian of f at x) v; a dense Hessian is formed once here."""
         if self.hess_vec_fn is not None:
-            return self.hess_vec_fn(x, v)
-        return self.hessian(x) @ v
+            return lambda v: self.hess_vec_fn(x, v)
+        hess = self.hessian(x)
+        return lambda v: hess @ v
 
 
 def _simplex_affine(n: int) -> AffineData:
@@ -87,6 +89,17 @@ def _symmetric_indefinite(n: int, rng: np.random.Generator) -> np.ndarray:
     return (g + g.T) / (2.0 * np.sqrt(n))
 
 
+def _pnorm_terms(p: float) -> tuple[Callable, Callable, Callable]:
+    """Value, gradient and Hessian diagonal of sum_i x_i^p for 0 < p < 1."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    return (
+        lambda x: float(np.sum(x**p)),
+        lambda x: p * x ** (p - 1.0),
+        lambda x: p * (p - 1.0) * x ** (p - 2.0),
+    )
+
+
 def builtin(name: str, n: int, **params) -> ConicProblem:
     """Construct a builtin instance; each ships its own interior x0."""
     if n < 1:
@@ -94,25 +107,14 @@ def builtin(name: str, n: int, **params) -> ConicProblem:
     if name == "pnorm_simplex":
         p = float(params.pop("p", 0.5))
         _reject_extra(name, params)
-        if not 0.0 < p < 1.0:
-            raise ValueError("p must lie in (0, 1)")
-
-        def value(x: np.ndarray) -> float:
-            return float(np.sum(x**p))
-
-        def gradient(x: np.ndarray) -> np.ndarray:
-            return p * x ** (p - 1.0)
-
-        def hessian(x: np.ndarray) -> np.ndarray:
-            return np.diag(p * (p - 1.0) * x ** (p - 2.0))
-
+        value, gradient, hess_diag = _pnorm_terms(p)
         return ConicProblem(
             name=name,
             cone=cones.orthant(n),
             affine=_simplex_affine(n),
             value=value,
             gradient=gradient,
-            hessian=hessian,
+            hessian=lambda x: np.diag(hess_diag(x)),
             x0=np.full(n, 1.0 / n),
             serial={"builtin": name, "n": n, "params": {"p": p}},
         )
@@ -151,21 +153,20 @@ def builtin(name: str, n: int, **params) -> ConicProblem:
         p = float(params.pop("p", 0.5))
         seed = int(params.pop("seed", 0))
         _reject_extra(name, params)
-        if not 0.0 < p < 1.0:
-            raise ValueError("p must lie in (0, 1)")
+        pnorm_value, pnorm_grad, pnorm_hess_diag = _pnorm_terms(p)
         rng = np.random.default_rng(seed)
         c_mat = rng.standard_normal((n, n)) / np.sqrt(n)
         d = rng.standard_normal(n)
 
         def value(x: np.ndarray) -> float:
             res = c_mat @ x - d
-            return float(res @ res) + float(np.sum(x**p))
+            return float(res @ res) + pnorm_value(x)
 
         def gradient(x: np.ndarray) -> np.ndarray:
-            return 2.0 * c_mat.T @ (c_mat @ x - d) + p * x ** (p - 1.0)
+            return 2.0 * c_mat.T @ (c_mat @ x - d) + pnorm_grad(x)
 
         def hessian(x: np.ndarray) -> np.ndarray:
-            return 2.0 * c_mat.T @ c_mat + np.diag(p * (p - 1.0) * x ** (p - 2.0))
+            return 2.0 * c_mat.T @ c_mat + np.diag(pnorm_hess_diag(x))
 
         return ConicProblem(
             name=name,
@@ -244,22 +245,15 @@ def perturb(problem: ConicProblem, sigma: float) -> ConicProblem:
         raise ValueError("sigma must be positive")
     n = problem.n
     base_value, base_grad = problem.value, problem.gradient
-    hessian = None
-    if problem.hessian is not None:
-        base_hess = problem.hessian
-        hessian = lambda x: base_hess(x) + 2.0 * sigma * np.eye(n)
-    hess_vec_fn = None
-    if problem.hess_vec_fn is not None:
-        base_hv = problem.hess_vec_fn
-        hess_vec_fn = lambda x, v: base_hv(x, v) + 2.0 * sigma * v
+    base_hess, base_hv = problem.hessian, problem.hess_vec_fn
     return ConicProblem(
         name=f"{problem.name}+reg",
         cone=problem.cone,
         affine=problem.affine,
         value=lambda x: base_value(x) + sigma * float(x @ x),
         gradient=lambda x: base_grad(x) + 2.0 * sigma * x,
-        hessian=hessian,
-        hess_vec_fn=hess_vec_fn,
+        hessian=None if base_hess is None else lambda x: base_hess(x) + 2.0 * sigma * np.eye(n),
+        hess_vec_fn=None if base_hv is None else lambda x, v: base_hv(x, v) + 2.0 * sigma * v,
         x0=problem.x0,
         serial=None,
     )
@@ -281,11 +275,8 @@ def finite_diff_check(problem: ConicProblem, x: np.ndarray, h: float = 1e-6) -> 
         fd = (problem.value(x + e) - problem.value(x - e)) / (2.0 * h)
         max_grad_err = max(max_grad_err, abs(fd - grad[i]) / scale_g)
 
-    hess_cols = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        hess_cols[:, i] = problem.hess_vec(x, e)
+    hess_vec = problem.hess_vec_at(x)
+    hess_cols = np.column_stack([hess_vec(e) for e in np.eye(n)])
     scale_h = max(1.0, float(np.max(np.abs(hess_cols))))
     max_hess_err = 0.0
     for i in range(n):

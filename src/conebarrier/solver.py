@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .problems import ConicProblem
 from .trace import BRANCH_CG_NC, BRANCH_CG_SOL, BRANCH_MEO_NC, BRANCH_TERMINATE, IterationRecord, SolveTrace
 
 INTERIOR_GUARD = 1e-12  # solver-internal strict-interiority margin
+FEAS_TOL = 1e-9  # relative residual of Ax = b accepted at x0; a tenth of it triggers re-projection
 
 
 class SolveStatus(str, Enum):
@@ -69,7 +71,6 @@ class SolverParams:
     delta: float = 0.01
     max_outer_iters: int = 50000
     max_backtracks: int = 60
-    feas_tol: float = 1e-9
     seed: int = 0
     fosp_only: bool = False
 
@@ -133,6 +134,20 @@ def _checked_vector(name: str, out: np.ndarray, n: int) -> np.ndarray:
     if not np.isfinite(out).all():
         raise CallbackError(f"{name} callback returned a non-finite entry")
     return out
+
+
+def _hessian_operator(
+    problem: ConicProblem, x: np.ndarray, counters: OpCounters
+) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> (Hessian of f at x) v, each product checked and counted as one hess_vec."""
+    hess_vec, n = problem.hess_vec_at(x), x.shape[0]
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        out = _checked_vector("hess_vec", hess_vec(v), n)
+        bump(counters, "hess_vec")
+        return out
+
+    return apply
 
 
 def first_order_gate(
@@ -281,6 +296,7 @@ class _PrevState:
     ws: IterationWorkspace
     grad_phi: np.ndarray
     grad_b: np.ndarray
+    hess_vec: Callable[[np.ndarray], np.ndarray] | None = None  # checked, counted operator
     step: np.ndarray | None = None  # ambient step direction before the alpha scaling
     kind: DirectionKind = DirectionKind.NC
     alpha: float = 0.0
@@ -309,7 +325,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     if not interior_membership(cone, x0, margin=INTERIOR_GUARD):
         raise InfeasibleStart("x0 is not strictly interior to the cone")
     b_scale = 1.0 + (float(np.max(np.abs(affine.b))) if m else 0.0)
-    if m and float(np.max(np.abs(affine.A @ x0 - affine.b))) > params.feas_tol * b_scale:
+    if m and float(np.max(np.abs(affine.A @ x0 - affine.b))) > FEAS_TOL * b_scale:
         raise InfeasibleStart("x0 violates the equality constraints")
 
     counters = OpCounters()
@@ -350,24 +366,25 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         lambda1 = ws.multipliers(gphi)
         # lambda2 from the previous Newton-step residual holds only after a unit SOL step
         if prev.kind is DirectionKind.SOL and prev.alpha == 1.0:
-            hess_step = _checked_vector("hess_vec", problem.hess_vec(prev.ws.point, prev.step), n)
-            bump(counters, "hess_vec")
-            lambda2 = prev.ws.multipliers(hess_step + prev.grad_phi)
+            lambda2 = prev.ws.multipliers(prev.hess_vec(prev.step) + prev.grad_phi)
         else:
             lambda2 = prev.lambda2
 
         triggered, which, res_min = first_order_gate(
             ws, mu, beta, grad_f, grad_b, lambda1, lambda2, prev.grad_b, counters
         )
+        lam = lambda1 if which == "lambda1" else lambda2
+        if triggered and params.fosp_only:
+            trace.add(IterationRecord(k, phi, res_min, BRANCH_TERMINATE, 0.0, 0.0, 0, 0))
+            return finish(SolveStatus.FOSP_CERTIFIED, k, lam)
 
-        def hess_vec_here(v, _x=x):
-            return _checked_vector("hess_vec", problem.hess_vec(_x, v), n)
+        hess_vec = _hessian_operator(problem, x, counters)
 
         def phi_hessian_op(v):
-            return ws.reduced_hessian_apply(hess_vec_here, mu, v)
+            return ws.reduced_hessian_apply(hess_vec, mu, v)
 
         def f_hessian_op(v):
-            return ws.reduced_hessian_apply(hess_vec_here, 0.0, v)
+            return ws.reduced_hessian_apply(hess_vec, 0.0, v)
 
         if not triggered:
             g = ws.null_step_t(gphi)
@@ -387,10 +404,6 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             cg_iters, lanczos_iters = cg_out.iterations, 0
             kind = cg_out.kind
         else:
-            lam = lambda1 if which == "lambda1" else lambda2
-            if params.fosp_only:
-                trace.add(IterationRecord(k, phi, res_min, BRANCH_TERMINATE, 0.0, 0.0, 0, 0))
-                return finish(SolveStatus.FOSP_CERTIFIED, k, lam)
             oracle = min_eig_oracle(f_hessian_op, n, sqrt_eps, params.delta, rng)
             if not oracle.found_negative_curvature:
                 trace.add(
@@ -436,6 +449,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             ws=ws,
             grad_phi=gphi,
             grad_b=grad_b,
+            hess_vec=hess_vec,
             step=step,
             kind=kind,
             alpha=alpha,
@@ -444,7 +458,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         x = x_new
         if m:
             drift = float(np.max(np.abs(affine.A @ x - affine.b)))
-            if drift > params.feas_tol * b_scale / 10.0:
+            if drift > FEAS_TOL * b_scale / 10.0:
                 x = _reproject(affine, cone, x)
         ws = IterationWorkspace(affine, barrier_factor(cone, x, counters), counters)
         phi = phi_new

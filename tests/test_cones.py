@@ -119,6 +119,13 @@ class TestBarrierFactor:
         with pytest.raises(FactorizationError):
             barrier_hessian(second_order(3), np.array([t, 0.0, 0.0]))
 
+    def test_orthant_extreme_scale_hessian_raises_typed_error(self):
+        # 1/x^2 overflows where the factor 1/x does not; RuntimeWarnings are errors here
+        x = np.array([1e-160, 1.0])
+        barrier_factor(orthant(2), x)
+        with pytest.raises(FactorizationError):
+            barrier_hessian(orthant(2), x)
+
     def test_counter_increment(self):
         counters = OpCounters()
         barrier_factor(orthant(3), np.ones(3), counters)

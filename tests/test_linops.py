@@ -189,12 +189,13 @@ class TestReducedHessian:
         np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-14)
 
     def test_counters(self):
+        # the workspace counts its own solves; the Hessian operator counts its products
         counters = OpCounters()
         ws = make_ws([[1.0, 1.0]], [1.0], [0.5, 0.5], counters=counters)
         base = counters.snapshot()
         ws.reduced_hessian_apply(lambda w: w, 0.1, np.array([1.0, 0.0]))
         after = counters.snapshot()
-        assert after["hess_vec"] - base["hess_vec"] == 1
+        assert after["hess_vec"] == base["hess_vec"]
         assert after["tri_solve"] - base["tri_solve"] == 6  # 2 scalings + 2 per projection
 
 

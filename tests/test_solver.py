@@ -443,13 +443,14 @@ class TestSolveBasics:
         # final certificate falls back to the first-order report
         base = builtin("nonconvex_qp_simplex", 6, seed=1)
         q_mat = base.hessian(base.x0)
+        products = []
         p = ConicProblem(
             name="hv-only",
             cone=base.cone,
             affine=base.affine,
             value=base.value,
             gradient=base.gradient,
-            hess_vec_fn=lambda x, v: q_mat @ v,
+            hess_vec_fn=lambda x, v: (products.append(v), q_mat @ v)[1],
             x0=base.x0,
         )
         res = solve(p, p.x0, SolverParams(epsilon=1e-2, max_outer_iters=100000))
@@ -457,6 +458,26 @@ class TestSolveBasics:
         cert = res.trace.certificate
         assert cert.fosp_ok
         assert cert.sosp_min_eig is None
+        assert res.trace.counters["hess_vec"] == len(products)
+
+    def test_dense_hessian_formed_once_per_iterate(self):
+        # every product at an iterate reuses one hessian(x); the certificate forms one more
+        base = builtin("regularized_loss", 10, seed=1)
+        points = []
+        p = dataclasses.replace(
+            base, hessian=lambda x: (points.append(x.copy()), base.hessian(x))[1]
+        )
+        res = solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7, max_outer_iters=100000))
+        assert res.status is SolveStatus.SOSP_CERTIFIED
+        assert res.trace.certificate.sosp_min_eig is not None
+        assert res.trace.counters["hess_vec"] > res.iterations + 1
+        assert len(points) == res.iterations + 2
+        np.testing.assert_array_equal(points[-1], res.x_final)
+        # a first-order stop forms none at its last iterate, and check_fosp none
+        points.clear()
+        res = solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7, fosp_only=True))
+        assert res.status is SolveStatus.FOSP_CERTIFIED
+        assert len(points) == res.iterations
 
     def test_larger_soc_instance(self):
         p = builtin("soc_quadratic", 30, m=3, seed=2)
