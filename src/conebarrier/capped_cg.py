@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HardCapExceeded, ZeroDirection, ZeroGradient
+from .vecnorm import norm2
 
 
 class DirectionKind(str, Enum):
@@ -102,7 +103,7 @@ def capped_cg(
     """Run capped CG on (H + 2 eps I) d = -g for a symmetric operator H."""
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    g_norm = np.linalg.norm(g)
+    g_norm = norm2(g)
     if g_norm == 0.0:
         raise ZeroGradient("capped CG requires a nonzero right-hand side")
     eps = params.epsilon
@@ -126,7 +127,7 @@ def capped_cg(
     quad_p = float(p @ hp) + 2.0 * eps * float(p @ p)
     if quad_p < eps * float(p @ p):
         return result(DirectionKind.NC, p, 0)
-    mon.maybe_raise_u(float(np.linalg.norm(hp)), float(np.linalg.norm(p)))
+    mon.maybe_raise_u(norm2(hp), norm2(p))
 
     y = np.zeros(n)
     hy = np.zeros(n)
@@ -156,15 +157,15 @@ def capped_cg(
         ys.append(y)
         hys.append(hy)
 
-        p_norm = float(np.linalg.norm(p))
-        y_norm = float(np.linalg.norm(y))
-        r_norm = float(np.linalg.norm(r))
+        p_norm = norm2(p)
+        y_norm = norm2(y)
+        r_norm = norm2(r)
         if p_norm > 0.0:
-            mon.maybe_raise_u(float(np.linalg.norm(hp)), p_norm)
+            mon.maybe_raise_u(norm2(hp), p_norm)
         if y_norm > 0.0:
-            mon.maybe_raise_u(float(np.linalg.norm(hy)), y_norm)
+            mon.maybe_raise_u(norm2(hy), y_norm)
         if r_norm > 0.0:
-            mon.maybe_raise_u(float(np.linalg.norm(hr)), r_norm)
+            mon.maybe_raise_u(norm2(hr), r_norm)
 
         quad_y = float(y @ hy) + 2.0 * eps * y_norm**2
         quad_p = float(p @ hp) + 2.0 * eps * p_norm**2

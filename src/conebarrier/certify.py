@@ -128,7 +128,7 @@ def reduced_min_eig(problem: ConicProblem, x: np.ndarray) -> float:
     b_red = z.T @ hess_b @ z
     g_red = 0.5 * (g_red + g_red.T)
     b_red = 0.5 * (b_red + b_red.T)
-    vals = scipy.linalg.eigh(g_red, b_red, eigvals_only=True)
+    vals = scipy.linalg.eigh(g_red, b_red, eigvals_only=True, subset_by_index=[0, 0])
     return float(vals[0])
 
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .counters import OpCounters, bump
 from .errors import BoundaryError, FactorizationError
+from .vecnorm import norm2
 
 ORTHANT = "orthant"
 SOC = "soc"
@@ -120,7 +121,7 @@ def _soc_gap(xb: np.ndarray) -> float:
     t > 0 its sign is the sign of t - ||u|| (barring underflow), so the
     strict-interiority check agrees with ``interior_membership`` at margin 0.
     """
-    t, r = float(xb[0]), float(np.linalg.norm(xb[1:]))
+    t, r = float(xb[0]), norm2(xb[1:])
     return (t - r) * (t + r)
 
 
@@ -133,7 +134,7 @@ def interior_membership(cone: Cone, x: np.ndarray, margin: float = 0.0) -> bool:
             if not np.all(xb > margin):
                 return False
         else:
-            if xb[0] - np.linalg.norm(xb[1:]) <= margin:
+            if xb[0] - norm2(xb[1:]) <= margin:
                 return False
     return True
 
@@ -360,4 +361,4 @@ def local_norm_dual(factor: BarrierFactor, v: np.ndarray, counters: OpCounters |
     """||v||_x* = ||L^{-1} v||; one forward substitution."""
     w = factor.solve_lower(v)
     bump(counters, "tri_solve")
-    return float(np.linalg.norm(w))
+    return norm2(w)

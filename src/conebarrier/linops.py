@@ -4,7 +4,9 @@ Write L for the lower Cholesky factor of the barrier Hessian at the current
 iterate, so the inverse Hessian splits as M M^T with M = L^{-T}.  This module
 applies L only through ``BarrierFactor.solve_lower`` (L^{-1}) and
 ``solve_upper`` (L^{-T}) and never looks at how the factor is stored; its own
-triangular solves are with the m x m Schur factor.  The workspace precomputes
+triangular solves are with the m x m Schur factor, as direct calls of one
+float64 LAPACK ``trtrs`` handle fetched at import (a division when m = 1).
+The workspace precomputes
 
 * ``scaled_AT``  N = L^{-1} A^T            (m forward substitutions)
 * ``schur_lower`` C with C C^T = N^T N     (Schur complement A M M^T A^T)
@@ -30,11 +32,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .cones import BarrierFactor
 from .counters import OpCounters, bump
 from .errors import FactorizationError
+
+_trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @dataclass
@@ -88,7 +92,7 @@ class IterationWorkspace:
         self.affine = affine
         self.factor = factor
         self.counters = counters
-        m = affine.m
+        self.m = m = affine.m
         if m > 0:
             self.scaled_AT = factor.solve_lower(affine.A.T)
             bump(counters, "tri_solve", m)
@@ -109,20 +113,22 @@ class IterationWorkspace:
         return self.factor.point
 
     @property
-    def m(self) -> int:
-        return self.affine.m
-
-    @property
     def n(self) -> int:
         return self.factor.dim
 
     def _schur_solve(self, w: np.ndarray) -> np.ndarray:
-        """(N^T N)^{-1} w through the Schur factor; two triangular solves."""
+        """(N^T N)^{-1} w = C^{-T} C^{-1} w through the Schur factor; two triangular solves."""
         bump(self.counters, "tri_solve", 2)
         if self.m == 1:
             return w / (self.schur_lower[0, 0] ** 2)
-        z = solve_triangular(self.schur_lower, w, lower=True, check_finite=False)
-        return solve_triangular(self.schur_lower.T, z, lower=False, check_finite=False)
+        # C^T is the Fortran-ordered upper triangle LAPACK reads without a copy
+        upper = self.schur_lower.T
+        z, info = _trtrs(upper, w, lower=0, trans=1)
+        if info == 0:
+            z, info = _trtrs(upper, z, lower=0, trans=0)
+        if info != 0:
+            raise FactorizationError(f"Schur triangular solve failed (LAPACK info {info})")
+        return z
 
     def unscale(self, v: np.ndarray) -> np.ndarray:
         """M v = L^{-T} v; one backward substitution."""

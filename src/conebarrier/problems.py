@@ -30,7 +30,7 @@ import numpy as np
 
 from . import cones
 from .cones import Cone
-from .errors import ParseError, SchemaError, UnknownProblem
+from .errors import CallbackError, ParseError, SchemaError, UnknownProblem
 from .linops import AffineData, empty_affine
 
 BUILTIN_NAMES = (
@@ -73,10 +73,13 @@ class ConicProblem:
         return self.hessian is not None
 
     def hess_vec_at(self, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """The product v -> (Hessian of f at x) v; a dense Hessian is formed once here."""
+        """The product v -> (Hessian of f at x) v; a dense Hessian is formed and
+        shape-checked once here."""
         if self.hess_vec_fn is not None:
             return lambda v: self.hess_vec_fn(x, v)
-        hess = self.hessian(x)
+        hess, n = self.hessian(x), self.n
+        if np.shape(hess) != (n, n):
+            raise CallbackError(f"hessian callback returned shape {np.shape(hess)}, expected ({n}, {n})")
         return lambda v: hess @ v
 
 

@@ -47,6 +47,7 @@ from .lanczos import min_eig_oracle
 from .linops import IterationWorkspace
 from .problems import ConicProblem
 from .trace import BRANCH_CG_NC, BRANCH_CG_SOL, BRANCH_MEO_NC, BRANCH_TERMINATE, IterationRecord, SolveTrace
+from .vecnorm import norm2
 
 INTERIOR_GUARD = 1e-12  # solver-internal strict-interiority margin
 FEAS_TOL = 1e-9  # relative residual of Ax = b accepted at x0; a tenth of it triggers re-projection
@@ -194,7 +195,7 @@ def scale_sol_direction(ws: IterationWorkspace, d_hat: np.ndarray, beta: float) 
     """min{1, beta / ||project(d_hat)||} d_hat; caps the local-norm step at beta."""
     if not np.any(d_hat):
         raise ZeroDirection("cannot scale a zero direction")
-    qnorm = float(np.linalg.norm(ws.project(d_hat)))
+    qnorm = norm2(ws.project(d_hat))
     return min(1.0, _beta_over(qnorm, beta)) * d_hat
 
 
@@ -212,8 +213,8 @@ def scale_nc_direction(
     """
     if not np.any(d_hat):
         raise ZeroDirection("cannot scale a zero direction")
-    d_norm = float(np.linalg.norm(d_hat))
-    qnorm = float(np.linalg.norm(ws.project(d_hat)))
+    d_norm = norm2(d_hat)
+    qnorm = norm2(ws.project(d_hat))
     factor = min(abs(curvature) / d_norm, _beta_over(qnorm, beta))
     return -_sgn(float(g @ d_hat)) * factor * d_hat
 
@@ -226,7 +227,7 @@ def scale_meo_direction(
     beta: float,
 ) -> np.ndarray:
     """Scaling for a unit oracle direction; ``curvature_phi`` is v^T H_phi v."""
-    qnorm = float(np.linalg.norm(ws.project(v)))
+    qnorm = norm2(ws.project(v))
     factor = min(abs(curvature_phi), _beta_over(qnorm, beta))
     return -_sgn(float(g @ v)) * factor * v
 
@@ -285,7 +286,7 @@ def line_search_nc(
     phi0: float,
 ) -> tuple[float, np.ndarray, float]:
     """Cubic decrease target eta theta^{2j} ||d||^3 / 2."""
-    decrease = params.eta * float(np.linalg.norm(d)) ** 3 / 2.0
+    decrease = params.eta * norm2(d) ** 3 / 2.0
     return _backtrack(problem, ws, mu, d, decrease, params, counters, step, phi0)
 
 
@@ -420,7 +421,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
                 )
             v = oracle.direction
             g = ws.null_step_t(gphi)
-            curvature_phi = oracle.curvature + mu * float(np.linalg.norm(ws.project(v))) ** 2
+            curvature_phi = oracle.curvature + mu * norm2(ws.project(v)) ** 2
             d = scale_meo_direction(ws, v, curvature_phi, g, beta)
             branch, searcher = BRANCH_MEO_NC, line_search_nc
             cg_iters, lanczos_iters = 0, oracle.iterations
@@ -434,14 +435,14 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         except LineSearchFailure:
             trace.add(
                 IterationRecord(
-                    k, phi, res_min, branch, 0.0, float(np.linalg.norm(d)), cg_iters, lanczos_iters
+                    k, phi, res_min, branch, 0.0, norm2(d), cg_iters, lanczos_iters
                 )
             )
             return finish(SolveStatus.LINE_SEARCH_FAILURE, k, lambda1)
 
         trace.add(
             IterationRecord(
-                k, phi, res_min, branch, alpha, float(np.linalg.norm(d)), cg_iters, lanczos_iters
+                k, phi, res_min, branch, alpha, norm2(d), cg_iters, lanczos_iters
             )
         )
 

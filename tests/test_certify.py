@@ -10,7 +10,7 @@ from conebarrier.certify import (
     reduced_min_eig,
     scale_invariance_check,
 )
-from conebarrier.cones import ConeBlock, barrier_hessian, orthant, product
+from conebarrier.cones import ConeBlock, barrier_hessian, orthant, product, second_order
 from conebarrier.errors import ConeMismatch, SizeError
 from conebarrier.linops import AffineData, empty_affine
 from conebarrier.problems import ConicProblem, builtin
@@ -102,6 +102,33 @@ class TestCheckSospDense:
         )
         with pytest.raises(SizeError):
             reduced_min_eig(p, np.ones(n))
+
+    @pytest.mark.parametrize(
+        "cone",
+        [orthant(8), second_order(8), product(ConeBlock("orthant", 3), ConeBlock("soc", 5))],
+        ids=["orthant", "soc", "mixed"],
+    )
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_partial_eigh_matches_full(self, cone, m, rng):
+        # the smallest-eigenvalue-only solve agrees with the full spectrum's minimum
+        n = cone.total_dim
+        for _ in range(5):
+            g = rng.standard_normal((n, n))
+            q_mat = g + g.T
+            a_mat = rng.standard_normal((m, n))
+            p = ConicProblem(
+                name="qp",
+                cone=cone,
+                affine=AffineData(A=a_mat, b=np.zeros(m)) if m else empty_affine(n),
+                value=lambda x: 0.5 * float(x @ q_mat @ x),
+                gradient=lambda x: q_mat @ x,
+                hessian=lambda x: q_mat,
+            )
+            x = random_interior_point(cone, rng)
+            z = scipy.linalg.null_space(a_mat) if m else np.eye(n)
+            b_red = z.T @ barrier_hessian(cone, x) @ z
+            full = scipy.linalg.eigh(z.T @ q_mat @ z, 0.5 * (b_red + b_red.T), eigvals_only=True)
+            assert abs(reduced_min_eig(p, x) - full[0]) <= 1e-10 * np.max(np.abs(full))
 
     def test_agrees_with_null_space_sampling(self, rng):
         # brute-force oracle: no sampled direction undercuts the reported minimum

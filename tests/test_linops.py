@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from conebarrier.cones import barrier_factor, local_norm_dual, local_norm_primal, orthant, second_order
 from conebarrier.counters import OpCounters
 from conebarrier.errors import FactorizationError
 from conebarrier.linops import AffineData, IterationWorkspace, empty_affine
+from conebarrier.vecnorm import norm2
 
 from conftest import CONE_FAMILIES, dense_operators, random_interior_point
 
@@ -238,3 +240,57 @@ class TestAgainstDenseAssembly:
         mv = ws.unscale(v)
         lhs = mv + r_d.T @ (a_mat @ mv)
         np.testing.assert_allclose(lhs, ws.null_step(v), atol=1e-9)
+
+
+def scipy_schur_solve(ws, w):
+    """(N^T N)^{-1} w through scipy's solve_triangular pair on the Schur factor."""
+    z = solve_triangular(ws.schur_lower, w, lower=True, check_finite=False)
+    return solve_triangular(ws.schur_lower.T, z, lower=False, check_finite=False)
+
+
+class TestLapackSchurSolve:
+    """The direct trtrs calls reproduce scipy's solve_triangular pair bit for bit."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("cone", [orthant(12), second_order(12)], ids=["orthant", "soc"])
+    def test_bit_equal_to_scipy_pair(self, cone, m, rng):
+        n = cone.total_dim
+        for _ in range(5):
+            a_mat = rng.standard_normal((m, n))
+            ws = make_ws(a_mat, np.zeros(m), random_interior_point(cone, rng), cone)
+            for _ in range(5):
+                v = rng.standard_normal(n)
+                w = ws.scaled_AT.T @ v
+                assert np.array_equal(ws.project(v), v - ws.scaled_AT @ scipy_schur_solve(ws, w))
+                u = a_mat @ ws.unscale(ws.scale_dual(v))
+                assert np.array_equal(ws.multipliers(v), -scipy_schur_solve(ws, u))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_two_tri_solves_per_call(self, m, rng):
+        n = 12
+        counters = OpCounters()
+        ws = make_ws(rng.standard_normal((m, n)), np.zeros(m),
+                     random_interior_point(orthant(n), rng), counters=counters)
+        before = counters.tri_solve
+        ws._schur_solve(rng.standard_normal(m))
+        assert counters.tri_solve - before == 2
+        ws.project(rng.standard_normal(n))
+        assert counters.tri_solve - before == 4
+
+    def test_singular_factor_raises(self, rng):
+        ws = make_ws(rng.standard_normal((2, 6)), np.zeros(2), random_interior_point(orthant(6), rng))
+        ws.schur_lower[1, 1] = 0.0
+        with pytest.raises(FactorizationError, match="LAPACK info 2"):
+            ws.project(rng.standard_normal(6))
+
+
+class TestNorm2:
+    def test_bit_equal_to_numpy(self, rng):
+        for _ in range(200):
+            x = rng.standard_normal(int(rng.integers(1, 400))) * 10.0 ** rng.integers(-8, 8)
+            for v in (x, x[1:], x[::2], x[1::3], x[::-1]):
+                assert norm2(v) == np.linalg.norm(v)
+
+    def test_zero_and_empty(self):
+        assert norm2(np.zeros(5)) == 0.0
+        assert norm2(np.zeros(0)) == 0.0

@@ -547,3 +547,9 @@ class TestCallbackErrors:
     def test_bad_hess_vec_raises(self, bad):
         with pytest.raises(CallbackError):
             self.solve_with(hessian=None, hess_vec_fn=lambda x, v: bad(v))
+
+    @pytest.mark.parametrize("shape", [(6, 7), (7, 7)])
+    def test_wrong_shape_dense_hessian_raises(self, shape):
+        p = dataclasses.replace(builtin("nonconvex_qp_simplex", 6), hessian=lambda x: np.zeros(shape))
+        with pytest.raises(CallbackError, match=r"hessian callback returned shape \(\d, 7\)"):
+            solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7))
