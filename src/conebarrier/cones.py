@@ -10,8 +10,10 @@ Values, gradients, Hessians and the barrier parameter are additive across
 blocks, and every barrier entry point walks the blocks through one
 strict-interiority check.  All local-norm computations go through the lower
 Cholesky factor L of the barrier Hessian, nabla^2 B(x) = L L^T, which is
-block diagonal.  ``BarrierFactor`` stores it one block at a time, and this
-module is the only one that knows that format:
+block diagonal.  The walk that builds it also yields the barrier gradient
+nabla B(x), so one pass per point gives both.  ``BarrierFactor`` stores the
+factor one block at a time, and this module is the only one that knows that
+format:
 
 * orthant block: the diagonal 1/x_b of L_b;
 * second-order cone block (t, u) with gap gamma = (t - ||u||)(t + ||u||):
@@ -179,19 +181,6 @@ def barrier_value(cone: Cone, x: np.ndarray) -> float:
     return total
 
 
-def barrier_gradient(cone: Cone, x: np.ndarray) -> np.ndarray:
-    x = _check_dim(cone, x)
-    grad = np.empty_like(x)
-    for block, sl, xb in _interior_blocks(cone, x):
-        if block.kind == ORTHANT:
-            grad[sl] = -1.0 / xb
-        else:
-            gap = _soc_gap(xb)
-            grad[sl.start] = -2.0 * xb[0] / gap
-            grad[sl.start + 1:sl.stop] = 2.0 * xb[1:] / gap
-    return grad
-
-
 def _soc_hessian(xb: np.ndarray) -> np.ndarray:
     # (2/gap) * diag(-1, 1, ..., 1) + (4/gap^2) * w w^T with w = (t, -u)
     gap = _soc_gap(xb)
@@ -241,8 +230,10 @@ class SocFactor:
         return np.tril(np.outer(self.w, self.q / self.root), -1) + np.diag(self.root)
 
 
-def _soc_factor(xb: np.ndarray) -> SocFactor:
+def _soc_factor(xb: np.ndarray) -> tuple[SocFactor, np.ndarray]:
     """O(d) factor of (2/gap) diag(-1, 1, ..., 1) + (4/gap^2) w w^T at an interior xb.
+
+    Returned with the block's barrier gradient -2 w / gap.
 
     The rank-one LDL^T update of Gill, Golub, Murray & Saunders runs through
     ia_j = 1/alpha_j = ia_{j-1} + w_{j-1}^2 / D_{j-1}.  In closed form
@@ -267,7 +258,8 @@ def _soc_factor(xb: np.ndarray) -> SocFactor:
             "second-order cone barrier Hessian has a non-finite or non-positive pivot "
             "(point at an extreme scale)"
         )
-    return SocFactor(root=np.sqrt(dbar), w=w, p=w / diag, q=w / ia[:-1])
+    factor = SocFactor(root=np.sqrt(dbar), w=w, p=w / diag, q=w / ia[:-1])
+    return factor, -2.0 * w / gap
 
 
 def _exclusive_cumsum(terms: np.ndarray, reverse: bool) -> np.ndarray:
@@ -299,7 +291,7 @@ def _block_solve(kind: str, f: np.ndarray | SocFactor, v: np.ndarray, lower: boo
 
 @dataclass(frozen=True)
 class BarrierFactor:
-    """Point x with the block-diagonal lower Cholesky factor L of the barrier Hessian.
+    """Point x with nabla B(x) and the block-diagonal lower Cholesky factor L of nabla^2 B(x).
 
     ``blocks`` holds one factor per cone block, in block order: the vector
     1/x_b (the diagonal of L_b) for an orthant block and a ``SocFactor`` for
@@ -311,6 +303,7 @@ class BarrierFactor:
     cone: Cone
     point: np.ndarray
     blocks: tuple[np.ndarray | SocFactor, ...]
+    gradient: np.ndarray  # nabla B(point)
 
     @property
     def dim(self) -> int:
@@ -342,14 +335,21 @@ class BarrierFactor:
 
 
 def barrier_factor(cone: Cone, x: np.ndarray, counters: OpCounters | None = None) -> BarrierFactor:
-    """Factor the barrier Hessian at an interior point; counts one Cholesky."""
+    """Factor the barrier Hessian at an interior point, with the gradient from the same walk.
+
+    Counts one Cholesky.
+    """
     x = _check_dim(cone, x)
-    blocks = [
-        1.0 / xb if block.kind == ORTHANT else _soc_factor(xb)
-        for block, _, xb in _interior_blocks(cone, x)
-    ]
+    blocks, gradient = [], np.empty_like(x)
+    for block, sl, xb in _interior_blocks(cone, x):
+        if block.kind == ORTHANT:
+            f = 1.0 / xb
+            gradient[sl] = -f
+        else:
+            f, gradient[sl] = _soc_factor(xb)
+        blocks.append(f)
     bump(counters, "cholesky")
-    return BarrierFactor(cone=cone, point=x.copy(), blocks=tuple(blocks))
+    return BarrierFactor(cone=cone, point=x.copy(), blocks=tuple(blocks), gradient=gradient)
 
 
 def local_norm_primal(factor: BarrierFactor, v: np.ndarray) -> float:

@@ -22,6 +22,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .vecnorm import norm2
+
 
 NC = "negative_curvature"
 CERTIFIED = "certified"
@@ -59,7 +61,7 @@ def tridiagonal_min_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, 
         return float(alphas[0]), np.ones(1)
     vals, vecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
     coeffs = vecs[:, 0]
-    return float(vals[0]), coeffs / np.linalg.norm(coeffs)
+    return float(vals[0]), coeffs / norm2(coeffs)
 
 
 def estimate_operator_norm(
@@ -69,14 +71,14 @@ def estimate_operator_norm(
 ) -> float:
     """Spectral-norm estimate via a short power iteration on H."""
     z = rng.standard_normal(n)
-    z_norm = np.linalg.norm(z)
+    z_norm = norm2(z)
     if z_norm == 0.0:
         return 0.0
     z /= z_norm
     estimate = 0.0
     for _ in range(_POWER_ITERS):
         w = matvec(z)
-        estimate = float(np.linalg.norm(w))
+        estimate = norm2(w)
         if estimate <= _BREAKDOWN_TOL:
             return 0.0
         z = w / estimate
@@ -112,7 +114,7 @@ def min_eig_oracle(
     betas = np.zeros(max(cap - 1, 0))
 
     q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
+    q /= norm2(q)
     basis[:, 0] = q
     beta_prev = 0.0
     iterations = 0
@@ -129,7 +131,7 @@ def min_eig_oracle(
         theta, coeffs = tridiagonal_min_ritz(alphas[: k + 1], betas[:k])
         if theta <= -eps / 2.0:
             v = basis[:, : k + 1] @ coeffs
-            v_norm = np.linalg.norm(v)
+            v_norm = norm2(v)
             if v_norm > 0.0:
                 v = v / v_norm
                 curvature = float(v @ matvec(v))
@@ -138,7 +140,7 @@ def min_eig_oracle(
                         kind=NC, iterations=iterations, direction=v, curvature=curvature
                     )
 
-        beta_prev = float(np.linalg.norm(w))
+        beta_prev = norm2(w)
         if k + 1 >= cap or beta_prev <= _BREAKDOWN_TOL * max(1.0, np.max(np.abs(alphas[: k + 1]))):
             break
         betas[k] = beta_prev

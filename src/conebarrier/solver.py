@@ -19,7 +19,7 @@ re-projection guards against floating-point drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -27,13 +27,7 @@ import numpy as np
 
 from . import certify as certify_mod
 from .capped_cg import CappedCgParams, DirectionKind, capped_cg, nc_curvature
-from .cones import (
-    barrier_factor,
-    barrier_gradient,
-    barrier_value,
-    interior_membership,
-    local_norm_dual,
-)
+from .cones import barrier_factor, barrier_value, interior_membership, local_norm_dual
 from .counters import OpCounters, bump
 from .errors import (
     CallbackError,
@@ -290,20 +284,6 @@ def line_search_nc(
     return _backtrack(problem, ws, mu, d, decrease, params, counters, step, phi0)
 
 
-@dataclass
-class _PrevState:
-    """What iteration k keeps from iteration k - 1."""
-
-    ws: IterationWorkspace
-    grad_phi: np.ndarray
-    grad_b: np.ndarray
-    hess_vec: Callable[[np.ndarray], np.ndarray] | None = None  # checked, counted operator
-    step: np.ndarray | None = None  # ambient step direction before the alpha scaling
-    kind: DirectionKind = DirectionKind.NC
-    alpha: float = 0.0
-    lambda2: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
 def _attach_certificate(problem: ConicProblem, result: SolveResult, params: SolverParams) -> None:
     eps = params.epsilon
     if result.status is SolveStatus.SOSP_CERTIFIED and problem.has_dense_hessian \
@@ -340,8 +320,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     x = x0.copy()
     ws = IterationWorkspace(affine, barrier_factor(cone, x, counters), counters)
     phi = phi_value(problem, x, mu, counters)
-    gb = barrier_gradient(cone, x)
-    prev = _PrevState(ws=ws, grad_phi=np.zeros(n), grad_b=gb, lambda2=np.zeros(m))
+    lambda2, grad_b_prev = np.zeros(m), ws.factor.gradient
 
     def finish(status, k, lam, prob=None, est=None):
         res = SolveResult(
@@ -361,18 +340,12 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     for k in range(params.max_outer_iters):
         grad_f = _checked_vector("gradient", problem.gradient(x), n)
         bump(counters, "grad_eval")
-        grad_b = barrier_gradient(cone, x)
+        grad_b = ws.factor.gradient
         gphi = grad_f + mu * grad_b
 
         lambda1 = ws.multipliers(gphi)
-        # lambda2 from the previous Newton-step residual holds only after a unit SOL step
-        if prev.kind is DirectionKind.SOL and prev.alpha == 1.0:
-            lambda2 = prev.ws.multipliers(prev.hess_vec(prev.step) + prev.grad_phi)
-        else:
-            lambda2 = prev.lambda2
-
         triggered, which, res_min = first_order_gate(
-            ws, mu, beta, grad_f, grad_b, lambda1, lambda2, prev.grad_b, counters
+            ws, mu, beta, grad_f, grad_b, lambda1, lambda2, grad_b_prev, counters
         )
         lam = lambda1 if which == "lambda1" else lambda2
         if triggered and params.fosp_only:
@@ -403,7 +376,6 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
                 d = scale_sol_direction(ws, d_hat, beta)
                 branch, searcher = BRANCH_CG_SOL, line_search_sol
             cg_iters, lanczos_iters = cg_out.iterations, 0
-            kind = cg_out.kind
         else:
             oracle = min_eig_oracle(f_hessian_op, n, sqrt_eps, params.delta, rng)
             if not oracle.found_negative_curvature:
@@ -425,7 +397,6 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             d = scale_meo_direction(ws, v, curvature_phi, g, beta)
             branch, searcher = BRANCH_MEO_NC, line_search_nc
             cg_iters, lanczos_iters = 0, oracle.iterations
-            kind = DirectionKind.NC
 
         step = ws.null_step(d)
         try:
@@ -446,16 +417,11 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             )
         )
 
-        prev = _PrevState(
-            ws=ws,
-            grad_phi=gphi,
-            grad_b=grad_b,
-            hess_vec=hess_vec,
-            step=step,
-            kind=kind,
-            alpha=alpha,
-            lambda2=lambda2,
-        )
+        # lambda2 from the Newton-step residual holds only after a unit SOL step;
+        # otherwise the previous lambda2 carries over
+        if m and branch == BRANCH_CG_SOL and alpha == 1.0:
+            lambda2 = ws.multipliers(hess_vec(step) + gphi)
+        grad_b_prev = grad_b
         x = x_new
         if m:
             drift = float(np.max(np.abs(affine.A @ x - affine.b)))

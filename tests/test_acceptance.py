@@ -27,7 +27,6 @@ from conebarrier.cli import fit_loglog_slope
 from conebarrier.cones import (
     ConeBlock,
     barrier_factor,
-    barrier_gradient,
     barrier_value,
     interior_membership,
     local_norm_dual,
@@ -153,7 +152,7 @@ def test_criterion_1_barrier_identities():
                 assert abs(barrier_value(cone, t * x) - bx + theta * math.log(t)) \
                     <= 1e-8 * (1.0 + abs(bx))
             factor = barrier_factor(cone, x)
-            grad = barrier_gradient(cone, x)
+            grad = barrier_factor(cone, x).gradient
             assert abs(local_norm_dual(factor, grad) ** 2 - theta) <= 1e-8 * theta
             assert abs(-x @ grad - theta) <= 1e-8 * theta
             assert abs(local_norm_primal(factor, x) ** 2 - theta) <= 1e-8 * theta

@@ -25,7 +25,6 @@ from conebarrier.cones import (
     Cone,
     ConeBlock,
     barrier_factor,
-    barrier_gradient,
     barrier_hessian,
     barrier_value,
     interior_membership,
@@ -115,6 +114,18 @@ def test_lower_is_cholesky_factor_of_hessian(cone, seed):
 
 @PROPERTY_SETTINGS
 @given(cone=CONES, seed=SEEDS)
+def test_factor_gradient_satisfies_the_homogeneity_identities(cone, seed):
+    # a theta-logarithmically homogeneous barrier has -x^T grad B(x) = theta and
+    # ||grad B(x)||_x*^2 = theta at every interior x
+    _, x = sample(cone, seed)
+    factor = barrier_factor(cone, x)
+    theta = cone.theta
+    assert abs(-x @ factor.gradient - theta) <= 1e-8 * theta
+    assert abs(local_norm_dual(factor, factor.gradient) ** 2 - theta) <= 1e-8 * theta
+
+
+@PROPERTY_SETTINGS
+@given(cone=CONES, seed=SEEDS)
 def test_certificate_dual_norm_matches_local_norm_dual(cone, seed):
     rng, x = sample(cone, seed)
     s = rng.standard_normal(cone.total_dim)
@@ -136,7 +147,7 @@ def test_every_barrier_entry_point_rejects_the_same_boundary_points(cone, seed, 
         # outside the cone (gap < 0), or in its negative (gap > 0 but t < 0)
         x[sl.start] = data.draw(st.sampled_from([0.5 * u_norm, -u_norm - 1.0]), label="t")
     assert not interior_membership(cone, x)
-    for entry_point in (barrier_value, barrier_gradient, barrier_hessian, barrier_factor):
+    for entry_point in (barrier_value, barrier_hessian, barrier_factor):
         with pytest.raises(BoundaryError):
             entry_point(cone, x)
 

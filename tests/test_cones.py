@@ -5,7 +5,6 @@ from conebarrier import cones
 from conebarrier.cones import (
     ConeBlock,
     barrier_factor,
-    barrier_gradient,
     barrier_hessian,
     barrier_value,
     dual_membership,
@@ -38,7 +37,8 @@ def finite_diff_hessian(cone, x, h=1e-6):
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        hess[:, i] = (barrier_gradient(cone, x + e) - barrier_gradient(cone, x - e)) / (2 * h)
+        forward, backward = barrier_factor(cone, x + e), barrier_factor(cone, x - e)
+        hess[:, i] = (forward.gradient - backward.gradient) / (2 * h)
     return 0.5 * (hess + hess.T)
 
 
@@ -81,20 +81,20 @@ class TestBarrierValue:
 class TestBarrierGradient:
     def test_orthant_ones(self):
         np.testing.assert_allclose(
-            barrier_gradient(orthant(2), np.array([1.0, 1.0])), [-1.0, -1.0]
+            barrier_factor(orthant(2), np.array([1.0, 1.0])).gradient, [-1.0, -1.0]
         )
 
     def test_orthant_mixed(self):
         np.testing.assert_allclose(
-            barrier_gradient(orthant(2), np.array([0.5, 2.0])), [-2.0, -0.5]
+            barrier_factor(orthant(2), np.array([0.5, 2.0])).gradient, [-2.0, -0.5]
         )
 
     def test_soc_against_finite_differences(self):
         cone = second_order(2)
         x = np.array([1.0, 0.0])
-        np.testing.assert_allclose(barrier_gradient(cone, x), [-2.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(barrier_factor(cone, x).gradient, [-2.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(
-            barrier_gradient(cone, x), finite_diff_gradient(cone, x), atol=1e-6
+            barrier_factor(cone, x).gradient, finite_diff_gradient(cone, x), atol=1e-6
         )
 
 
@@ -201,7 +201,7 @@ class TestBarrierIdentities:
         for _ in range(20):
             x = random_interior_point(cone, rng)
             factor = barrier_factor(cone, x)
-            grad = barrier_gradient(cone, x)
+            grad = factor.gradient
             assert abs(local_norm_dual(factor, grad) ** 2 - theta) <= 1e-8 * theta
             assert abs(-x @ grad - theta) <= 1e-8 * theta
             assert abs(local_norm_primal(factor, x) ** 2 - theta) <= 1e-8 * theta
@@ -226,7 +226,7 @@ class TestBarrierIdentities:
 
     def test_gradient_hessian_consistency(self, cone, rng):
         x = random_interior_point(cone, rng)
-        grad = barrier_gradient(cone, x)
+        grad = barrier_factor(cone, x).gradient
         fd_grad = finite_diff_gradient(cone, x)
         scale = max(1.0, np.max(np.abs(grad)))
         assert np.max(np.abs(grad - fd_grad)) / scale <= 1e-6

@@ -6,7 +6,6 @@ import pytest
 
 from conebarrier.cones import (
     barrier_factor,
-    barrier_gradient,
     interior_membership,
     local_norm_primal,
     orthant,
@@ -106,7 +105,7 @@ class TestMultipliers:
 class TestFirstOrderGate:
     def gate(self, problem, ws, mu, beta, lambda2=None, grad_b_prev=None):
         grad_f = problem.gradient(ws.point)
-        grad_b = barrier_gradient(problem.cone, ws.point)
+        grad_b = barrier_factor(problem.cone, ws.point).gradient
         gphi = grad_f + mu * grad_b
         lambda1 = ws.multipliers(gphi)
         lambda2 = lambda1 if lambda2 is None else lambda2
@@ -144,7 +143,7 @@ class TestFirstOrderGate:
         # and the smaller (carried-multiplier) branch is reported
         mu, beta = 1e-3, 0.5
         ws = ws_at([1.0, 1.0])  # identity factor: dual norms are Euclidean
-        grad_b = barrier_gradient(orthant(2), ws.point)
+        grad_b = barrier_factor(orthant(2), ws.point).gradient
         e1 = np.array([1.0, 0.0])
         grad_f = -mu * grad_b + 0.9 * mu * e1
         grad_b_prev = grad_b - 0.1 * e1  # makes the second residual 0.8 mu
@@ -264,7 +263,7 @@ class TestLineSearches:
         mu = mu_from_epsilon(eps, 0.5, 2.0)
         p = quadratic_problem(-np.eye(2), np.zeros(2), orthant(2), empty_affine(2))
         ws = ws_at([1.0, 1.0])
-        gphi = p.gradient(ws.point) + mu * barrier_gradient(p.cone, ws.point)
+        gphi = p.gradient(ws.point) + mu * barrier_factor(p.cone, ws.point).gradient
         g = ws.null_step_t(gphi)
         v = np.array([1.0, 0.0])
         curvature_phi = float(v @ ws.reduced_hessian_apply(lambda w: -w, mu, v))
@@ -459,6 +458,25 @@ class TestSolveBasics:
         assert cert.fosp_ok
         assert cert.sosp_min_eig is None
         assert res.trace.counters["hess_vec"] == len(products)
+
+    def test_unconstrained_run_spends_no_product_on_lambda2(self):
+        # with m = 0 the multiplier lambda2 is empty, so a unit SOL step adds no product:
+        # each capped-CG call costs 1 + iterations, and the final certifying oracle its
+        # Lanczos steps plus the power iterations of its norm estimate
+        from conebarrier.lanczos import _POWER_ITERS
+        from conebarrier.trace import BRANCH_CG_SOL, BRANCH_TERMINATE
+
+        n = 6
+        p = quadratic_problem(np.diag(np.arange(1.0, n + 1)), -np.ones(n), orthant(n),
+                              empty_affine(n), x0=np.full(n, 3.0))
+        res = solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7))
+        assert res.status is SolveStatus.SOSP_CERTIFIED
+        *steps, last = res.trace.records
+        assert {r.branch for r in steps} == {BRANCH_CG_SOL}
+        assert any(r.alpha == 1.0 for r in steps)
+        assert last.branch == BRANCH_TERMINATE
+        expected = sum(1 + r.cg_iters for r in steps) + last.lanczos_iters + _POWER_ITERS
+        assert res.trace.counters["hess_vec"] == expected
 
     def test_dense_hessian_formed_once_per_iterate(self):
         # every product at an iterate reuses one hessian(x); the certificate forms one more
