@@ -14,6 +14,7 @@ maintained by the CG recurrences.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -75,9 +76,9 @@ class _Monitors:
     def _refresh(self) -> None:
         self.kappa = (self.u + 2.0 * self.epsilon) / self.epsilon
         self.zeta_hat = self.zeta / (3.0 * self.kappa)
-        sqrt_kappa = np.sqrt(self.kappa)
+        sqrt_kappa = math.sqrt(self.kappa)
         self.tau = sqrt_kappa / (sqrt_kappa + 1.0)
-        self.cap_t = 4.0 * self.kappa**4 / (1.0 - np.sqrt(self.tau)) ** 2
+        self.cap_t = 4.0 * self.kappa**4 / (1.0 - math.sqrt(self.tau)) ** 2
 
     def maybe_raise_u(self, hv_norm: float, v_norm: float) -> None:
         if hv_norm > self.u * v_norm:
@@ -175,7 +176,7 @@ def capped_cg(
             return result(DirectionKind.SOL, y, j)
         if quad_p < eps * p_norm**2:
             return result(DirectionKind.NC, p, j)
-        if r_norm > np.sqrt(mon.cap_t) * mon.tau ** (j / 2.0) * g_norm:
+        if r_norm > math.sqrt(mon.cap_t) * mon.tau ** (j / 2.0) * g_norm:
             alpha = rr / quad_p
             y_next = y + alpha * p
             hy_next = hy + alpha * hp

@@ -23,6 +23,9 @@ format:
   update of Gill, Golub, Murray & Saunders (Math. Comp. 1974).  It is built
   from suffix sums of u_k^2 in O(d) and stored as four d-vectors; both
   triangular solves are O(d) cumulative sums, and no d x d array is formed.
+  The block's factor, gradient and Hessian are formed at x_b / 2^e, with
+  t / 2^e in [1/2, 1), and rescaled by logarithmic homogeneity, so the gap
+  and its square cannot under- or overflow.
 
 Everything else applies L through ``BarrierFactor.solve_lower`` and
 ``solve_upper``:
@@ -32,7 +35,9 @@ Everything else applies L through ``BarrierFactor.solve_lower`` and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -73,7 +78,7 @@ class Cone:
         if not self.blocks:
             raise ValueError("a cone needs at least one block")
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return sum(b.dim for b in self.blocks)
 
@@ -164,7 +169,7 @@ def _interior_blocks(cone: Cone, x: np.ndarray) -> Iterator[tuple[ConeBlock, sli
     for block, sl in cone.slices():
         xb = x[sl]
         if block.kind == ORTHANT:
-            if np.any(xb <= 0.0):
+            if (xb <= 0.0).any():
                 raise BoundaryError("orthant component not strictly positive")
         elif xb[0] <= 0.0 or _soc_gap(xb) <= 0.0:
             raise BoundaryError("point not interior to second-order cone block")
@@ -175,22 +180,36 @@ def barrier_value(cone: Cone, x: np.ndarray) -> float:
     total = 0.0
     for block, _, xb in _interior_blocks(cone, _check_dim(cone, x)):
         if block.kind == ORTHANT:
-            total -= float(np.sum(np.log(xb)))
+            total -= float(np.log(xb).sum())
         else:
             total -= float(np.log(_soc_gap(xb)))
     return total
 
 
+def _unit_scaled(xb: np.ndarray) -> tuple[np.ndarray, int]:
+    """(y, e) with xb = 2^e y and y_0 in [1/2, 1), for an SOC block with t > 0.
+
+    The barrier is logarithmically homogeneous, so nabla B(x) = 2^-e nabla B(y)
+    and nabla^2 B(x) = 4^-e nabla^2 B(y).  Evaluated at y, the gap and its
+    square neither under- nor overflow at any scale of x, and scaling by a
+    power of two is exact, so at normal scales the result is bit-equal to an
+    evaluation at x itself.
+    """
+    e = math.frexp(xb[0])[1]
+    return np.ldexp(xb, -e), e
+
+
 def _soc_hessian(xb: np.ndarray) -> np.ndarray:
-    # (2/gap) * diag(-1, 1, ..., 1) + (4/gap^2) * w w^T with w = (t, -u)
-    gap = _soc_gap(xb)
-    d = xb.shape[0]
-    w = xb.copy()
+    # 4^-e times (2/gap) * diag(-1, 1, ..., 1) + (4/gap^2) * w w^T at y, with w = (t, -u)
+    y, e = _unit_scaled(xb)
+    gap = _soc_gap(y)
+    d = y.shape[0]
+    w = y.copy()
     w[1:] *= -1.0
     hess = (4.0 / gap**2) * np.outer(w, w)
     hess[np.arange(d), np.arange(d)] += 2.0 / gap
     hess[0, 0] -= 4.0 / gap
-    return hess
+    return np.ldexp(hess, -2 * e)
 
 
 def barrier_hessian(cone: Cone, x: np.ndarray) -> np.ndarray:
@@ -202,7 +221,7 @@ def barrier_hessian(cone: Cone, x: np.ndarray) -> np.ndarray:
             for block, sl, xb in _interior_blocks(cone, _check_dim(cone, x)):
                 hess[sl, sl] = np.diag(1.0 / xb**2) if block.kind == ORTHANT else _soc_hessian(xb)
         finite = bool(np.all(np.isfinite(hess)))
-    except ArithmeticError:  # gap**2 underflows to 0 or overflows
+    except ArithmeticError:  # gap**2 underflows to 0 at a point this close to the boundary
         finite = False
     if not finite:
         raise FactorizationError("barrier Hessian is not finite (point at an extreme scale)")
@@ -213,27 +232,35 @@ def barrier_hessian(cone: Cone, x: np.ndarray) -> np.ndarray:
 class SocFactor:
     """Exact lower Cholesky factor of one second-order cone block's barrier Hessian.
 
-    L = (I + tril(w beta^T, -1)) diag(root) with beta = q / root^2, and the
-    unit lower part has the inverse I - tril(q p^T, -1).  So L^{-1} v and
-    L^{-T} v are one shifted cumulative sum each, for a vector or a d x m
-    matrix, and the factor is four d-vectors.
+    Built at y = 2^-e x (see ``_unit_scaled``), so L = 2^-e L_y.  Here
+    L_y = (I + tril(w beta^T, -1)) diag(root_y) with beta = q / root_y^2, and
+    the unit lower part, the same for x as for y, has the inverse
+    I - tril(q p^T, -1).  So w, p and q stay at y's scale and only the
+    diagonal root = 2^-e root_y carries x's: L^{-1} v and L^{-T} v are one
+    shifted cumulative sum and one division each, for a vector or a d x m
+    matrix.
     """
 
-    root: np.ndarray  # sqrt(dbar), the diagonal of L
-    w: np.ndarray  # (t, -u)
+    root: np.ndarray  # 2^-e sqrt(dbar), the diagonal of L
+    w: np.ndarray  # (t, -u) of y
     p: np.ndarray  # w / D
     q: np.ndarray  # w / ia, with ia_j = 1 / alpha_j of the rank-one update
+    exponent: int  # e, with x = 2^e y
 
     @property
     def dense(self) -> np.ndarray:
         """The d x d factor L, assembled on each access (for tests and views)."""
-        return np.tril(np.outer(self.w, self.q / self.root), -1) + np.diag(self.root)
+        # below the diagonal, L_ij = 2^-e w_i q_j / root_y,j = 4^-e w_i q_j / root_j
+        lower = np.ldexp(np.outer(self.w, self.q / self.root), -2 * self.exponent)
+        return np.tril(lower, -1) + np.diag(self.root)
 
 
 def _soc_factor(xb: np.ndarray) -> tuple[SocFactor, np.ndarray]:
     """O(d) factor of (2/gap) diag(-1, 1, ..., 1) + (4/gap^2) w w^T at an interior xb.
 
-    Returned with the block's barrier gradient -2 w / gap.
+    Returned with the block's barrier gradient -2 w / gap.  Both are formed at
+    y = 2^-e xb and rescaled, so neither fails at an extreme scale of xb where
+    its entries are representable.
 
     The rank-one LDL^T update of Gill, Golub, Murray & Saunders runs through
     ia_j = 1/alpha_j = ia_{j-1} + w_{j-1}^2 / D_{j-1}.  In closed form
@@ -241,25 +268,27 @@ def _soc_factor(xb: np.ndarray) -> tuple[SocFactor, np.ndarray]:
     taken from suffix sums so that nothing cancels; then
     dbar_j = D_j ia_{j+1} / ia_j.
     """
-    gap, d = _soc_gap(xb), xb.shape[0]
-    w = xb.copy()
+    y, e = _unit_scaled(xb)
+    gap, d = _soc_gap(y), y.shape[0]
+    w = y.copy()
     w[1:] *= -1.0
     diag = np.full(d, 2.0 / gap)
     diag[0] = -diag[0]
     tail = np.zeros(d)  # tail[j - 1] = sum_{k>=j} u_k^2 for j = 1..d
-    tail[:-1] = np.cumsum(xb[:0:-1] ** 2)[::-1]
+    tail[:-1] = np.cumsum(y[:0:-1] ** 2)[::-1]
     ia = np.empty(d + 1)
     ia[0] = gap * gap / 4.0
     ia[1:] = -(gap / 4.0) * (gap + 2.0 * tail)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dbar = diag * ia[1:] / ia[:-1]
-    if not np.all(np.isfinite(dbar) & (dbar > 0.0)):
+        root = np.ldexp(np.sqrt(diag * ia[1:] / ia[:-1]), -e)
+        gradient = np.ldexp(-2.0 * w / gap, -e)
+    # |w_i| <= t, so the gradient's largest entry is its first
+    if not ((np.isfinite(root) & (root > 0.0)).all() and math.isfinite(gradient[0])):
         raise FactorizationError(
             "second-order cone barrier Hessian has a non-finite or non-positive pivot "
             "(point at an extreme scale)"
         )
-    factor = SocFactor(root=np.sqrt(dbar), w=w, p=w / diag, q=w / ia[:-1])
-    return factor, -2.0 * w / gap
+    return SocFactor(root=root, w=w, p=w / diag, q=w / ia[:-1], exponent=e), gradient
 
 
 def _exclusive_cumsum(terms: np.ndarray, reverse: bool) -> np.ndarray:
@@ -319,7 +348,10 @@ class BarrierFactor:
 
     def _solve(self, v: np.ndarray, lower: bool) -> np.ndarray:
         if len(self.blocks) == 1:
-            return _block_solve(self.cone.blocks[0].kind, self.blocks[0], v, lower)
+            f = self.blocks[0]
+            if v.ndim == 1 and type(f) is np.ndarray:  # one orthant block: L = diag(f)
+                return v / f
+            return _block_solve(self.cone.blocks[0].kind, f, v, lower)
         out = np.empty_like(v, dtype=float)
         for (block, sl), f in zip(self.cone.slices(), self.blocks):
             out[sl] = _block_solve(block.kind, f, v[sl], lower)

@@ -25,7 +25,7 @@ class OpCounters:
     def add(self, category: str, amount: int = 1) -> None:
         if category not in CATEGORIES:
             raise KeyError(f"unknown counter category: {category}")
-        setattr(self, category, getattr(self, category) + amount)
+        self.__dict__[category] += amount
 
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in CATEGORIES}

@@ -5,7 +5,9 @@ iterate, so the inverse Hessian splits as M M^T with M = L^{-T}.  This module
 applies L only through ``BarrierFactor.solve_lower`` (L^{-1}) and
 ``solve_upper`` (L^{-T}) and never looks at how the factor is stored; its own
 triangular solves are with the m x m Schur factor, as direct calls of one
-float64 LAPACK ``trtrs`` handle fetched at import (a division when m = 1).
+float64 LAPACK ``trtrs`` handle fetched at import.  When m = 1 the Schur
+factor is the scalar c00 = sqrt(N^T N), so its solves are one division and
+the projector is v - a (a^T v) / c00^2 with the single column a of N.
 The workspace precomputes
 
 * ``scaled_AT``  N = L^{-1} A^T            (m forward substitutions)
@@ -24,10 +26,13 @@ and exposes the derived linear maps, each applied through triangular solves:
 
 ``reduced_hessian_apply`` composes these into one product of the damped,
 scaled and projected objective Hessian with a vector, the workhorse of the
-inner CG iteration.
+inner CG iteration.  Each public map counts its triangular solves with one
+counter bump of its documented total; the composed maps compute through
+uncounted private helpers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +44,7 @@ from .counters import OpCounters, bump
 from .errors import FactorizationError
 
 _trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
+_SINGULAR_SCHUR = "Schur complement numerically singular; A may be rank-deficient"
 
 
 @dataclass
@@ -93,17 +99,26 @@ class IterationWorkspace:
         self.factor = factor
         self.counters = counters
         self.m = m = affine.m
+        # tri_solve count of one projection; each composed op bumps once, this included
+        self._project_cost = 2 if m else 0
         if m > 0:
             self.scaled_AT = factor.solve_lower(affine.A.T)
             bump(counters, "tri_solve", m)
             schur = self.scaled_AT.T @ self.scaled_AT
             bump(counters, "matT_mat")
-            try:
-                self.schur_lower = np.linalg.cholesky(schur)
-            except np.linalg.LinAlgError as exc:
-                raise FactorizationError(
-                    "Schur complement numerically singular; A may be rank-deficient"
-                ) from exc
+            if m == 1:
+                # a scalar factor; not (s > 0) also rejects NaN, as LAPACK potrf does
+                s = float(schur[0, 0])
+                if not s > 0.0:
+                    raise FactorizationError(_SINGULAR_SCHUR)
+                c00 = math.sqrt(s)
+                self.schur_lower = np.full((1, 1), c00)
+                self._a, self._schur_sq = self.scaled_AT[:, 0], c00**2
+            else:
+                try:
+                    self.schur_lower = np.linalg.cholesky(schur)
+                except np.linalg.LinAlgError as exc:
+                    raise FactorizationError(_SINGULAR_SCHUR) from exc
         else:
             self.scaled_AT = np.zeros((n, 0))
             self.schur_lower = np.zeros((0, 0))
@@ -117,10 +132,9 @@ class IterationWorkspace:
         return self.factor.dim
 
     def _schur_solve(self, w: np.ndarray) -> np.ndarray:
-        """(N^T N)^{-1} w = C^{-T} C^{-1} w through the Schur factor; two triangular solves."""
-        bump(self.counters, "tri_solve", 2)
+        """(N^T N)^{-1} w = C^{-T} C^{-1} w; two triangular solves, counted by the caller."""
         if self.m == 1:
-            return w / (self.schur_lower[0, 0] ** 2)
+            return w / self._schur_sq
         # C^T is the Fortran-ordered upper triangle LAPACK reads without a copy
         upper = self.schur_lower.T
         z, info = _trtrs(upper, w, lower=0, trans=1)
@@ -129,6 +143,15 @@ class IterationWorkspace:
         if info != 0:
             raise FactorizationError(f"Schur triangular solve failed (LAPACK info {info})")
         return z
+
+    def _project(self, v: np.ndarray) -> np.ndarray:
+        """project(v) without the count or the m = 0 copy; v itself when m = 0."""
+        if self.m == 1:  # N N^T v / c00^2 with the column a of N
+            a = self._a
+            return v - a * ((a @ v) / self._schur_sq)
+        if self.m == 0:
+            return v
+        return v - self.scaled_AT @ self._schur_solve(self.scaled_AT.T @ v)
 
     def unscale(self, v: np.ndarray) -> np.ndarray:
         """M v = L^{-T} v; one backward substitution."""
@@ -141,25 +164,38 @@ class IterationWorkspace:
         return self.factor.solve_lower(v)
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the null space of the scaled constraints."""
+        """Orthogonal projection onto the null space of the scaled constraints.
+
+        Two triangular solves with the Schur factor (none when m = 0).
+        """
         if self.m == 0:
             return np.array(v, dtype=float, copy=True)
-        w = self.scaled_AT.T @ v
-        return v - self.scaled_AT @ self._schur_solve(w)
+        bump(self.counters, "tri_solve", 2)
+        return self._project(v)
 
     def null_step(self, v: np.ndarray) -> np.ndarray:
-        """Ambient-space step unscale(project(v)); lies in the null space of A."""
-        return self.unscale(self.project(v))
+        """Ambient-space step unscale(project(v)); lies in the null space of A.
+
+        Three triangular solves (one when m = 0).
+        """
+        bump(self.counters, "tri_solve", 1 + self._project_cost)
+        return self.factor.solve_upper(self._project(v))
 
     def null_step_t(self, v: np.ndarray) -> np.ndarray:
-        """Transpose map project(scale_dual(v))."""
-        return self.project(self.scale_dual(v))
+        """Transpose map project(scale_dual(v)); three triangular solves (one when m = 0)."""
+        bump(self.counters, "tri_solve", 1 + self._project_cost)
+        return self._project(self.factor.solve_lower(v))
 
     def multipliers(self, v: np.ndarray) -> np.ndarray:
-        """Least-squares multiplier estimate -(A M M^T A^T)^{-1} A M M^T v."""
+        """Least-squares multiplier estimate -(A M M^T A^T)^{-1} A M M^T v.
+
+        Four triangular solves (none when m = 0).
+        """
         if self.m == 0:
             return np.zeros(0)
-        w = self.unscale(self.scale_dual(v))
+        bump(self.counters, "tri_solve", 4)
+        factor = self.factor
+        w = factor.solve_upper(factor.solve_lower(v))
         return -self._schur_solve(self.affine.A @ w)
 
     def reduced_hessian_apply(
@@ -172,10 +208,10 @@ class IterationWorkspace:
 
         Returns project(scale_dual(hess_vec(unscale(project(v))))) + mu * project(v),
         costing one call of ``hess_vec`` and six triangular solves (two of size
-        n, four of size m); only the solves are counted here.
+        n, four of size m; two in all when m = 0); only the solves are counted here.
         """
-        v1 = self.project(v)
-        v2 = self.unscale(v1)
-        v4 = self.scale_dual(hess_vec(v2))
-        v5 = self.project(v4)
-        return v5 + mu * v1
+        bump(self.counters, "tri_solve", 2 + 2 * self._project_cost)
+        factor = self.factor
+        v1 = self._project(v)
+        v4 = factor.solve_lower(hess_vec(factor.solve_upper(v1)))
+        return self._project(v4) + mu * v1

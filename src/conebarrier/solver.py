@@ -187,7 +187,7 @@ def _beta_over(qnorm: float, beta: float) -> float:
 
 def scale_sol_direction(ws: IterationWorkspace, d_hat: np.ndarray, beta: float) -> np.ndarray:
     """min{1, beta / ||project(d_hat)||} d_hat; caps the local-norm step at beta."""
-    if not np.any(d_hat):
+    if not d_hat.any():
         raise ZeroDirection("cannot scale a zero direction")
     qnorm = norm2(ws.project(d_hat))
     return min(1.0, _beta_over(qnorm, beta)) * d_hat
@@ -205,7 +205,7 @@ def scale_nc_direction(
     The scaled step d satisfies g^T d <= 0 and, when the curvature term is the
     binding minimum, d^T H d <= -||d||^3.
     """
-    if not np.any(d_hat):
+    if not d_hat.any():
         raise ZeroDirection("cannot scale a zero direction")
     d_norm = norm2(d_hat)
     qnorm = norm2(ws.project(d_hat))
@@ -238,7 +238,7 @@ def _backtrack(
     phi0: float,
 ) -> tuple[float, np.ndarray, float]:
     """Backtrack from phi0 along ``step`` = null_step(d); ``decrease`` multiplies theta^{2j}."""
-    if not np.any(d):
+    if not d.any():
         raise ZeroDirection("line search requires a nonzero direction")
     x = ws.point
     for j in range(params.max_backtracks + 1):
@@ -316,6 +316,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     mu = mu_from_epsilon(eps, beta, cone.theta)
     sqrt_eps = math.sqrt(eps)
     rng = np.random.default_rng(params.seed)
+    cg_params = CappedCgParams(epsilon=sqrt_eps, zeta=params.zeta)
 
     x = x0.copy()
     ws = IterationWorkspace(affine, barrier_factor(cone, x, counters), counters)
@@ -362,11 +363,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
 
         if not triggered:
             g = ws.null_step_t(gphi)
-            cg_out = capped_cg(
-                phi_hessian_op,
-                g,
-                CappedCgParams(epsilon=sqrt_eps, zeta=params.zeta),
-            )
+            cg_out = capped_cg(phi_hessian_op, g, cg_params)
             d_hat = cg_out.direction
             if cg_out.kind is DirectionKind.NC:
                 curv = nc_curvature(phi_hessian_op, d_hat)
@@ -424,7 +421,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         grad_b_prev = grad_b
         x = x_new
         if m:
-            drift = float(np.max(np.abs(affine.A @ x - affine.b)))
+            drift = float(np.abs(affine.A @ x - affine.b).max())
             if drift > FEAS_TOL * b_scale / 10.0:
                 x = _reproject(affine, cone, x)
         ws = IterationWorkspace(affine, barrier_factor(cone, x, counters), counters)

@@ -113,11 +113,32 @@ class TestBarrierFactor:
 
     @pytest.mark.parametrize("t", [1e-160, 1e160])
     def test_soc_extreme_scale_raises_typed_error(self, t):
-        # interior points whose gap t^2 under- or overflows: the pivots are 1/0 or 0 * inf
-        with pytest.raises(FactorizationError):
-            barrier_factor(second_order(3), np.array([t, 0.0, 0.0]))
-        with pytest.raises(FactorizationError):
-            barrier_hessian(second_order(3), np.array([t, 0.0, 0.0]))
+        # the factor (about 1/t) is representable at both scales, the Hessian (about
+        # 1/t^2) only at 1e160; as for the orthant, only that Hessian raises, typed
+        x = np.array([t, 0.0, 0.0])
+        factor = barrier_factor(second_order(3), x)
+        np.testing.assert_allclose(factor.lower, np.sqrt(2.0) / t * np.eye(3), rtol=1e-15)
+        if t < 1.0:
+            with pytest.raises(FactorizationError):
+                barrier_hessian(second_order(3), x)
+        else:
+            assert np.isfinite(barrier_hessian(second_order(3), x)).all()
+
+    @pytest.mark.parametrize("z", [[1.0, 0.0, 0.0], [1.0, 0.3, -0.4]])
+    def test_soc_scale_robust_from_1e_minus_150_to_1e150(self, z, rng):
+        # logarithmic homogeneity: at t z the gradient is grad(z) / t, the factor
+        # L(z) / t and the Hessian H(z) / t^2; RuntimeWarnings are errors here
+        cone, z = second_order(3), np.asarray(z)
+        unit, unit_hessian = barrier_factor(cone, z), barrier_hessian(cone, z)
+        v = rng.standard_normal(3)
+        for k in range(-150, 151):
+            t = 10.0**k
+            factor, hessian = barrier_factor(cone, t * z), barrier_hessian(cone, t * z)
+            np.testing.assert_allclose(factor.gradient * t, unit.gradient, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(factor.lower * t, unit.lower, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(factor.solve_lower(v) / t, unit.solve_lower(v),
+                                       rtol=1e-14, atol=0)
+            np.testing.assert_allclose(hessian * t * t, unit_hessian, rtol=1e-14, atol=0)
 
     def test_orthant_extreme_scale_hessian_raises_typed_error(self):
         # 1/x^2 overflows where the factor 1/x does not; RuntimeWarnings are errors here

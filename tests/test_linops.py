@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -9,6 +11,8 @@ from conebarrier.linops import AffineData, IterationWorkspace, empty_affine
 from conebarrier.vecnorm import norm2
 
 from conftest import CONE_FAMILIES, dense_operators, random_interior_point
+
+MIXED = CONE_FAMILIES[-1]  # orthant x SOC x orthant x SOC
 
 
 def make_ws(A, b, x, cone=None, counters=None):
@@ -265,23 +269,69 @@ class TestLapackSchurSolve:
                 u = a_mat @ ws.unscale(ws.scale_dual(v))
                 assert np.array_equal(ws.multipliers(v), -scipy_schur_solve(ws, u))
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
     def test_two_tri_solves_per_call(self, m, rng):
+        # each public workspace op counts its documented tri_solve total, with the
+        # Schur solves inside it; project is the op that makes exactly two of them
         n = 12
-        counters = OpCounters()
-        ws = make_ws(rng.standard_normal((m, n)), np.zeros(m),
-                     random_interior_point(orthant(n), rng), counters=counters)
-        before = counters.tri_solve
-        ws._schur_solve(rng.standard_normal(m))
-        assert counters.tri_solve - before == 2
-        ws.project(rng.standard_normal(n))
-        assert counters.tri_solve - before == 4
+        costs = {"unscale": 1, "scale_dual": 1, "project": 2, "null_step": 3,
+                 "null_step_t": 3, "multipliers": 4, "reduced_hessian_apply": 6}
+        if m == 0:
+            costs.update(project=0, null_step=1, null_step_t=1, multipliers=0,
+                         reduced_hessian_apply=2)
+        for cone in (orthant(n), second_order(n), MIXED):
+            counters = OpCounters()
+            a_mat = rng.standard_normal((m, cone.total_dim))
+            ws = make_ws(a_mat, np.zeros(m), random_interior_point(cone, rng), cone, counters)
+            assert counters.tri_solve == m
+            for name, cost in costs.items():
+                op = getattr(ws, name)
+                v = rng.standard_normal(cone.total_dim)
+                before = counters.snapshot()
+                op(lambda w: w, 0.1, v) if name == "reduced_hessian_apply" else op(v)
+                after = counters.snapshot()
+                assert after["tri_solve"] - before["tri_solve"] == cost, (name, cone)
+                assert all(after[k] == before[k] for k in after if k != "tri_solve")
 
     def test_singular_factor_raises(self, rng):
         ws = make_ws(rng.standard_normal((2, 6)), np.zeros(2), random_interior_point(orthant(6), rng))
         ws.schur_lower[1, 1] = 0.0
         with pytest.raises(FactorizationError, match="LAPACK info 2"):
             ws.project(rng.standard_normal(6))
+
+
+class TestScalarSchurPath:
+    """At m = 1 the Schur factor is a scalar and the projector one rank-one update."""
+
+    @pytest.mark.parametrize("cone", [orthant(12), second_order(12), MIXED],
+                             ids=["orthant", "soc", "mixed"])
+    def test_bit_equal_to_general_formulas(self, cone, rng):
+        n = cone.total_dim
+        for _ in range(5):
+            a_mat = rng.standard_normal((1, n))
+            ws = make_ws(a_mat, np.zeros(1), random_interior_point(cone, rng), cone)
+            big_n, factor = ws.scaled_AT, ws.factor
+            assert np.array_equal(ws.schur_lower, np.linalg.cholesky(big_n.T @ big_n))
+            c00_sq = ws.schur_lower[0, 0] ** 2
+
+            def general_project(u):
+                return u - big_n @ (big_n.T @ u / c00_sq)
+
+            for _ in range(5):
+                v = rng.standard_normal(n)
+                assert np.array_equal(ws.project(v), general_project(v))
+                assert np.array_equal(ws.null_step(v), factor.solve_upper(general_project(v)))
+                assert np.array_equal(ws.null_step_t(v), general_project(factor.solve_lower(v)))
+                w = factor.solve_upper(factor.solve_lower(v))
+                assert np.array_equal(ws.multipliers(v), -(a_mat @ w / c00_sq))
+
+    def test_underflowing_schur_complement_raises_without_warning(self):
+        # N^T N = 6 (1e-170 / 6)^2 underflows to 0, which the scalar path rejects
+        n = 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FactorizationError, match="Schur complement"):
+                make_ws(np.full((1, n), 1e-170), [1e-170], np.full(n, 1.0 / n))
 
 
 class TestNorm2:
