@@ -8,14 +8,14 @@ either an approximate solution (kind SOL) with
 or a negative-curvature direction (kind NC) with d^T H d < -eps ||d||^2.
 The operator-norm estimate U starts at 0 and is refreshed on the fly from every computed
 matrix-vector product; the derived quantities kappa, zeta_hat, tau and T are
-recomputed after each refresh.  One fresh matvec is spent per iteration (on
-the new residual); products with the direction and solution iterates are
-maintained by the CG recurrences.
+recomputed once in each iteration that raised U.  One fresh matvec is spent
+per iteration (on the new residual); products with the direction and
+solution iterates are maintained by the CG recurrences.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -58,32 +58,12 @@ class CappedCgResult:
         return self.kind is DirectionKind.SOL
 
 
-@dataclass
-class _Monitors:
-    """U and the quantities derived from it; refreshed on each U update."""
-
-    epsilon: float
-    zeta: float
-    u: float
-    kappa: float = field(init=False)
-    zeta_hat: float = field(init=False)
-    tau: float = field(init=False)
-    cap_t: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self._refresh()
-
-    def _refresh(self) -> None:
-        self.kappa = (self.u + 2.0 * self.epsilon) / self.epsilon
-        self.zeta_hat = self.zeta / (3.0 * self.kappa)
-        sqrt_kappa = math.sqrt(self.kappa)
-        self.tau = sqrt_kappa / (sqrt_kappa + 1.0)
-        self.cap_t = 4.0 * self.kappa**4 / (1.0 - math.sqrt(self.tau)) ** 2
-
-    def maybe_raise_u(self, hv_norm: float, v_norm: float) -> None:
-        if hv_norm > self.u * v_norm:
-            self.u = hv_norm / v_norm
-            self._refresh()
+def _monitors(u: float, eps: float, zeta: float) -> tuple[float, float, float, float]:
+    """(kappa, zeta_hat, tau, T) for the operator-norm estimate U = u."""
+    kappa = (u + 2.0 * eps) / eps
+    sqrt_kappa = math.sqrt(kappa)
+    tau = sqrt_kappa / (sqrt_kappa + 1.0)
+    return kappa, zeta / (3.0 * kappa), tau, 4.0 * kappa**4 / (1.0 - math.sqrt(tau)) ** 2
 
 
 def iteration_bound(result: CappedCgResult, n: int) -> int:
@@ -104,37 +84,24 @@ def capped_cg(
     """Run capped CG on (H + 2 eps I) d = -g for a symmetric operator H."""
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    g_norm = norm2(g)
+    rr = float(g @ g)  # also p^T p for p = -g
+    g_norm = math.sqrt(rr)
     if g_norm == 0.0:
         raise ZeroGradient("capped CG requires a nonzero right-hand side")
-    eps = params.epsilon
+    eps, zeta = params.epsilon, params.zeta
     hard_cap = 10 * n + 100
-    mon = _Monitors(epsilon=eps, zeta=params.zeta, u=0.0)
-
-    def result(kind: DirectionKind, direction: np.ndarray, iters: int) -> CappedCgResult:
-        return CappedCgResult(
-            kind=kind,
-            direction=direction,
-            iterations=iters,
-            u=mon.u,
-            kappa=mon.kappa,
-            zeta_hat=mon.zeta_hat,
-            tau=mon.tau,
-            cap_t=mon.cap_t,
-        )
 
     p = -g
     hp = matvec(p)
-    quad_p = float(p @ hp) + 2.0 * eps * float(p @ p)
-    if quad_p < eps * float(p @ p):
-        return result(DirectionKind.NC, p, 0)
-    mon.maybe_raise_u(norm2(hp), norm2(p))
+    quad_p = float(p @ hp) + 2.0 * eps * rr
+    if quad_p < eps * rr:
+        return CappedCgResult(DirectionKind.NC, p, 0, 0.0, *_monitors(0.0, eps, zeta))
+    u = norm2(hp) / g_norm  # U starts at 0, and ||p|| = ||g||
+    kappa, zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
 
     y = np.zeros(n)
     hy = np.zeros(n)
-    r = g.copy()
-    hr = -hp  # H g for p = -g
-    rr = float(r @ r)
+    r = g
     ys = [y]
     hys = [hy]
     j = 0
@@ -146,8 +113,8 @@ def capped_cg(
         rr_new = float(r_new @ r_new)
         beta = rr_new / rr
         hr = matvec(r_new)
-        p = -r_new + beta * p
-        hp = -hr + beta * hp
+        p = beta * p - r_new
+        hp = beta * hp - hr
         r, rr = r_new, rr_new
         j += 1
         if j > hard_cap:
@@ -160,28 +127,36 @@ def capped_cg(
 
         p_norm = norm2(p)
         y_norm = norm2(y)
-        r_norm = norm2(r)
-        if p_norm > 0.0:
-            mon.maybe_raise_u(norm2(hp), p_norm)
-        if y_norm > 0.0:
-            mon.maybe_raise_u(norm2(hy), y_norm)
-        if r_norm > 0.0:
-            mon.maybe_raise_u(norm2(hr), r_norm)
+        r_norm = math.sqrt(rr)
+        # refresh U from every product at hand, then its derived quantities once
+        u_prev = u
+        for hv, v_norm in ((hp, p_norm), (hy, y_norm), (hr, r_norm)):
+            if v_norm > 0.0:
+                hv_norm = norm2(hv)
+                if hv_norm > u * v_norm:
+                    u = hv_norm / v_norm
+        if u != u_prev:
+            kappa, zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
 
         quad_y = float(y @ hy) + 2.0 * eps * y_norm**2
         quad_p = float(p @ hp) + 2.0 * eps * p_norm**2
         if quad_y < eps * y_norm**2:
-            return result(DirectionKind.NC, y, j)
-        if r_norm <= mon.zeta_hat * g_norm:
-            return result(DirectionKind.SOL, y, j)
+            kind, direction = DirectionKind.NC, y
+            break
+        if r_norm <= zeta_hat * g_norm:
+            kind, direction = DirectionKind.SOL, y
+            break
         if quad_p < eps * p_norm**2:
-            return result(DirectionKind.NC, p, j)
-        if r_norm > math.sqrt(mon.cap_t) * mon.tau ** (j / 2.0) * g_norm:
+            kind, direction = DirectionKind.NC, p
+            break
+        if r_norm > math.sqrt(cap_t) * tau ** (j / 2.0) * g_norm:
             alpha = rr / quad_p
             y_next = y + alpha * p
             hy_next = hy + alpha * hp
-            diff = _backtrack_nc(ys, hys, y_next, hy_next, eps, matvec)
-            return result(DirectionKind.NC, diff, j)
+            kind = DirectionKind.NC
+            direction = _backtrack_nc(ys, hys, y_next, hy_next, eps, matvec)
+            break
+    return CappedCgResult(kind, direction, j, u, kappa, zeta_hat, tau, cap_t)
 
 
 def _backtrack_nc(

@@ -25,7 +25,9 @@ format:
   triangular solves are O(d) cumulative sums, and no d x d array is formed.
   The block's factor, gradient and Hessian are formed at x_b / 2^e, with
   t / 2^e in [1/2, 1), and rescaled by logarithmic homogeneity, so the gap
-  and its square cannot under- or overflow.
+  and its square cannot under- or overflow.  Interiority is decided by
+  t - ||u|| > 0, and the barrier value falls back to that scaled gap where
+  the gap at x_b's own scale is not a normal float.
 
 Everything else applies L through ``BarrierFactor.solve_lower`` and
 ``solve_upper``:
@@ -48,6 +50,9 @@ from .vecnorm import norm2
 
 ORTHANT = "orthant"
 SOC = "soc"
+
+_TINY = float(np.finfo(float).tiny)  # smallest positive normal float
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -124,9 +129,9 @@ def _check_dim(cone: Cone, x: np.ndarray) -> np.ndarray:
 def _soc_gap(xb: np.ndarray) -> float:
     """t^2 - ||u||^2 for a second-order cone block (t, u), as (t - ||u||)(t + ||u||).
 
-    Every barrier entry point and the factor read the gap from here.  For
-    t > 0 its sign is the sign of t - ||u|| (barring underflow), so the
-    strict-interiority check agrees with ``interior_membership`` at margin 0.
+    Every barrier entry point and the factor read the gap from here.  At x's
+    own scale the product can under- or overflow, so interiority is decided
+    by t - ||u|| instead, and the factor forms the gap at a unit scale.
     """
     t, r = float(xb[0]), norm2(xb[1:])
     return (t - r) * (t + r)
@@ -164,25 +169,41 @@ def _interior_blocks(cone: Cone, x: np.ndarray) -> Iterator[tuple[ConeBlock, sli
     """(block, slice, x_block) per block of a dimension-checked x.
 
     The one strict-interiority check behind every barrier entry point:
-    raises BoundaryError at the first block that x does not lie inside.
+    raises BoundaryError at the first block that x does not lie inside.  A
+    second-order cone block is tested by t - ||u|| > 0, the test of
+    ``interior_membership`` at margin 0, which is the sign of the gap
+    wherever the gap's product does not underflow.
     """
     for block, sl in cone.slices():
         xb = x[sl]
         if block.kind == ORTHANT:
             if (xb <= 0.0).any():
                 raise BoundaryError("orthant component not strictly positive")
-        elif xb[0] <= 0.0 or _soc_gap(xb) <= 0.0:
+        elif xb[0] - norm2(xb[1:]) <= 0.0:
             raise BoundaryError("point not interior to second-order cone block")
         yield block, sl, xb
 
 
 def barrier_value(cone: Cone, x: np.ndarray) -> float:
+    """B(x), summed over the blocks.
+
+    A second-order cone block takes the log of its gap at x's own scale where
+    that gap is a positive normal float.  Where the gap under- or overflows it
+    takes log(gap(y)) + 2e ln 2 at y = x / 2^e (``_unit_scaled``), so the value
+    stays finite at every scale the factor handles, and is unchanged where
+    the gap was representable.
+    """
     total = 0.0
     for block, _, xb in _interior_blocks(cone, _check_dim(cone, x)):
         if block.kind == ORTHANT:
             total -= float(np.log(xb).sum())
+            continue
+        gap = _soc_gap(xb)
+        if _TINY <= gap < math.inf:
+            total -= float(np.log(gap))
         else:
-            total -= float(np.log(_soc_gap(xb)))
+            y, e = _unit_scaled(xb)
+            total -= float(np.log(_soc_gap(y))) + 2 * e * _LN2
     return total
 
 

@@ -22,7 +22,13 @@ and exposes the derived linear maps, each applied through triangular solves:
 * ``null_step(v)``    unscale(project(v)); always satisfies A * result = 0
 * ``null_step_t(v)``  project(scale_dual(v)), the transpose of null_step
 * ``multipliers(v)``  -(A M M^T A^T)^{-1} A M M^T v, least-squares
-                      multiplier estimate for the gradient v
+                      multiplier estimate for the gradient v, applied as
+                      -(N^T N)^{-1} N^T (L^{-1} v) since N^T = A M
+
+The multipliers solve that least-squares problem, so in exact arithmetic
+L^{-1}(v + A^T multipliers(v)) = null_step_t(v): the dual local norm of the
+multiplier residual is the norm of the transposed null step, and the solver
+reads its first-order gate from the capped-CG right-hand side.
 
 ``reduced_hessian_apply`` composes these into one product of the damped,
 scaled and projected objective Hessian with a vector, the workhorse of the
@@ -189,14 +195,13 @@ class IterationWorkspace:
     def multipliers(self, v: np.ndarray) -> np.ndarray:
         """Least-squares multiplier estimate -(A M M^T A^T)^{-1} A M M^T v.
 
-        Four triangular solves (none when m = 0).
+        Applied through the cached N as -(N^T N)^{-1} N^T (L^{-1} v): three
+        triangular solves (none when m = 0).
         """
         if self.m == 0:
             return np.zeros(0)
-        bump(self.counters, "tri_solve", 4)
-        factor = self.factor
-        w = factor.solve_upper(factor.solve_lower(v))
-        return -self._schur_solve(self.affine.A @ w)
+        bump(self.counters, "tri_solve", 3)
+        return -self._schur_solve(self.scaled_AT.T @ self.factor.solve_lower(v))
 
     def reduced_hessian_apply(
         self,

@@ -149,9 +149,8 @@ def first_order_gate(
     ws: IterationWorkspace,
     mu: float,
     beta: float,
+    g: np.ndarray,
     grad_f: np.ndarray,
-    grad_b: np.ndarray,
-    lambda1: np.ndarray,
     lambda2: np.ndarray,
     grad_b_prev: np.ndarray,
     counters: OpCounters | None = None,
@@ -161,13 +160,16 @@ def first_order_gate(
     Returns (triggered, which, residual_min).  ``triggered`` means the smaller
     residual is already below the threshold, so the eigenvalue-oracle branch
     runs; otherwise the capped-CG branch runs.  Both dual norms use the factor
-    at the current point; the second residual pairs the carried multiplier
-    with the barrier gradient at the previous point.
+    at the current point.  ``g`` is ``ws.null_step_t(grad_f + mu grad_b)``,
+    the capped-CG right-hand side.  The first residual pairs the least-squares
+    multiplier lambda1 with the current barrier gradient, and
+    L^{-1}(grad_phi + A^T lambda1) is exactly that projected, scaled gradient,
+    so it is ||g|| and takes no solve of its own.  The second pairs the carried
+    multiplier lambda2 with the barrier gradient at the previous point: one
+    forward substitution.
     """
-    at = ws.affine.A.T
-    vec1 = grad_f + (at @ lambda1 if ws.m else 0.0) + mu * grad_b
-    vec2 = grad_f + (at @ lambda2 if ws.m else 0.0) + mu * grad_b_prev
-    r1 = local_norm_dual(ws.factor, vec1, counters)
+    vec2 = grad_f + (ws.affine.A.T @ lambda2 if ws.m else 0.0) + mu * grad_b_prev
+    r1 = norm2(g)
     r2 = local_norm_dual(ws.factor, vec2, counters)
     if r1 <= r2:
         which, res = "lambda1", r1
@@ -185,12 +187,31 @@ def _beta_over(qnorm: float, beta: float) -> float:
     return beta / qnorm if qnorm > 0.0 else math.inf
 
 
-def scale_sol_direction(ws: IterationWorkspace, d_hat: np.ndarray, beta: float) -> np.ndarray:
-    """min{1, beta / ||project(d_hat)||} d_hat; caps the local-norm step at beta."""
+# Each direction scaling returns the multiplier c of d = c d_hat from
+# qnorm = ||project(d_hat)||, so that the solver can reuse project(d_hat) for
+# the ambient step when c = 1.
+
+def _sol_scale(d_hat: np.ndarray, qnorm: float, beta: float) -> float:
     if not d_hat.any():
         raise ZeroDirection("cannot scale a zero direction")
-    qnorm = norm2(ws.project(d_hat))
-    return min(1.0, _beta_over(qnorm, beta)) * d_hat
+    return min(1.0, _beta_over(qnorm, beta))
+
+
+def _nc_scale(d_hat: np.ndarray, qnorm: float, curvature: float, g: np.ndarray, beta: float) -> float:
+    if not d_hat.any():
+        raise ZeroDirection("cannot scale a zero direction")
+    factor = min(abs(curvature) / norm2(d_hat), _beta_over(qnorm, beta))
+    return -_sgn(float(g @ d_hat)) * factor
+
+
+def _meo_scale(v: np.ndarray, qnorm: float, curvature_phi: float, g: np.ndarray, beta: float) -> float:
+    factor = min(abs(curvature_phi), _beta_over(qnorm, beta))
+    return -_sgn(float(g @ v)) * factor
+
+
+def scale_sol_direction(ws: IterationWorkspace, d_hat: np.ndarray, beta: float) -> np.ndarray:
+    """min{1, beta / ||project(d_hat)||} d_hat; caps the local-norm step at beta."""
+    return _sol_scale(d_hat, norm2(ws.project(d_hat)), beta) * d_hat
 
 
 def scale_nc_direction(
@@ -205,12 +226,7 @@ def scale_nc_direction(
     The scaled step d satisfies g^T d <= 0 and, when the curvature term is the
     binding minimum, d^T H d <= -||d||^3.
     """
-    if not d_hat.any():
-        raise ZeroDirection("cannot scale a zero direction")
-    d_norm = norm2(d_hat)
-    qnorm = norm2(ws.project(d_hat))
-    factor = min(abs(curvature) / d_norm, _beta_over(qnorm, beta))
-    return -_sgn(float(g @ d_hat)) * factor * d_hat
+    return _nc_scale(d_hat, norm2(ws.project(d_hat)), curvature, g, beta) * d_hat
 
 
 def scale_meo_direction(
@@ -221,9 +237,7 @@ def scale_meo_direction(
     beta: float,
 ) -> np.ndarray:
     """Scaling for a unit oracle direction; ``curvature_phi`` is v^T H_phi v."""
-    qnorm = norm2(ws.project(v))
-    factor = min(abs(curvature_phi), _beta_over(qnorm, beta))
-    return -_sgn(float(g @ v)) * factor * v
+    return _meo_scale(v, norm2(ws.project(v)), curvature_phi, g, beta) * v
 
 
 def _backtrack(
@@ -343,14 +357,14 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         bump(counters, "grad_eval")
         grad_b = ws.factor.gradient
         gphi = grad_f + mu * grad_b
+        g = ws.null_step_t(gphi)
 
-        lambda1 = ws.multipliers(gphi)
         triggered, which, res_min = first_order_gate(
-            ws, mu, beta, grad_f, grad_b, lambda1, lambda2, grad_b_prev, counters
+            ws, mu, beta, g, grad_f, lambda2, grad_b_prev, counters
         )
-        lam = lambda1 if which == "lambda1" else lambda2
         if triggered and params.fosp_only:
             trace.add(IterationRecord(k, phi, res_min, BRANCH_TERMINATE, 0.0, 0.0, 0, 0))
+            lam = ws.multipliers(gphi) if which == "lambda1" else lambda2
             return finish(SolveStatus.FOSP_CERTIFIED, k, lam)
 
         hess_vec = _hessian_operator(problem, x, counters)
@@ -361,16 +375,17 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         def f_hessian_op(v):
             return ws.reduced_hessian_apply(hess_vec, 0.0, v)
 
+        # each branch yields d_hat, its projection q and the multiplier c of d = c d_hat
         if not triggered:
-            g = ws.null_step_t(gphi)
             cg_out = capped_cg(phi_hessian_op, g, cg_params)
             d_hat = cg_out.direction
+            q = ws.project(d_hat)
             if cg_out.kind is DirectionKind.NC:
                 curv = nc_curvature(phi_hessian_op, d_hat)
-                d = scale_nc_direction(ws, d_hat, curv, g, beta)
+                c = _nc_scale(d_hat, norm2(q), curv, g, beta)
                 branch, searcher = BRANCH_CG_NC, line_search_nc
             else:
-                d = scale_sol_direction(ws, d_hat, beta)
+                c = _sol_scale(d_hat, norm2(q), beta)
                 branch, searcher = BRANCH_CG_SOL, line_search_sol
             cg_iters, lanczos_iters = cg_out.iterations, 0
         else:
@@ -384,18 +399,22 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
                 return finish(
                     SolveStatus.SOSP_CERTIFIED,
                     k,
-                    lam,
+                    ws.multipliers(gphi) if which == "lambda1" else lambda2,
                     prob=oracle.probability_bound,
                     est=oracle.estimated_norm,
                 )
-            v = oracle.direction
-            g = ws.null_step_t(gphi)
-            curvature_phi = oracle.curvature + mu * norm2(ws.project(v)) ** 2
-            d = scale_meo_direction(ws, v, curvature_phi, g, beta)
+            d_hat = oracle.direction
+            q = ws.project(d_hat)
+            qnorm = norm2(q)
+            curvature_phi = oracle.curvature + mu * qnorm**2
+            c = _meo_scale(d_hat, qnorm, curvature_phi, g, beta)
             branch, searcher = BRANCH_MEO_NC, line_search_nc
             cg_iters, lanczos_iters = 0, oracle.iterations
 
-        step = ws.null_step(d)
+        # the step is null_step(d): from the projection at hand when d = d_hat, and
+        # projected afresh when d is scaled, so that it is exactly null_step(d) either way
+        d = c * d_hat
+        step = ws.unscale(q) if c == 1.0 else ws.null_step(d)
         try:
             alpha, x_new, phi_new = searcher(
                 problem, ws, mu, d, params, counters, step=step, phi0=phi
@@ -406,7 +425,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
                     k, phi, res_min, branch, 0.0, norm2(d), cg_iters, lanczos_iters
                 )
             )
-            return finish(SolveStatus.LINE_SEARCH_FAILURE, k, lambda1)
+            return finish(SolveStatus.LINE_SEARCH_FAILURE, k, ws.multipliers(gphi))
 
         trace.add(
             IterationRecord(
@@ -427,6 +446,12 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         ws = IterationWorkspace(affine, barrier_factor(cone, x, counters), counters)
         phi = phi_new
 
+    # lambda1 at x_final itself, from its workspace and one more gradient
+    lambda1 = np.zeros(0)
+    if m:
+        grad_f = _checked_vector("gradient", problem.gradient(x), n)
+        bump(counters, "grad_eval")
+        lambda1 = ws.multipliers(grad_f + mu * ws.factor.gradient)
     return finish(SolveStatus.MAX_ITERS_EXCEEDED, params.max_outer_iters, lambda1)
 
 

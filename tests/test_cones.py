@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,18 @@ class TestBarrierFactor:
             np.testing.assert_allclose(factor.solve_lower(v) / t, unit.solve_lower(v),
                                        rtol=1e-14, atol=0)
             np.testing.assert_allclose(hessian * t * t, unit_hessian, rtol=1e-14, atol=0)
+
+    def test_soc_value_and_factor_from_1e_minus_300_to_1e300(self):
+        # interiority is t - ||u|| > 0 and the value falls back to the unit-scaled gap,
+        # so neither fails where t^2 under- or overflows; RuntimeWarnings are errors here
+        cone = second_order(3)
+        for k in range(-300, 301):
+            t = 10.0**k
+            x = np.array([t, 0.0, 0.0])
+            expected = -2.0 * math.log(t)
+            assert abs(barrier_value(cone, x) - expected) <= 1e-14 * abs(expected), k
+            factor = barrier_factor(cone, x)
+            assert factor.blocks[0].root[0] > 0.0 and np.isfinite(factor.gradient).all()
 
     def test_orthant_extreme_scale_hessian_raises_typed_error(self):
         # 1/x^2 overflows where the factor 1/x does not; RuntimeWarnings are errors here

@@ -107,10 +107,9 @@ class TestFirstOrderGate:
         grad_f = problem.gradient(ws.point)
         grad_b = barrier_factor(problem.cone, ws.point).gradient
         gphi = grad_f + mu * grad_b
-        lambda1 = ws.multipliers(gphi)
-        lambda2 = lambda1 if lambda2 is None else lambda2
+        lambda2 = ws.multipliers(gphi) if lambda2 is None else lambda2
         grad_b_prev = grad_b if grad_b_prev is None else grad_b_prev
-        return first_order_gate(ws, mu, beta, grad_f, grad_b, lambda1, lambda2, grad_b_prev)
+        return first_order_gate(ws, mu, beta, ws.null_step_t(gphi), grad_f, lambda2, grad_b_prev)
 
     def test_barrier_path_point(self):
         # unconstrained orthant: at x_i = sqrt(mu) the merit gradient vanishes
@@ -147,8 +146,9 @@ class TestFirstOrderGate:
         e1 = np.array([1.0, 0.0])
         grad_f = -mu * grad_b + 0.9 * mu * e1
         grad_b_prev = grad_b - 0.1 * e1  # makes the second residual 0.8 mu
+        g = ws.null_step_t(grad_f + mu * grad_b)
         triggered, which, res = first_order_gate(
-            ws, mu, beta, grad_f, grad_b, np.zeros(0), np.zeros(0), grad_b_prev
+            ws, mu, beta, g, grad_f, np.zeros(0), grad_b_prev
         )
         assert not triggered
         assert res == pytest.approx(0.8 * mu)
@@ -326,6 +326,17 @@ class TestSolveBasics:
         assert res.status is SolveStatus.MAX_ITERS_EXCEEDED
         assert res.iterations == 3
         assert res.trace.counters["cholesky"] == 4
+
+    def test_max_iters_multiplier_is_taken_at_the_final_point(self):
+        # the returned lambda pairs with x_final: it is the least-squares multiplier of
+        # the merit gradient there, formed with one more counted gradient evaluation
+        p = builtin("nonconvex_qp_simplex", 30)
+        res = solve(p, p.x0, SolverParams(epsilon=1e-3, max_outer_iters=50))
+        assert res.status is SolveStatus.MAX_ITERS_EXCEEDED
+        ws = IterationWorkspace(p.affine, barrier_factor(p.cone, res.x_final))
+        expected = ws.multipliers(p.gradient(res.x_final) + res.mu * ws.factor.gradient)
+        assert np.array_equal(res.lambda_final, expected)
+        assert res.trace.counters["grad_eval"] == res.iterations + 1
 
     def test_fosp_only_mode(self):
         p = builtin("nonconvex_qp_simplex", 8, seed=4)
