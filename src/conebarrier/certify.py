@@ -22,6 +22,11 @@ the barrier metric, is at least -eps_H.  With Z an orthonormal null-space
 basis this is the smallest generalized eigenvalue of
 
     (Z^T grad^2 f(x) Z) w = lambda (Z^T grad^2 B(x) Z) w.
+
+Z is read off numpy's SVD of A with scipy's ``null_space`` rank rule, and
+the pencil is reduced to a standard problem as LAPACK ``sygv`` does it: with
+Z^T grad^2 B(x) Z = C C^T, lambda_min is the smallest eigenvalue of
+C^{-1} (Z^T grad^2 f(x) Z) C^{-T}.
 """
 from __future__ import annotations
 
@@ -31,7 +36,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from . import cones
 from .cones import Cone
@@ -116,20 +120,24 @@ def reduced_min_eig(problem: ConicProblem, x: np.ndarray) -> float:
     n = problem.n
     if n > DESK_SCALE_LIMIT:
         raise SizeError(f"dense certification limited to n <= {DESK_SCALE_LIMIT}")
-    if problem.m == 0:
-        z = np.eye(n)
-    else:
-        z = scipy.linalg.null_space(problem.affine.A)
+    z = _null_space(problem.affine.A) if problem.m else np.eye(n)
     if z.shape[1] == 0:
         return math.inf
     hess_f = problem.hessian(np.asarray(x, dtype=float))
     hess_b = cones.barrier_hessian(problem.cone, x)
     g_red = z.T @ hess_f @ z
     b_red = z.T @ hess_b @ z
-    g_red = 0.5 * (g_red + g_red.T)
-    b_red = 0.5 * (b_red + b_red.T)
-    vals = scipy.linalg.eigh(g_red, b_red, eigvals_only=True, subset_by_index=[0, 0])
-    return float(vals[0])
+    lower = np.linalg.cholesky(0.5 * (b_red + b_red.T))
+    # C^{-1} G C^{-T} from two solves with C, as the LAPACK sygst reduction forms it
+    reduced = np.linalg.solve(lower, np.linalg.solve(lower, g_red).T)
+    return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
+
+
+def _null_space(a_mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of null(A) from its SVD, with scipy's ``null_space`` rank rule."""
+    _, sing, vh = np.linalg.svd(a_mat, full_matrices=True)
+    tol = np.amax(sing, initial=0.0) * np.finfo(float).eps * max(a_mat.shape)
+    return vh[int(np.sum(sing > tol)):].T
 
 
 def check_sosp_dense(

@@ -53,6 +53,9 @@ SOC = "soc"
 
 _TINY = float(np.finfo(float).tiny)  # smallest positive normal float
 _LN2 = math.log(2.0)
+# t range in which ||u||^2 of an SOC block with ||u|| <= t neither overflows nor
+# underflows far enough to change the sign of t - ||u||
+_PLAIN_T = (2.0**-500, 2.0**500)
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,24 @@ def _soc_gap(xb: np.ndarray) -> float:
     return (t - r) * (t + r)
 
 
+def _soc_inside(xb: np.ndarray, margin: float) -> bool:
+    """t - ||u|| > margin for a second-order cone block (t, u), at any scale of xb.
+
+    Where t lies in ``_PLAIN_T`` the difference is taken at xb's own scale,
+    with no per-call overhead; there ||u||^2 overflows only for
+    ||u|| > 1.3e154 > 4000 t, far outside the cone, which is rejected with
+    numpy's overflow warning.  Elsewhere ||u||^2 of an interior point can
+    overflow (t >= 1.3e154) or underflow to a wrong sign, so both sides are
+    compared at y = xb / 2^e (``_unit_scaled``), without warnings.
+    """
+    t = float(xb[0])
+    if _PLAIN_T[0] <= t <= _PLAIN_T[1]:
+        return t - norm2(xb[1:]) > margin
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        y, e = _unit_scaled(xb)
+        return bool(y[0] - norm2(y[1:]) > np.ldexp(margin, -e))
+
+
 def interior_membership(cone: Cone, x: np.ndarray, margin: float = 0.0) -> bool:
     """True iff x is interior with slack: orthant entries > margin, SOC gaps t - ||u|| > margin."""
     x = _check_dim(cone, x)
@@ -145,9 +166,8 @@ def interior_membership(cone: Cone, x: np.ndarray, margin: float = 0.0) -> bool:
         if block.kind == ORTHANT:
             if not np.all(xb > margin):
                 return False
-        else:
-            if xb[0] - norm2(xb[1:]) <= margin:
-                return False
+        elif not _soc_inside(xb, margin):
+            return False
     return True
 
 
@@ -179,7 +199,7 @@ def _interior_blocks(cone: Cone, x: np.ndarray) -> Iterator[tuple[ConeBlock, sli
         if block.kind == ORTHANT:
             if (xb <= 0.0).any():
                 raise BoundaryError("orthant component not strictly positive")
-        elif xb[0] - norm2(xb[1:]) <= 0.0:
+        elif not _soc_inside(xb, 0.0):
             raise BoundaryError("point not interior to second-order cone block")
         yield block, sl, xb
 
@@ -188,17 +208,17 @@ def barrier_value(cone: Cone, x: np.ndarray) -> float:
     """B(x), summed over the blocks.
 
     A second-order cone block takes the log of its gap at x's own scale where
-    that gap is a positive normal float.  Where the gap under- or overflows it
-    takes log(gap(y)) + 2e ln 2 at y = x / 2^e (``_unit_scaled``), so the value
-    stays finite at every scale the factor handles, and is unchanged where
-    the gap was representable.
+    t lies in ``_PLAIN_T`` and that gap is a positive normal float.  Elsewhere
+    it takes log(gap(y)) + 2e ln 2 at y = x / 2^e (``_unit_scaled``), so the
+    value stays finite at every scale the factor handles, and is unchanged
+    where the gap was representable.
     """
     total = 0.0
     for block, _, xb in _interior_blocks(cone, _check_dim(cone, x)):
         if block.kind == ORTHANT:
             total -= float(np.log(xb).sum())
             continue
-        gap = _soc_gap(xb)
+        gap = _soc_gap(xb) if _PLAIN_T[0] <= xb[0] <= _PLAIN_T[1] else 0.0
         if _TINY <= gap < math.inf:
             total -= float(np.log(gap))
         else:

@@ -3,12 +3,14 @@
 Write L for the lower Cholesky factor of the barrier Hessian at the current
 iterate, so the inverse Hessian splits as M M^T with M = L^{-T}.  This module
 applies L only through ``BarrierFactor.solve_lower`` (L^{-1}) and
-``solve_upper`` (L^{-T}) and never looks at how the factor is stored; its own
-triangular solves are with the m x m Schur factor, as direct calls of one
-float64 LAPACK ``trtrs`` handle fetched at import.  When m = 1 the Schur
-factor is the scalar c00 = sqrt(N^T N), so its solves are one division and
-the projector is v - a (a^T v) / c00^2 with the single column a of N.
-The workspace precomputes
+``solve_upper`` (L^{-T}) and never looks at how the factor is stored.  Its
+own triangular solves are with the m x m Schur factor C: for m >= 2 the
+build forms C^{-T} C^{-1} = (N^T N)^{-1} once, from numpy's inverse of C,
+and each pair of Schur solves is one m x m product with it, still counted
+as the two substitutions it replaces.  When m = 1 the Schur factor is the
+scalar c00 = sqrt(N^T N), so its solves are one division and the projector
+is v - a (a^T v) / c00^2 with the single column a of N.  The workspace
+precomputes
 
 * ``scaled_AT``  N = L^{-1} A^T            (m forward substitutions)
 * ``schur_lower`` C with C C^T = N^T N     (Schur complement A M M^T A^T)
@@ -43,13 +45,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .cones import BarrierFactor
 from .counters import OpCounters, bump
 from .errors import FactorizationError
 
-_trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
 _SINGULAR_SCHUR = "Schur complement numerically singular; A may be rank-deficient"
 
 
@@ -123,8 +123,14 @@ class IterationWorkspace:
             else:
                 try:
                     self.schur_lower = np.linalg.cholesky(schur)
+                    c_inv = np.linalg.inv(self.schur_lower)
                 except np.linalg.LinAlgError as exc:
                     raise FactorizationError(_SINGULAR_SCHUR) from exc
+                # (N^T N)^{-1} overflows where the Schur complement is (nearly) subnormal
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self._schur_inv = c_inv.T @ c_inv
+                if not np.isfinite(self._schur_inv).all():
+                    raise FactorizationError(_SINGULAR_SCHUR)
         else:
             self.scaled_AT = np.zeros((n, 0))
             self.schur_lower = np.zeros((0, 0))
@@ -141,14 +147,7 @@ class IterationWorkspace:
         """(N^T N)^{-1} w = C^{-T} C^{-1} w; two triangular solves, counted by the caller."""
         if self.m == 1:
             return w / self._schur_sq
-        # C^T is the Fortran-ordered upper triangle LAPACK reads without a copy
-        upper = self.schur_lower.T
-        z, info = _trtrs(upper, w, lower=0, trans=1)
-        if info == 0:
-            z, info = _trtrs(upper, z, lower=0, trans=0)
-        if info != 0:
-            raise FactorizationError(f"Schur triangular solve failed (LAPACK info {info})")
-        return z
+        return self._schur_inv @ w
 
     def _project(self, v: np.ndarray) -> np.ndarray:
         """project(v) without the count or the m = 0 copy; v itself when m = 0."""

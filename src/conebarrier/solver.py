@@ -92,7 +92,7 @@ class SolveResult:
     iterations: int
     mu: float
     trace: SolveTrace
-    probability_bound: float | None = None
+    probability_bound: float | None = None  # oracle's certificate bound; 0 when vacuous
     estimated_hess_norm: float | None = None
 
     @property

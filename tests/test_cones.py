@@ -213,6 +213,23 @@ class TestMembership:
     def test_interior_soc_boundary(self):
         assert not interior_membership(second_order(3), np.array([1.0, 0.6, 0.8]), 0.0)
 
+    def test_soc_interior_from_1e_minus_300_to_1e300(self):
+        # ||u||^2 overflows from ||u|| ~ 1.3e154 and underflows below 1e-162, so the
+        # SOC test moves to x / 2^e there; RuntimeWarnings are errors here
+        cone = second_order(3)
+        for k in range(-300, 301):
+            t = 10.0**k
+            inside, outside = np.array([t, 0.5 * t, 0.0]), np.array([t, 0.0, 2.0 * t])
+            assert interior_membership(cone, inside) and not interior_membership(cone, outside), k
+            assert barrier_factor(cone, inside).blocks[0].root[0] > 0.0
+            expected = -math.log(0.75) - 2.0 * math.log(t)
+            assert abs(barrier_value(cone, inside) - expected) <= 1e-14 * abs(expected), k
+            with pytest.raises(BoundaryError):
+                barrier_factor(cone, outside)
+        x = np.array([1e155, 0.5e155, 0.0])
+        assert interior_membership(cone, x, margin=4e154)
+        assert not interior_membership(cone, x, margin=6e154)
+
     def test_dual_orthant(self):
         assert dual_membership(orthant(2), np.array([0.0, 3.0]), 0.0)
         assert not dual_membership(orthant(2), np.array([-1e-3, 3.0]), 1e-6)

@@ -122,6 +122,13 @@ class TestOracle:
         assert out.kind == CERTIFIED
         assert out.probability_bound == 1.0
 
+    def test_vacuous_bound_reads_zero(self):
+        # ||H|| = 20, n = 40: sqrt(110) 0.01^(1 / sqrt(20)) ~ 3.7 > 1, so no bound is left
+        out = min_eig_oracle(matvec_of(20.0 * np.eye(40)), 40, eps=0.01, delta=0.01, seed=0)
+        assert out.kind == CERTIFIED
+        assert out.estimated_norm == pytest.approx(20.0)
+        assert out.probability_bound == 0.0
+
     def test_empirical_completeness(self):
         # matrices with lambda_min <= -2 eps: the NC branch should almost never miss
         rng = np.random.default_rng(2024)

@@ -360,6 +360,15 @@ class TestSolveBasics:
         assert res.trace.counters["cholesky"] == res.iterations + 1
         assert res.probability_bound is not None
 
+    def test_vacuous_probability_bound_reads_zero(self):
+        # ||H|| ~ 14 here, so sqrt(2.75 n) delta^(1 / sqrt(||H||)) ~ 3 and 1 - tail < 0
+        p = builtin("regularized_loss", 40, seed=0)
+        res = solve(p, p.x0, SolverParams(epsilon=0.1))
+        assert res.status is SolveStatus.SOSP_CERTIFIED
+        tail = math.sqrt(2.75 * p.n) * 0.01 ** (1.0 / math.sqrt(res.estimated_hess_norm))
+        assert tail > 1.0
+        assert res.probability_bound == 0.0
+
     def test_iterates_stay_feasible_and_step_cap(self):
         p = builtin("nonconvex_qp_simplex", 6, seed=2)
         iterates = []
