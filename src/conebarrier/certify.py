@@ -30,16 +30,15 @@ C^{-1} (Z^T grad^2 f(x) Z) C^{-T}.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
 from . import cones
 from .cones import Cone
-from .errors import BoundaryError, ConeMismatch, SizeError
+from .errors import SizeError
 from .problems import ConicProblem
 
 DESK_SCALE_LIMIT = 500
@@ -59,7 +58,7 @@ class CertificateReport:
     sosp_ok: bool | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+        return asdict(self)
 
 
 def dual_norm(cone: Cone, x: np.ndarray, s: np.ndarray) -> float:
@@ -70,6 +69,10 @@ def dual_norm(cone: Cone, x: np.ndarray, s: np.ndarray) -> float:
         if block.kind == cones.ORTHANT:
             total += float(np.sum((xb * sb) ** 2))
         else:
+            # at (x_b / 2^e, s_b 2^e) with t / 2^e in [1/2, 1), an exact rescaling that
+            # leaves every term bit-equal and keeps the gap from over- or underflowing
+            e = math.frexp(xb[0])[1]
+            xb, sb = np.ldexp(xb, -e), np.ldexp(sb, e)
             gap = float(xb[0] ** 2 - xb[1:] @ xb[1:])
             total += float(xb @ sb) ** 2 - 0.5 * gap * float(sb[0] ** 2 - sb[1:] @ sb[1:])
     return math.sqrt(max(total, 0.0))
@@ -156,48 +159,3 @@ def check_sosp_dense(
         report.sosp_min_eig = -math.inf
         report.sosp_ok = False
     return report
-
-
-def _transformed_blocks(cone: Cone, weights: np.ndarray) -> None:
-    """Reject scalings that do not map the cone onto itself."""
-    if np.any(weights <= 0.0):
-        raise ConeMismatch("scaling weights must be strictly positive")
-    for block, sl in cone.slices():
-        if block.kind == cones.SOC:
-            wb = weights[sl]
-            if not np.allclose(wb, wb[0], rtol=1e-12, atol=0.0):
-                raise ConeMismatch(
-                    "second-order cone blocks admit only per-block scalar scalings"
-                )
-
-
-def scale_invariance_check(
-    problem: ConicProblem,
-    x: np.ndarray,
-    lam: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[float, float]:
-    """First-order residual before and after the change of variables x = W y.
-
-    ``weights`` is the diagonal of W; positive and constant within each
-    second-order cone block so that W^{-1} K = K.  The transformed problem is
-    min f(Wy) s.t. (AW) y = b with barrier y -> B(Wy), and its residual is
-    computed from scratch with the transformed quantities.
-    """
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    if weights.shape != x.shape:
-        raise ValueError("weights must match the variable dimension")
-    _transformed_blocks(problem.cone, weights)
-    if not cones.interior_membership(problem.cone, x, margin=0.0):
-        raise BoundaryError("scale-invariance check needs an interior point")
-
-    s = problem.gradient(x) + (problem.affine.A.T @ lam if problem.m else 0.0)
-    residual_original = dual_norm(problem.cone, x, s)
-
-    # Transformed data at y = W^{-1} x: gradient W s and barrier y -> B(Wy).  The
-    # barrier is logarithmically homogeneous and W maps the cone onto itself, so
-    # B(Wy) = B(y) + const and the transformed barrier Hessian is nabla^2 B(y).
-    residual_transformed = dual_norm(problem.cone, x / weights, weights * s)
-    return residual_original, residual_transformed

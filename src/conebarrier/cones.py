@@ -30,10 +30,8 @@ format:
   the gap at x_b's own scale is not a normal float.
 
 Everything else applies L through ``BarrierFactor.solve_lower`` and
-``solve_upper``:
-
-* primal local norm  ||v||_x  = ||L^T v||
-* dual local norm    ||v||_x* = ||L^{-1} v||  (one forward substitution)
+``solve_upper``; the dual local norm ||v||_x* = ||L^{-1} v|| is one forward
+substitution.
 """
 from __future__ import annotations
 
@@ -145,10 +143,10 @@ def _soc_inside(xb: np.ndarray, margin: float) -> bool:
 
     Where t lies in ``_PLAIN_T`` the difference is taken at xb's own scale,
     with no per-call overhead; there ||u||^2 overflows only for
-    ||u|| > 1.3e154 > 4000 t, far outside the cone, which is rejected with
-    numpy's overflow warning.  Elsewhere ||u||^2 of an interior point can
-    overflow (t >= 1.3e154) or underflow to a wrong sign, so both sides are
-    compared at y = xb / 2^e (``_unit_scaled``), without warnings.
+    ||u|| > 1.3e154 > 4000 t, far outside the cone, which is rejected (with an
+    overflow warning outside ``interior_membership``).  Elsewhere ||u||^2 of an
+    interior point can overflow (t >= 1.3e154) or underflow to a wrong sign, so
+    both sides are compared at y = xb / 2^e (``_unit_scaled``), without warnings.
     """
     t = float(xb[0])
     if _PLAIN_T[0] <= t <= _PLAIN_T[1]:
@@ -161,13 +159,15 @@ def _soc_inside(xb: np.ndarray, margin: float) -> bool:
 def interior_membership(cone: Cone, x: np.ndarray, margin: float = 0.0) -> bool:
     """True iff x is interior with slack: orthant entries > margin, SOC gaps t - ||u|| > margin."""
     x = _check_dim(cone, x)
-    for block, sl in cone.slices():
-        xb = x[sl]
-        if block.kind == ORTHANT:
-            if not np.all(xb > margin):
+    # ||u||^2 of an SOC block far outside the cone may overflow to inf: a rejection
+    with np.errstate(over="ignore"):
+        for block, sl in cone.slices():
+            xb = x[sl]
+            if block.kind == ORTHANT:
+                if not np.all(xb > margin):
+                    return False
+            elif not _soc_inside(xb, margin):
                 return False
-        elif not _soc_inside(xb, margin):
-            return False
     return True
 
 
@@ -423,11 +423,6 @@ def barrier_factor(cone: Cone, x: np.ndarray, counters: OpCounters | None = None
         blocks.append(f)
     bump(counters, "cholesky")
     return BarrierFactor(cone=cone, point=x.copy(), blocks=tuple(blocks), gradient=gradient)
-
-
-def local_norm_primal(factor: BarrierFactor, v: np.ndarray) -> float:
-    """||v||_x = ||L^T v||; zero iff v = 0."""
-    return float(np.linalg.norm(factor.lower.T @ v))
 
 
 def local_norm_dual(factor: BarrierFactor, v: np.ndarray, counters: OpCounters | None = None) -> float:

@@ -59,7 +59,3 @@ class SchemaError(ConeBarrierError):
 
 class SizeError(ConeBarrierError):
     """Dense certification requested beyond the desk-scale limit."""
-
-
-class ConeMismatch(ConeBarrierError):
-    """A scaling matrix does not map the cone onto itself."""

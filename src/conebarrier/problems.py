@@ -262,34 +262,6 @@ def perturb(problem: ConicProblem, sigma: float) -> ConicProblem:
     )
 
 
-def finite_diff_check(problem: ConicProblem, x: np.ndarray, h: float = 1e-6) -> dict[str, float]:
-    """Central-difference consistency report for the gradient and Hessian.
-
-    Errors are relative to the scale of the analytic quantity (floored at 1).
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    grad = problem.gradient(x)
-    scale_g = max(1.0, float(np.max(np.abs(grad))))
-    max_grad_err = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        fd = (problem.value(x + e) - problem.value(x - e)) / (2.0 * h)
-        max_grad_err = max(max_grad_err, abs(fd - grad[i]) / scale_g)
-
-    hess_vec = problem.hess_vec_at(x)
-    hess_cols = np.column_stack([hess_vec(e) for e in np.eye(n)])
-    scale_h = max(1.0, float(np.max(np.abs(hess_cols))))
-    max_hess_err = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        fd_col = (problem.gradient(x + e) - problem.gradient(x - e)) / (2.0 * h)
-        max_hess_err = max(max_hess_err, float(np.max(np.abs(fd_col - hess_cols[:, i]))) / scale_h)
-    return {"max_grad_err": max_grad_err, "max_hess_err": max_hess_err}
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise SchemaError(msg)

@@ -189,7 +189,8 @@ def _beta_over(qnorm: float, beta: float) -> float:
 
 # Each direction scaling returns the multiplier c of d = c d_hat from
 # qnorm = ||project(d_hat)||, so that the solver can reuse project(d_hat) for
-# the ambient step when c = 1.
+# the ambient step when c = 1.  |c| <= beta / qnorm caps the local norm of the
+# step at beta, and a curvature step takes the sign that makes g^T d <= 0.
 
 def _sol_scale(d_hat: np.ndarray, qnorm: float, beta: float) -> float:
     if not d_hat.any():
@@ -198,6 +199,7 @@ def _sol_scale(d_hat: np.ndarray, qnorm: float, beta: float) -> float:
 
 
 def _nc_scale(d_hat: np.ndarray, qnorm: float, curvature: float, g: np.ndarray, beta: float) -> float:
+    """``curvature`` is d_hat^T H d_hat / ||d_hat||^2; d^T H d <= -||d||^3 when it binds."""
     if not d_hat.any():
         raise ZeroDirection("cannot scale a zero direction")
     factor = min(abs(curvature) / norm2(d_hat), _beta_over(qnorm, beta))
@@ -205,39 +207,9 @@ def _nc_scale(d_hat: np.ndarray, qnorm: float, curvature: float, g: np.ndarray, 
 
 
 def _meo_scale(v: np.ndarray, qnorm: float, curvature_phi: float, g: np.ndarray, beta: float) -> float:
+    """``curvature_phi`` is v^T H_phi v for a unit oracle direction v."""
     factor = min(abs(curvature_phi), _beta_over(qnorm, beta))
     return -_sgn(float(g @ v)) * factor
-
-
-def scale_sol_direction(ws: IterationWorkspace, d_hat: np.ndarray, beta: float) -> np.ndarray:
-    """min{1, beta / ||project(d_hat)||} d_hat; caps the local-norm step at beta."""
-    return _sol_scale(d_hat, norm2(ws.project(d_hat)), beta) * d_hat
-
-
-def scale_nc_direction(
-    ws: IterationWorkspace,
-    d_hat: np.ndarray,
-    curvature: float,
-    g: np.ndarray,
-    beta: float,
-) -> np.ndarray:
-    """Negative-curvature scaling; ``curvature`` is d^T H d / ||d||^2.
-
-    The scaled step d satisfies g^T d <= 0 and, when the curvature term is the
-    binding minimum, d^T H d <= -||d||^3.
-    """
-    return _nc_scale(d_hat, norm2(ws.project(d_hat)), curvature, g, beta) * d_hat
-
-
-def scale_meo_direction(
-    ws: IterationWorkspace,
-    v: np.ndarray,
-    curvature_phi: float,
-    g: np.ndarray,
-    beta: float,
-) -> np.ndarray:
-    """Scaling for a unit oracle direction; ``curvature_phi`` is v^T H_phi v."""
-    return _meo_scale(v, norm2(ws.project(v)), curvature_phi, g, beta) * v
 
 
 def _backtrack(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conebarrier.cones import ORTHANT, Cone, ConeBlock, orthant, product, second_order
+from conebarrier.certify import dual_norm
+from conebarrier.cones import ORTHANT, Cone, ConeBlock, barrier_hessian, orthant, product, second_order
 
 
 CONE_FAMILIES = [
@@ -27,6 +28,24 @@ def random_interior_point(cone: Cone, rng: np.random.Generator, scale: float = 1
             x[sl][1:] = u
             x[sl.start] = np.linalg.norm(u) + scale * (0.2 + np.abs(rng.standard_normal()))
     return x
+
+
+def primal_local_norm(cone: Cone, x: np.ndarray, v: np.ndarray) -> float:
+    """||v||_x = sqrt(v^T nabla^2 B(x) v) from the dense barrier Hessian, not the factor."""
+    return float(np.sqrt(v @ barrier_hessian(cone, x) @ v))
+
+
+def scaled_residuals(problem, x: np.ndarray, lam: np.ndarray, weights: np.ndarray):
+    """First-order residual before and after the change of variables x = W y.
+
+    ``weights`` is the diagonal of W, positive and constant within each
+    second-order cone block, so that W^{-1} K = K.  With s = grad f(x) + A^T lam
+    the transformed problem min f(Wy) s.t. (AW) y = b has gradient W s at
+    y = W^{-1} x, and its barrier y -> B(Wy) differs from B(y) by a constant,
+    so its residual is the dual norm of W s at y.
+    """
+    s = problem.gradient(x) + problem.affine.A.T @ lam
+    return dual_norm(problem.cone, x, s), dual_norm(problem.cone, x / weights, weights * s)
 
 
 def dense_operators(A: np.ndarray, lower: np.ndarray):

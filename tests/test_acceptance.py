@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from conebarrier.capped_cg import CappedCgParams, DirectionKind, capped_cg, iteration_bound
-from conebarrier.certify import check_fosp, reduced_min_eig, scale_invariance_check
+from conebarrier.certify import check_fosp, reduced_min_eig
 from conebarrier.cli import fit_loglog_slope
 from conebarrier.cones import (
     ConeBlock,
@@ -30,7 +30,6 @@ from conebarrier.cones import (
     barrier_value,
     interior_membership,
     local_norm_dual,
-    local_norm_primal,
     orthant,
     product,
     second_order,
@@ -40,7 +39,7 @@ from conebarrier.linops import AffineData, IterationWorkspace
 from conebarrier.problems import ConicProblem, builtin
 from conebarrier.solver import SolverParams, SolveStatus, solve
 
-from conftest import dense_operators, random_interior_point
+from conftest import dense_operators, primal_local_norm, random_interior_point, scaled_residuals
 
 
 def criterion(num, label, budget=None):
@@ -155,7 +154,7 @@ def test_criterion_1_barrier_identities():
             grad = barrier_factor(cone, x).gradient
             assert abs(local_norm_dual(factor, grad) ** 2 - theta) <= 1e-8 * theta
             assert abs(-x @ grad - theta) <= 1e-8 * theta
-            assert abs(local_norm_primal(factor, x) ** 2 - theta) <= 1e-8 * theta
+            assert abs(primal_local_norm(cone, x, x) ** 2 - theta) <= 1e-8 * theta
     cone = CONE_FAMILIES[-1]
     for _ in range(100):
         x = random_interior_point(cone, rng)
@@ -360,10 +359,10 @@ def test_criterion_10_scale_invariance():
     lam = np.array([0.3])
     for _ in range(20):
         weights = np.exp(rng.standard_normal(8))
-        r0, r1 = scale_invariance_check(problem, x, lam, weights)
+        r0, r1 = scaled_residuals(problem, x, lam, weights)
         assert r0 == pytest.approx(r1, rel=1e-8)
     soc_problem = builtin("soc_quadratic", 8, m=2, seed=1)
     for _ in range(20):
         weights = np.full(8, float(np.exp(rng.standard_normal())))
-        r0, r1 = scale_invariance_check(soc_problem, soc_problem.x0, np.zeros(2), weights)
+        r0, r1 = scaled_residuals(soc_problem, soc_problem.x0, np.zeros(2), weights)
         assert r0 == pytest.approx(r1, rel=1e-8)

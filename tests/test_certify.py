@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conebarrier.certify import (
-    check_fosp,
-    check_sosp_dense,
-    reduced_min_eig,
-    scale_invariance_check,
-)
+from conebarrier.certify import check_fosp, check_sosp_dense, dual_norm, reduced_min_eig
 from conebarrier.cones import ConeBlock, barrier_hessian, orthant, product, second_order
-from conebarrier.errors import ConeMismatch, SizeError
+from conebarrier.errors import SizeError
 from conebarrier.linops import AffineData, empty_affine
 from conebarrier.problems import ConicProblem, builtin
 from conebarrier.solver import SolverParams, SolveStatus, solve
 
-from conftest import random_interior_point
+from conftest import CONE_FAMILIES, random_interior_point, scaled_residuals
 
 
 def simplex_negnorm(n):
@@ -161,19 +156,19 @@ class TestScaleInvariance:
         p = simplex_negnorm(3)
         x = np.array([0.2, 0.3, 0.5])
         lam = np.array([0.3])
-        r0, r1 = scale_invariance_check(p, x, lam, np.ones(3))
+        r0, r1 = scaled_residuals(p, x, lam, np.ones(3))
         assert r0 == pytest.approx(r1, rel=1e-12)
 
     def test_uniform_scaling(self):
         p = simplex_negnorm(2)
-        r0, r1 = scale_invariance_check(p, np.array([0.5, 0.5]), np.array([0.4]),
-                                        np.array([2.0, 2.0]))
+        r0, r1 = scaled_residuals(p, np.array([0.5, 0.5]), np.array([0.4]),
+                                  np.array([2.0, 2.0]))
         assert r0 == pytest.approx(r1, rel=1e-8)
 
     def test_anisotropic_orthant(self):
         p = simplex_negnorm(2)
-        r0, r1 = scale_invariance_check(p, np.array([0.4, 0.6]), np.array([0.1]),
-                                        np.array([1.0, 3.0]))
+        r0, r1 = scaled_residuals(p, np.array([0.4, 0.6]), np.array([0.1]),
+                                  np.array([1.0, 3.0]))
         assert r0 == pytest.approx(r1, rel=1e-8)
 
     def test_random_orthant_scalings(self, rng):
@@ -182,7 +177,7 @@ class TestScaleInvariance:
         lam = np.array([0.2])
         for _ in range(20):
             weights = np.exp(rng.standard_normal(6))
-            r0, r1 = scale_invariance_check(p, x, lam, weights)
+            r0, r1 = scaled_residuals(p, x, lam, weights)
             assert r0 == pytest.approx(r1, rel=1e-8)
 
     def test_soc_blockwise_scalar(self, rng):
@@ -191,14 +186,8 @@ class TestScaleInvariance:
         lam = np.zeros(2)
         for _ in range(20):
             weights = np.full(6, float(np.exp(rng.standard_normal())))
-            r0, r1 = scale_invariance_check(p, x, lam, weights)
+            r0, r1 = scaled_residuals(p, x, lam, weights)
             assert r0 == pytest.approx(r1, rel=1e-8)
-
-    def test_soc_anisotropic_rejected(self):
-        p = builtin("soc_quadratic", 4, m=1, seed=0)
-        weights = np.array([1.0, 2.0, 1.0, 1.0])
-        with pytest.raises(ConeMismatch):
-            scale_invariance_check(p, p.x0, np.zeros(1), weights)
 
     def test_mixed_cone_blockwise(self, rng):
         cone = product(ConeBlock("orthant", 2), ConeBlock("soc", 3))
@@ -215,8 +204,50 @@ class TestScaleInvariance:
             w_orthant = np.exp(rng.standard_normal(2))
             w_soc = float(np.exp(rng.standard_normal()))
             weights = np.concatenate([w_orthant, np.full(3, w_soc)])
-            r0, r1 = scale_invariance_check(p, x, np.zeros(0), weights)
+            r0, r1 = scaled_residuals(p, x, np.zeros(0), weights)
             assert r0 == pytest.approx(r1, rel=1e-8)
+
+
+def dual_norm_unscaled(cone, x, s):
+    """The closed-form dual norm with every SOC block evaluated at x's own scale."""
+    total = 0.0
+    for block, sl in cone.slices():
+        xb, sb = x[sl], s[sl]
+        if block.kind == "orthant":
+            total += float(np.sum((xb * sb) ** 2))
+        else:
+            gap = float(xb[0] ** 2 - xb[1:] @ xb[1:])
+            total += float(xb @ sb) ** 2 - 0.5 * gap * float(sb[0] ** 2 - sb[1:] @ sb[1:])
+    return math.sqrt(max(total, 0.0))
+
+
+class TestDualNormScales:
+    def test_extreme_scales_match_the_unit_point(self):
+        # (x, s) -> (x / c, c s) leaves the dual norm unchanged; at these scales the
+        # unscaled t^2 - ||u||^2 of x or of s overflows
+        cone = second_order(3)
+        expected = dual_norm(cone, np.array([1.0, 0.5, 0.0]), np.array([1.0, 0.0, 0.0]))
+        assert expected == pytest.approx(math.sqrt(0.625), rel=1e-15)
+        for x, s in [([1e155, 0.5e155, 0.0], [1e-155, 0.0, 0.0]),
+                     ([1e-170, 0.5e-170, 0.0], [1e170, 0.0, 0.0])]:
+            assert dual_norm(cone, np.array(x), np.array(s)) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("cone", CONE_FAMILIES, ids=lambda c: f"{len(c.blocks)}b{c.total_dim}")
+    def test_bit_equal_to_the_unscaled_form_at_normal_scales(self, cone, rng):
+        for _ in range(20):
+            x = random_interior_point(cone, rng, scale=float(np.exp(3.0 * rng.standard_normal())))
+            s = rng.standard_normal(cone.total_dim)
+            assert dual_norm(cone, x, s) == dual_norm_unscaled(cone, x, s)
+
+    def test_bit_equal_on_the_certify_instances(self):
+        cases = [(simplex_negnorm(2), [0.5, 0.5], [0.5]), (simplex_negnorm(2), [0.5, 0.5], [0.4])]
+        for n, m in [(4, 1), (6, 2), (8, 2)]:
+            p = builtin("soc_quadratic", n, m=m, seed=1)
+            cases.append((p, p.x0, np.zeros(m)))
+        for p, x, lam in cases:
+            x = np.asarray(x, dtype=float)
+            s = p.gradient(x) + p.affine.A.T @ np.asarray(lam, dtype=float)
+            assert dual_norm(p.cone, x, s) == dual_norm_unscaled(p.cone, x, s)
 
 
 class TestSolverClosure:

@@ -12,7 +12,6 @@ from conebarrier.cones import (
     dual_membership,
     interior_membership,
     local_norm_dual,
-    local_norm_primal,
     orthant,
     product,
     second_order,
@@ -20,7 +19,7 @@ from conebarrier.cones import (
 from conebarrier.counters import OpCounters
 from conebarrier.errors import BoundaryError, FactorizationError
 
-from conftest import CONE_FAMILIES, random_interior_point
+from conftest import CONE_FAMILIES, primal_local_norm, random_interior_point
 
 
 def finite_diff_gradient(cone, x, h=1e-6):
@@ -182,11 +181,11 @@ class TestBarrierFactor:
 class TestLocalNorms:
     def test_primal_identity_factor(self):
         factor = barrier_factor(orthant(2), np.array([1.0, 1.0]))
-        assert local_norm_primal(factor, np.array([3.0, 4.0])) == pytest.approx(5.0)
+        assert np.linalg.norm(factor.lower.T @ np.array([3.0, 4.0])) == pytest.approx(5.0)
 
     def test_primal_scaled(self):
         factor = barrier_factor(orthant(2), np.array([0.5, 0.5]))
-        assert local_norm_primal(factor, np.array([1.0, 0.0])) == pytest.approx(2.0)
+        assert np.linalg.norm(factor.lower.T @ np.array([1.0, 0.0])) == pytest.approx(2.0)
 
     def test_dual_identity_factor(self):
         factor = barrier_factor(orthant(2), np.array([1.0, 1.0]))
@@ -230,6 +229,10 @@ class TestMembership:
         assert interior_membership(cone, x, margin=4e154)
         assert not interior_membership(cone, x, margin=6e154)
 
+    def test_far_outside_soc_rejected_without_warning(self):
+        # ||u||^2 overflows at x's own scale; RuntimeWarnings are errors here
+        assert not interior_membership(second_order(3), np.array([1.0, 1e200, 0.0]))
+
     def test_dual_orthant(self):
         assert dual_membership(orthant(2), np.array([0.0, 3.0]), 0.0)
         assert not dual_membership(orthant(2), np.array([-1e-3, 3.0]), 1e-6)
@@ -256,7 +259,7 @@ class TestBarrierIdentities:
             grad = factor.gradient
             assert abs(local_norm_dual(factor, grad) ** 2 - theta) <= 1e-8 * theta
             assert abs(-x @ grad - theta) <= 1e-8 * theta
-            assert abs(local_norm_primal(factor, x) ** 2 - theta) <= 1e-8 * theta
+            assert abs(primal_local_norm(cone, x, x) ** 2 - theta) <= 1e-8 * theta
 
     def test_hessian_scaling(self, cone, rng):
         for t in (0.5, 2.0, 10.0):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from conebarrier.cones import barrier_factor, local_norm_dual, local_norm_primal, orthant, second_order
+from conebarrier.cones import barrier_factor, local_norm_dual, orthant, second_order
 from conebarrier.counters import OpCounters
 from conebarrier.errors import FactorizationError
 from conebarrier.linops import AffineData, IterationWorkspace, empty_affine
 from conebarrier.vecnorm import norm2
 
-from conftest import CONE_FAMILIES, dense_operators, random_interior_point
+from conftest import CONE_FAMILIES, dense_operators, primal_local_norm, random_interior_point
 
 MIXED = CONE_FAMILIES[-1]  # orthant x SOC x orthant x SOC
 
@@ -143,7 +143,7 @@ class TestNullStep:
             x = random_interior_point(cone, rng)
             ws = make_ws(a_mat, np.zeros(m), x)
             d = rng.standard_normal(n)
-            lhs = local_norm_primal(ws.factor, ws.null_step(d))
+            lhs = primal_local_norm(cone, x, ws.null_step(d))
             rhs = np.linalg.norm(ws.project(d))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 

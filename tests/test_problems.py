@@ -8,7 +8,6 @@ from conebarrier.errors import SchemaError, UnknownProblem
 from conebarrier.problems import (
     BUILTIN_NAMES,
     builtin,
-    finite_diff_check,
     load_problem,
     perturb,
     problem_from_dict,
@@ -94,6 +93,34 @@ class TestPerturb:
     def test_sigma_positive(self):
         with pytest.raises(ValueError):
             perturb(builtin("negnorm_simplex", 2), 0.0)
+
+
+def finite_diff_check(problem, x, h=1e-6):
+    """Central-difference consistency report for the gradient and Hessian.
+
+    Errors are relative to the scale of the analytic quantity (floored at 1).
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    grad = problem.gradient(x)
+    scale_g = max(1.0, float(np.max(np.abs(grad))))
+    max_grad_err = 0.0
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        fd = (problem.value(x + e) - problem.value(x - e)) / (2.0 * h)
+        max_grad_err = max(max_grad_err, abs(fd - grad[i]) / scale_g)
+
+    hess_vec = problem.hess_vec_at(x)
+    hess_cols = np.column_stack([hess_vec(e) for e in np.eye(n)])
+    scale_h = max(1.0, float(np.max(np.abs(hess_cols))))
+    max_hess_err = 0.0
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        fd_col = (problem.gradient(x + e) - problem.gradient(x - e)) / (2.0 * h)
+        max_hess_err = max(max_hess_err, float(np.max(np.abs(fd_col - hess_cols[:, i]))) / scale_h)
+    return {"max_grad_err": max_grad_err, "max_hess_err": max_hess_err}
 
 
 class TestFiniteDiff:

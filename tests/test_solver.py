@@ -3,13 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from conebarrier.cones import (
-    barrier_factor,
-    interior_membership,
-    local_norm_primal,
-    orthant,
-)
+from conebarrier.cones import barrier_factor, interior_membership, orthant
 from conebarrier.errors import (
     CallbackError,
     InfeasibleStart,
@@ -22,16 +19,21 @@ from conebarrier.problems import ConicProblem, builtin
 from conebarrier.solver import (
     SolverParams,
     SolveStatus,
+    _meo_scale,
+    _nc_scale,
+    _sol_scale,
     first_order_gate,
     line_search_nc,
     line_search_sol,
     mu_from_epsilon,
     phi_value,
-    scale_meo_direction,
-    scale_nc_direction,
-    scale_sol_direction,
     solve,
 )
+from conebarrier.vecnorm import norm2
+
+from conftest import primal_local_norm
+from test_cone_properties import CONES, PROPERTY_SETTINGS, SEEDS
+from test_linops_properties import M_ROWS, workspace
 
 
 def quadratic_problem(q_mat, c, cone, affine, x0=None):
@@ -155,31 +157,39 @@ class TestFirstOrderGate:
         assert which == "lambda2"
 
 
+def qnorm(ws, d_hat):
+    """||project(d_hat)||, from which the solver's scalings take the multiplier c of c d_hat."""
+    return norm2(ws.project(d_hat))
+
+
 class TestDirectionScalings:
     def test_sol_small_direction_unchanged(self):
         ws = ws_at([1.0, 1.0])
         d_hat = np.array([0.3, 0.0])
-        np.testing.assert_allclose(scale_sol_direction(ws, d_hat, beta=0.5), d_hat)
+        c = _sol_scale(d_hat, qnorm(ws, d_hat), beta=0.5)
+        np.testing.assert_allclose(c * d_hat, d_hat)
 
     def test_sol_capped(self):
         ws = ws_at([1.0, 1.0])
         d_hat = np.array([1.0, 0.0])
-        np.testing.assert_allclose(scale_sol_direction(ws, d_hat, beta=0.5), 0.5 * d_hat)
+        c = _sol_scale(d_hat, qnorm(ws, d_hat), beta=0.5)
+        np.testing.assert_allclose(c * d_hat, 0.5 * d_hat)
 
     def test_sol_projected_out(self):
         ws = ws_at([0.5, 0.5], A=np.array([[1.0, 1.0]]), b=np.array([1.0]))
         d_hat = np.array([1.0, 1.0])  # projection is zero: the cap is +inf
-        np.testing.assert_allclose(scale_sol_direction(ws, d_hat, beta=0.5), d_hat)
+        c = _sol_scale(d_hat, qnorm(ws, d_hat), beta=0.5)
+        np.testing.assert_allclose(c * d_hat, d_hat)
 
     def test_sol_zero_rejected(self):
         with pytest.raises(ZeroDirection):
-            scale_sol_direction(ws_at([1.0, 1.0]), np.zeros(2), beta=0.5)
+            _sol_scale(np.zeros(2), qnorm(ws_at([1.0, 1.0]), np.zeros(2)), beta=0.5)
 
     def test_nc_hand_example(self):
         ws = ws_at([1.0, 1.0])
         d_hat = np.array([-1.0, 0.0])
         g = np.array([1.0, 0.0])
-        d = scale_nc_direction(ws, d_hat, curvature=-1.0, g=g, beta=0.5)
+        d = _nc_scale(d_hat, qnorm(ws, d_hat), curvature=-1.0, g=g, beta=0.5) * d_hat
         np.testing.assert_allclose(d, [-0.5, 0.0])
         assert g @ d <= 0.0
 
@@ -187,28 +197,76 @@ class TestDirectionScalings:
         ws = ws_at([1.0, 1.0])
         d_hat = np.array([-1.0, 0.0])
         g = np.array([0.0, 5.0])  # g orthogonal to d_hat: sgn(0) = +1
-        d = scale_nc_direction(ws, d_hat, curvature=-1.0, g=g, beta=0.5)
+        d = _nc_scale(d_hat, qnorm(ws, d_hat), curvature=-1.0, g=g, beta=0.5) * d_hat
         np.testing.assert_allclose(d, [0.5, 0.0])
 
     def test_meo_hand_example(self):
         ws = ws_at([1.0, 1.0])
         v = np.array([1.0, 0.0])
         g = np.array([2.0, 0.0])
-        d = scale_meo_direction(ws, v, curvature_phi=-1.0, g=g, beta=0.5)
+        d = _meo_scale(v, qnorm(ws, v), curvature_phi=-1.0, g=g, beta=0.5) * v
         np.testing.assert_allclose(d, [-0.5, 0.0])
 
     def test_meo_small_curvature_binds(self):
         ws = ws_at([1.0, 1.0])
         v = np.array([1.0, 0.0])
-        d = scale_meo_direction(ws, v, curvature_phi=-0.1, g=np.zeros(2), beta=0.9)
+        d = _meo_scale(v, qnorm(ws, v), curvature_phi=-0.1, g=np.zeros(2), beta=0.9) * v
         assert np.linalg.norm(d) == pytest.approx(0.1)
 
     def test_nc_projected_out_direction(self):
         # projection of d_hat vanishes: the trust cap is +inf, curvature binds
         ws = ws_at([0.5, 0.5], A=np.array([[1.0, 1.0]]), b=np.array([1.0]))
         d_hat = np.array([1.0, 1.0])
-        d = scale_nc_direction(ws, d_hat, curvature=-1.0, g=np.zeros(2), beta=0.5)
+        d = _nc_scale(d_hat, qnorm(ws, d_hat), curvature=-1.0, g=np.zeros(2), beta=0.5) * d_hat
         np.testing.assert_allclose(d, -d_hat / np.linalg.norm(d_hat), atol=1e-14)
+
+
+# Properties of the three scalings over random product cones, interior points and
+# m in {0, 1, 2, 3} Gaussian constraints: the step c d_hat never leaves the trust
+# region ||project(.)|| <= beta, a SOL multiplier only shrinks, and a
+# curvature step never ascends along g.  Lengths and curvatures span 1e-3..1e3 so
+# that each term of each minimum binds on some examples.
+BETAS = st.floats(0.05, 0.95)
+LOG_SCALES = st.floats(-3.0, 3.0)
+
+
+def scaling_case(cone, seed, m, log_len):
+    """(workspace, d_hat of length ~10^log_len, g = null_step_t of a Gaussian gradient)."""
+    rng, ws, _, _ = workspace(cone, seed, m)
+    n = cone.total_dim
+    d_hat = 10.0**log_len * rng.standard_normal(n)
+    return ws, d_hat, ws.null_step_t(rng.standard_normal(n))
+
+
+@PROPERTY_SETTINGS
+@given(cone=CONES, seed=SEEDS, m=M_ROWS, beta=BETAS, log_len=LOG_SCALES)
+def test_sol_scaling_only_shrinks_into_the_trust_region(cone, seed, m, beta, log_len):
+    assume(m < cone.total_dim)
+    ws, d_hat, _ = scaling_case(cone, seed, m, log_len)
+    c = _sol_scale(d_hat, qnorm(ws, d_hat), beta)
+    assert 0.0 < c <= 1.0
+    assert qnorm(ws, c * d_hat) <= beta * (1 + 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(cone=CONES, seed=SEEDS, m=M_ROWS, beta=BETAS, log_len=LOG_SCALES, log_curv=LOG_SCALES)
+def test_nc_scaling_descends_within_the_trust_region(cone, seed, m, beta, log_len, log_curv):
+    assume(m < cone.total_dim)
+    ws, d_hat, g = scaling_case(cone, seed, m, log_len)
+    d = _nc_scale(d_hat, qnorm(ws, d_hat), -(10.0**log_curv), g, beta) * d_hat
+    assert g @ d <= 0.0
+    assert qnorm(ws, d) <= beta * (1 + 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(cone=CONES, seed=SEEDS, m=M_ROWS, beta=BETAS, log_curv=LOG_SCALES)
+def test_meo_scaling_descends_within_the_trust_region(cone, seed, m, beta, log_curv):
+    assume(m < cone.total_dim)
+    ws, v, g = scaling_case(cone, seed, m, 0.0)
+    v /= norm2(v)  # the oracle returns a unit direction
+    d = _meo_scale(v, qnorm(ws, v), -(10.0**log_curv), g, beta) * v
+    assert g @ d <= 0.0
+    assert qnorm(ws, d) <= beta * (1 + 1e-12)
 
 
 class TestLineSearches:
@@ -267,7 +325,7 @@ class TestLineSearches:
         g = ws.null_step_t(gphi)
         v = np.array([1.0, 0.0])
         curvature_phi = float(v @ ws.reduced_hessian_apply(lambda w: -w, mu, v))
-        d = scale_meo_direction(ws, v, curvature_phi, g, beta=0.5)
+        d = _meo_scale(v, qnorm(ws, v), curvature_phi, g, beta=0.5) * v
         phi0 = phi_value(p, ws.point, mu)
         alpha, x_new, phi_new = line_search_nc(p, ws, mu, d, params,
                                                step=ws.null_step(d), phi0=phi0)
@@ -390,8 +448,7 @@ class TestSolveBasics:
             assert interior_membership(p.cone, x, 0.0)
             assert np.max(np.abs(p.affine.A @ x - p.affine.b)) <= 1e-9 * 2.0
         for x_prev, x_next in zip(iterates, iterates[1:]):
-            factor = barrier_factor(p.cone, x_prev)
-            assert local_norm_primal(factor, x_next - x_prev) <= params.beta * (1 + 1e-9)
+            assert primal_local_norm(p.cone, x_prev, x_next - x_prev) <= params.beta * (1 + 1e-9)
 
     def test_linear_objective_reaches_lp_solution(self):
         # min c^T x over the simplex: solution at the argmin vertex, with the
