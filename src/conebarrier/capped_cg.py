@@ -47,8 +47,6 @@ class CappedCgResult:
     kind: DirectionKind
     direction: np.ndarray
     iterations: int
-    u: float
-    kappa: float
     zeta_hat: float
     tau: float
     cap_t: float
@@ -58,12 +56,12 @@ class CappedCgResult:
         return self.kind is DirectionKind.SOL
 
 
-def _monitors(u: float, eps: float, zeta: float) -> tuple[float, float, float, float]:
-    """(kappa, zeta_hat, tau, T) for the operator-norm estimate U = u."""
+def _monitors(u: float, eps: float, zeta: float) -> tuple[float, float, float]:
+    """(zeta_hat, tau, T) for the operator-norm estimate U = u, through kappa."""
     kappa = (u + 2.0 * eps) / eps
     sqrt_kappa = math.sqrt(kappa)
     tau = sqrt_kappa / (sqrt_kappa + 1.0)
-    return kappa, zeta / (3.0 * kappa), tau, 4.0 * kappa**4 / (1.0 - math.sqrt(tau)) ** 2
+    return zeta / (3.0 * kappa), tau, 4.0 * kappa**4 / (1.0 - math.sqrt(tau)) ** 2
 
 
 def iteration_bound(result: CappedCgResult, n: int) -> int:
@@ -95,9 +93,9 @@ def capped_cg(
     hp = matvec(p)
     quad_p = float(p @ hp) + 2.0 * eps * rr
     if quad_p < eps * rr:
-        return CappedCgResult(DirectionKind.NC, p, 0, 0.0, *_monitors(0.0, eps, zeta))
+        return CappedCgResult(DirectionKind.NC, p, 0, *_monitors(0.0, eps, zeta))
     u = norm2(hp) / g_norm  # U starts at 0, and ||p|| = ||g||
-    kappa, zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
+    zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
 
     y = np.zeros(n)
     hy = np.zeros(n)
@@ -136,7 +134,7 @@ def capped_cg(
                 if hv_norm > u * v_norm:
                     u = hv_norm / v_norm
         if u != u_prev:
-            kappa, zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
+            zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
 
         quad_y = float(y @ hy) + 2.0 * eps * y_norm**2
         quad_p = float(p @ hp) + 2.0 * eps * p_norm**2
@@ -156,7 +154,7 @@ def capped_cg(
             kind = DirectionKind.NC
             direction = _backtrack_nc(ys, hys, y_next, hy_next, eps, matvec)
             break
-    return CappedCgResult(kind, direction, j, u, kappa, zeta_hat, tau, cap_t)
+    return CappedCgResult(kind, direction, j, zeta_hat, tau, cap_t)
 
 
 def _backtrack_nc(

@@ -172,7 +172,11 @@ def interior_membership(cone: Cone, x: np.ndarray, margin: float = 0.0) -> bool:
 
 
 def dual_membership(cone: Cone, s: np.ndarray, tol: float = 0.0) -> bool:
-    """Dual-cone membership up to tol per block; both block types are self-dual."""
+    """Dual-cone membership up to tol per block; both block types are self-dual.
+
+    An SOC block is compared at s_b / 2^e and tol / 2^e, 2^e the scale of its largest
+    entry, where u^T u cannot overflow or vanish; power-of-two scaling is exact.
+    """
     s = _check_dim(cone, s)
     for block, sl in cone.slices():
         sb = s[sl]
@@ -180,7 +184,9 @@ def dual_membership(cone: Cone, s: np.ndarray, tol: float = 0.0) -> bool:
             if np.any(sb < -tol):
                 return False
         else:
-            if sb[0] + tol < np.linalg.norm(sb[1:]):
+            e = math.frexp(np.abs(sb).max())[1]
+            y = np.ldexp(sb, -e)
+            if y[0] + math.ldexp(tol, -e) < np.linalg.norm(y[1:]):
                 return False
     return True
 

@@ -30,10 +30,6 @@ class OpCounters:
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in CATEGORIES}
 
-    def __repr__(self) -> str:
-        parts = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
-        return f"OpCounters({parts})"
-
 
 def bump(counters: OpCounters | None, category: str, amount: int = 1) -> None:
     """Increment if a counter object was supplied; no-op otherwise."""

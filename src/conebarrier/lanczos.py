@@ -62,8 +62,6 @@ def tridiagonal_min_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, 
     betas = np.asarray(betas, dtype=float)
     if alphas.size == 0:
         raise ValueError("need at least one diagonal entry")
-    if alphas.size == 1:
-        return float(alphas[0]), np.ones(1)
     tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     vals, vecs = np.linalg.eigh(tri)
     coeffs = vecs[:, 0]
@@ -91,12 +89,6 @@ def estimate_operator_norm(
     return estimate
 
 
-def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def min_eig_oracle(
     matvec: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -112,7 +104,7 @@ def min_eig_oracle(
         raise ValueError("eps must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through unaltered
     cap = lanczos_iteration_cap(n, eps, delta)
 
     basis = np.zeros((n, cap))

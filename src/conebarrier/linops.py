@@ -139,10 +139,6 @@ class IterationWorkspace:
     def point(self) -> np.ndarray:
         return self.factor.point
 
-    @property
-    def n(self) -> int:
-        return self.factor.dim
-
     def _schur_solve(self, w: np.ndarray) -> np.ndarray:
         """(N^T N)^{-1} w = C^{-T} C^{-1} w; two triangular solves, counted by the caller."""
         if self.m == 1:

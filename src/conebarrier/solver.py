@@ -121,6 +121,13 @@ def phi_value(problem: ConicProblem, x: np.ndarray, mu: float,
     return value + mu * barrier_value(problem.cone, x)
 
 
+def _gradient(problem: ConicProblem, x: np.ndarray, counters: OpCounters) -> np.ndarray:
+    """grad f(x), checked and counted as one grad_eval."""
+    out = _checked_vector("gradient", problem.gradient(x), x.shape[0])
+    bump(counters, "grad_eval")
+    return out
+
+
 def _checked_vector(name: str, out: np.ndarray, n: int) -> np.ndarray:
     """A callback's output, once it is known to be n finite floats."""
     out = np.asarray(out, dtype=float)
@@ -178,10 +185,6 @@ def first_order_gate(
     return res <= (1.0 - beta) * mu, which, res
 
 
-def _sgn(t: float) -> float:
-    return 1.0 if t >= 0.0 else -1.0
-
-
 def _beta_over(qnorm: float, beta: float) -> float:
     # delta / 0 is taken as +infinity
     return beta / qnorm if qnorm > 0.0 else math.inf
@@ -198,18 +201,14 @@ def _sol_scale(d_hat: np.ndarray, qnorm: float, beta: float) -> float:
     return min(1.0, _beta_over(qnorm, beta))
 
 
-def _nc_scale(d_hat: np.ndarray, qnorm: float, curvature: float, g: np.ndarray, beta: float) -> float:
-    """``curvature`` is d_hat^T H d_hat / ||d_hat||^2; d^T H d <= -||d||^3 when it binds."""
-    if not d_hat.any():
-        raise ZeroDirection("cannot scale a zero direction")
-    factor = min(abs(curvature) / norm2(d_hat), _beta_over(qnorm, beta))
-    return -_sgn(float(g @ d_hat)) * factor
+def _curvature_scale(d_hat: np.ndarray, qnorm: float, rate: float, g: np.ndarray, beta: float) -> float:
+    """``rate`` is |d_hat^T H d_hat| / ||d_hat||^3; d^T H d <= -||d||^3 when it binds.
 
-
-def _meo_scale(v: np.ndarray, qnorm: float, curvature_phi: float, g: np.ndarray, beta: float) -> float:
-    """``curvature_phi`` is v^T H_phi v for a unit oracle direction v."""
-    factor = min(abs(curvature_phi), _beta_over(qnorm, beta))
-    return -_sgn(float(g @ v)) * factor
+    A unit oracle direction v passes |v^T H_phi v|; a capped-CG direction passes
+    its Rayleigh quotient's magnitude over ||d_hat||.
+    """
+    factor = min(rate, _beta_over(qnorm, beta))
+    return -factor if float(g @ d_hat) >= 0.0 else factor
 
 
 def _backtrack(
@@ -270,18 +269,6 @@ def line_search_nc(
     return _backtrack(problem, ws, mu, d, decrease, params, counters, step, phi0)
 
 
-def _attach_certificate(problem: ConicProblem, result: SolveResult, params: SolverParams) -> None:
-    eps = params.epsilon
-    if result.status is SolveStatus.SOSP_CERTIFIED and problem.has_dense_hessian \
-            and problem.n <= certify_mod.DESK_SCALE_LIMIT:
-        report = certify_mod.check_sosp_dense(
-            problem, result.x_final, result.lambda_final, eps_g=eps, eps_h=math.sqrt(eps)
-        )
-    else:
-        report = certify_mod.check_fosp(problem, result.x_final, result.lambda_final, eps_g=eps)
-    result.trace.certificate = report
-
-
 def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveResult:
     """Run the barrier Newton-CG method from a strictly feasible x0."""
     x0 = np.asarray(x0, dtype=float)
@@ -309,121 +296,100 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     phi = phi_value(problem, x, mu, counters)
     lambda2, grad_b_prev = np.zeros(m), ws.factor.gradient
 
-    def finish(status, k, lam, prob=None, est=None):
-        res = SolveResult(
+    def finish(status, k, lam, record=None, oracle=None):
+        if record is not None:
+            trace.add(record)
+        trace.counters = counters.snapshot()
+        lam = np.asarray(lam, dtype=float).reshape(m)
+        if status is SolveStatus.SOSP_CERTIFIED and problem.has_dense_hessian \
+                and n <= certify_mod.DESK_SCALE_LIMIT:
+            trace.certificate = certify_mod.check_sosp_dense(problem, x, lam, eps_g=eps, eps_h=sqrt_eps)
+        else:
+            trace.certificate = certify_mod.check_fosp(problem, x, lam, eps_g=eps)
+        return SolveResult(
             status=status,
             x_final=x.copy(),
-            lambda_final=np.asarray(lam, dtype=float).reshape(m),
+            lambda_final=lam,
             iterations=k,
             mu=mu,
             trace=trace,
-            probability_bound=prob,
-            estimated_hess_norm=est,
+            probability_bound=None if oracle is None else oracle.probability_bound,
+            estimated_hess_norm=None if oracle is None else oracle.estimated_norm,
         )
-        trace.counters = counters.snapshot()
-        _attach_certificate(problem, res, params)
-        return res
 
     for k in range(params.max_outer_iters):
-        grad_f = _checked_vector("gradient", problem.gradient(x), n)
-        bump(counters, "grad_eval")
+        grad_f = _gradient(problem, x, counters)
         grad_b = ws.factor.gradient
         gphi = grad_f + mu * grad_b
         g = ws.null_step_t(gphi)
-
         triggered, which, res_min = first_order_gate(
             ws, mu, beta, g, grad_f, lambda2, grad_b_prev, counters
         )
-        if triggered and params.fosp_only:
-            trace.add(IterationRecord(k, phi, res_min, BRANCH_TERMINATE, 0.0, 0.0, 0, 0))
-            lam = ws.multipliers(gphi) if which == "lambda1" else lambda2
-            return finish(SolveStatus.FOSP_CERTIFIED, k, lam)
-
-        hess_vec = _hessian_operator(problem, x, counters)
-
-        def phi_hessian_op(v):
-            return ws.reduced_hessian_apply(hess_vec, mu, v)
-
-        def f_hessian_op(v):
-            return ws.reduced_hessian_apply(hess_vec, 0.0, v)
 
         # each branch yields d_hat, its projection q and the multiplier c of d = c d_hat
         if not triggered:
+            hess_vec = _hessian_operator(problem, x, counters)
+
+            def phi_hessian_op(v):
+                return ws.reduced_hessian_apply(hess_vec, mu, v)
+
             cg_out = capped_cg(phi_hessian_op, g, cg_params)
             d_hat = cg_out.direction
             q = ws.project(d_hat)
             if cg_out.kind is DirectionKind.NC:
-                curv = nc_curvature(phi_hessian_op, d_hat)
-                c = _nc_scale(d_hat, norm2(q), curv, g, beta)
+                rate = abs(nc_curvature(phi_hessian_op, d_hat)) / norm2(d_hat)
+                c = _curvature_scale(d_hat, norm2(q), rate, g, beta)
                 branch, searcher = BRANCH_CG_NC, line_search_nc
             else:
                 c = _sol_scale(d_hat, norm2(q), beta)
                 branch, searcher = BRANCH_CG_SOL, line_search_sol
             cg_iters, lanczos_iters = cg_out.iterations, 0
         else:
-            oracle = min_eig_oracle(f_hessian_op, n, sqrt_eps, params.delta, rng)
-            if not oracle.found_negative_curvature:
-                trace.add(
-                    IterationRecord(
-                        k, phi, res_min, BRANCH_TERMINATE, 0.0, 0.0, 0, oracle.iterations
-                    )
+            oracle = None
+            if not params.fosp_only:
+                hess_vec = _hessian_operator(problem, x, counters)
+                oracle = min_eig_oracle(
+                    lambda v: ws.reduced_hessian_apply(hess_vec, 0.0, v),
+                    n, sqrt_eps, params.delta, rng,
                 )
-                return finish(
-                    SolveStatus.SOSP_CERTIFIED,
-                    k,
-                    ws.multipliers(gphi) if which == "lambda1" else lambda2,
-                    prob=oracle.probability_bound,
-                    est=oracle.estimated_norm,
-                )
+            cg_iters, lanczos_iters = 0, (0 if oracle is None else oracle.iterations)
+            if oracle is None or not oracle.found_negative_curvature:
+                status = SolveStatus.FOSP_CERTIFIED if oracle is None else SolveStatus.SOSP_CERTIFIED
+                record = IterationRecord(k, phi, res_min, BRANCH_TERMINATE, 0.0, 0.0, 0, lanczos_iters)
+                lam = ws.multipliers(gphi) if which == "lambda1" else lambda2
+                return finish(status, k, lam, record, oracle)
             d_hat = oracle.direction
             q = ws.project(d_hat)
             qnorm = norm2(q)
-            curvature_phi = oracle.curvature + mu * qnorm**2
-            c = _meo_scale(d_hat, qnorm, curvature_phi, g, beta)
+            c = _curvature_scale(d_hat, qnorm, abs(oracle.curvature + mu * qnorm**2), g, beta)
             branch, searcher = BRANCH_MEO_NC, line_search_nc
-            cg_iters, lanczos_iters = 0, oracle.iterations
 
         # the step is null_step(d): from the projection at hand when d = d_hat, and
         # projected afresh when d is scaled, so that it is exactly null_step(d) either way
         d = c * d_hat
         step = ws.unscale(q) if c == 1.0 else ws.null_step(d)
+        record = IterationRecord(k, phi, res_min, branch, 0.0, norm2(d), cg_iters, lanczos_iters)
         try:
-            alpha, x_new, phi_new = searcher(
-                problem, ws, mu, d, params, counters, step=step, phi0=phi
-            )
+            record.alpha, x, phi = searcher(problem, ws, mu, d, params, counters, step=step, phi0=phi)
         except LineSearchFailure:
-            trace.add(
-                IterationRecord(
-                    k, phi, res_min, branch, 0.0, norm2(d), cg_iters, lanczos_iters
-                )
-            )
-            return finish(SolveStatus.LINE_SEARCH_FAILURE, k, ws.multipliers(gphi))
-
-        trace.add(
-            IterationRecord(
-                k, phi, res_min, branch, alpha, norm2(d), cg_iters, lanczos_iters
-            )
-        )
+            return finish(SolveStatus.LINE_SEARCH_FAILURE, k, ws.multipliers(gphi), record)
+        trace.add(record)
 
         # lambda2 from the Newton-step residual holds only after a unit SOL step;
         # otherwise the previous lambda2 carries over
-        if m and branch == BRANCH_CG_SOL and alpha == 1.0:
+        if m and branch == BRANCH_CG_SOL and record.alpha == 1.0:
             lambda2 = ws.multipliers(hess_vec(step) + gphi)
         grad_b_prev = grad_b
-        x = x_new
         if m:
             drift = float(np.abs(affine.A @ x - affine.b).max())
             if drift > FEAS_TOL * b_scale / 10.0:
                 x = _reproject(affine, cone, x)
         ws = IterationWorkspace(affine, barrier_factor(cone, x, counters), counters)
-        phi = phi_new
 
     # lambda1 at x_final itself, from its workspace and one more gradient
     lambda1 = np.zeros(0)
     if m:
-        grad_f = _checked_vector("gradient", problem.gradient(x), n)
-        bump(counters, "grad_eval")
-        lambda1 = ws.multipliers(grad_f + mu * ws.factor.gradient)
+        lambda1 = ws.multipliers(_gradient(problem, x, counters) + mu * ws.factor.gradient)
     return finish(SolveStatus.MAX_ITERS_EXCEEDED, params.max_outer_iters, lambda1)
 
 

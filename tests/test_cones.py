@@ -240,6 +240,14 @@ class TestMembership:
     def test_dual_soc_boundary(self):
         assert dual_membership(second_order(2), np.array([1.0, -1.0]), 0.0)
 
+    def test_dual_soc_far_above_normal_scale(self):
+        # u^T u overflows at s's own scale; RuntimeWarnings are errors here
+        assert dual_membership(second_order(3), np.array([1e170, 0.5e170, 0.0]))
+
+    def test_dual_soc_far_below_normal_scale(self):
+        # u^T u underflows to 0 at s's own scale, while ||u|| = 1.03e-170 > t
+        assert not dual_membership(second_order(3), np.array([1e-170, 0.5e-170, 0.9e-170]))
+
 
 @pytest.mark.parametrize("cone", CONE_FAMILIES, ids=lambda c: f"{len(c.blocks)}b{c.total_dim}")
 class TestBarrierIdentities:

@@ -104,6 +104,19 @@ class TestOracle:
         assert outs[0].iterations == outs[1].iterations
         np.testing.assert_array_equal(outs[0].direction, outs[1].direction)
 
+    def test_generator_seed_draws_from_its_stream(self):
+        h_mat = random_with_min_eig(30, -0.5, np.random.default_rng(11))
+        gen = np.random.default_rng(42)
+        from_gen = min_eig_oracle(matvec_of(h_mat), 30, eps=0.1, delta=0.01, seed=gen)
+        from_int = min_eig_oracle(matvec_of(h_mat), 30, eps=0.1, delta=0.01, seed=42)
+        assert from_gen.kind == from_int.kind == NC
+        assert from_gen.iterations == from_int.iterations
+        np.testing.assert_array_equal(from_gen.direction, from_int.direction)
+        # the oracle's one start vector came from the caller's Generator itself
+        replay = np.random.default_rng(42)
+        replay.standard_normal(30)
+        assert gen.standard_normal() == replay.standard_normal()
+
     def test_psd_always_certified(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 30))

@@ -19,8 +19,7 @@ from conebarrier.problems import ConicProblem, builtin
 from conebarrier.solver import (
     SolverParams,
     SolveStatus,
-    _meo_scale,
-    _nc_scale,
+    _curvature_scale,
     _sol_scale,
     first_order_gate,
     line_search_nc,
@@ -29,6 +28,7 @@ from conebarrier.solver import (
     phi_value,
     solve,
 )
+from conebarrier.trace import BRANCH_CG_SOL
 from conebarrier.vecnorm import norm2
 
 from conftest import primal_local_norm
@@ -162,6 +162,8 @@ def qnorm(ws, d_hat):
     return norm2(ws.project(d_hat))
 
 
+# A curvature step of curvature -1 (Rayleigh quotient for an NC direction, v^T H_phi v
+# for a unit oracle direction v) passes the rate 1 / ||d_hat||, as the solver does.
 class TestDirectionScalings:
     def test_sol_small_direction_unchanged(self):
         ws = ws_at([1.0, 1.0])
@@ -189,7 +191,7 @@ class TestDirectionScalings:
         ws = ws_at([1.0, 1.0])
         d_hat = np.array([-1.0, 0.0])
         g = np.array([1.0, 0.0])
-        d = _nc_scale(d_hat, qnorm(ws, d_hat), curvature=-1.0, g=g, beta=0.5) * d_hat
+        d = _curvature_scale(d_hat, qnorm(ws, d_hat), rate=1.0 / norm2(d_hat), g=g, beta=0.5) * d_hat
         np.testing.assert_allclose(d, [-0.5, 0.0])
         assert g @ d <= 0.0
 
@@ -197,27 +199,28 @@ class TestDirectionScalings:
         ws = ws_at([1.0, 1.0])
         d_hat = np.array([-1.0, 0.0])
         g = np.array([0.0, 5.0])  # g orthogonal to d_hat: sgn(0) = +1
-        d = _nc_scale(d_hat, qnorm(ws, d_hat), curvature=-1.0, g=g, beta=0.5) * d_hat
+        d = _curvature_scale(d_hat, qnorm(ws, d_hat), rate=1.0 / norm2(d_hat), g=g, beta=0.5) * d_hat
         np.testing.assert_allclose(d, [0.5, 0.0])
 
     def test_meo_hand_example(self):
         ws = ws_at([1.0, 1.0])
         v = np.array([1.0, 0.0])
         g = np.array([2.0, 0.0])
-        d = _meo_scale(v, qnorm(ws, v), curvature_phi=-1.0, g=g, beta=0.5) * v
+        d = _curvature_scale(v, qnorm(ws, v), rate=1.0, g=g, beta=0.5) * v
         np.testing.assert_allclose(d, [-0.5, 0.0])
 
     def test_meo_small_curvature_binds(self):
         ws = ws_at([1.0, 1.0])
         v = np.array([1.0, 0.0])
-        d = _meo_scale(v, qnorm(ws, v), curvature_phi=-0.1, g=np.zeros(2), beta=0.9) * v
+        d = _curvature_scale(v, qnorm(ws, v), rate=0.1, g=np.zeros(2), beta=0.9) * v
         assert np.linalg.norm(d) == pytest.approx(0.1)
 
     def test_nc_projected_out_direction(self):
         # projection of d_hat vanishes: the trust cap is +inf, curvature binds
         ws = ws_at([0.5, 0.5], A=np.array([[1.0, 1.0]]), b=np.array([1.0]))
         d_hat = np.array([1.0, 1.0])
-        d = _nc_scale(d_hat, qnorm(ws, d_hat), curvature=-1.0, g=np.zeros(2), beta=0.5) * d_hat
+        rate = 1.0 / norm2(d_hat)
+        d = _curvature_scale(d_hat, qnorm(ws, d_hat), rate, g=np.zeros(2), beta=0.5) * d_hat
         np.testing.assert_allclose(d, -d_hat / np.linalg.norm(d_hat), atol=1e-14)
 
 
@@ -253,7 +256,7 @@ def test_sol_scaling_only_shrinks_into_the_trust_region(cone, seed, m, beta, log
 def test_nc_scaling_descends_within_the_trust_region(cone, seed, m, beta, log_len, log_curv):
     assume(m < cone.total_dim)
     ws, d_hat, g = scaling_case(cone, seed, m, log_len)
-    d = _nc_scale(d_hat, qnorm(ws, d_hat), -(10.0**log_curv), g, beta) * d_hat
+    d = _curvature_scale(d_hat, qnorm(ws, d_hat), 10.0**log_curv / norm2(d_hat), g, beta) * d_hat
     assert g @ d <= 0.0
     assert qnorm(ws, d) <= beta * (1 + 1e-12)
 
@@ -264,7 +267,7 @@ def test_meo_scaling_descends_within_the_trust_region(cone, seed, m, beta, log_c
     assume(m < cone.total_dim)
     ws, v, g = scaling_case(cone, seed, m, 0.0)
     v /= norm2(v)  # the oracle returns a unit direction
-    d = _meo_scale(v, qnorm(ws, v), -(10.0**log_curv), g, beta) * v
+    d = _curvature_scale(v, qnorm(ws, v), 10.0**log_curv, g, beta) * v
     assert g @ d <= 0.0
     assert qnorm(ws, d) <= beta * (1 + 1e-12)
 
@@ -325,7 +328,7 @@ class TestLineSearches:
         g = ws.null_step_t(gphi)
         v = np.array([1.0, 0.0])
         curvature_phi = float(v @ ws.reduced_hessian_apply(lambda w: -w, mu, v))
-        d = _meo_scale(v, qnorm(ws, v), curvature_phi, g, beta=0.5) * v
+        d = _curvature_scale(v, qnorm(ws, v), abs(curvature_phi), g, beta=0.5) * v
         phi0 = phi_value(p, ws.point, mu)
         alpha, x_new, phi_new = line_search_nc(p, ws, mu, d, params,
                                                step=ws.null_step(d), phi0=phi0)
@@ -384,6 +387,7 @@ class TestSolveBasics:
         assert res.status is SolveStatus.MAX_ITERS_EXCEEDED
         assert res.iterations == 3
         assert res.trace.counters["cholesky"] == 4
+        assert res.probability_bound is None
 
     def test_max_iters_multiplier_is_taken_at_the_final_point(self):
         # the returned lambda pairs with x_final: it is the least-squares multiplier of
@@ -395,6 +399,28 @@ class TestSolveBasics:
         expected = ws.multipliers(p.gradient(res.x_final) + res.mu * ws.factor.gradient)
         assert np.array_equal(res.lambda_final, expected)
         assert res.trace.counters["grad_eval"] == res.iterations + 1
+        assert res.probability_bound is None
+
+    def test_line_search_failure_exit(self):
+        # phi is +inf at every trial point, so the first step's three trials all fail:
+        # the solve stops at x0 with its CG_SOL record, lambda1 there and a certificate
+        base = builtin("nonconvex_qp_simplex", 6, seed=1)
+        x0 = base.x0.copy()
+        p = dataclasses.replace(
+            base, value=lambda x: base.value(x) if np.array_equal(x, x0) else math.inf
+        )
+        res = solve(p, x0, SolverParams(epsilon=1e-3, max_backtracks=2))
+        assert res.status is SolveStatus.LINE_SEARCH_FAILURE
+        assert res.iterations == 0
+        [record] = res.trace.records
+        assert record.branch == BRANCH_CG_SOL and record.alpha == 0.0
+        ws = IterationWorkspace(p.affine, barrier_factor(p.cone, x0))
+        expected = ws.multipliers(p.gradient(x0) + res.mu * ws.factor.gradient)
+        assert np.array_equal(res.lambda_final, expected)
+        assert res.trace.counters["fun_eval"] == 4
+        assert res.trace.counters["cholesky"] == 1
+        assert res.trace.certificate is not None
+        assert res.probability_bound is None
 
     def test_fosp_only_mode(self):
         p = builtin("nonconvex_qp_simplex", 8, seed=4)
@@ -402,6 +428,7 @@ class TestSolveBasics:
         assert res.status is SolveStatus.FOSP_CERTIFIED
         assert res.trace.certificate.fosp_ok
         assert res.trace.certificate.fosp_residual <= 1e-3
+        assert res.probability_bound is None
 
     def test_trace_phi_strictly_decreasing(self):
         p = builtin("nonconvex_qp_simplex", 8, seed=0)
