@@ -31,18 +31,6 @@ class DirectionKind(str, Enum):
 
 
 @dataclass
-class CappedCgParams:
-    epsilon: float
-    zeta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not 0.0 < self.zeta < 1.0:
-            raise ValueError("zeta must lie in (0, 1)")
-
-
-@dataclass
 class CappedCgResult:
     kind: DirectionKind
     direction: np.ndarray
@@ -77,16 +65,19 @@ def iteration_bound(result: CappedCgResult, n: int) -> int:
 def capped_cg(
     matvec: Callable[[np.ndarray], np.ndarray],
     g: np.ndarray,
-    params: CappedCgParams,
+    eps: float,
+    zeta: float,
 ) -> CappedCgResult:
-    """Run capped CG on (H + 2 eps I) d = -g for a symmetric operator H."""
+    """Run capped CG on (H + 2 eps I) d = -g for a symmetric operator H.
+
+    eps and zeta lie in (0, 1); ``SolverParams`` checks them for the solver.
+    """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
     rr = float(g @ g)  # also p^T p for p = -g
     g_norm = math.sqrt(rr)
     if g_norm == 0.0:
         raise ZeroGradient("capped CG requires a nonzero right-hand side")
-    eps, zeta = params.epsilon, params.zeta
     hard_cap = 10 * n + 100
 
     p = -g

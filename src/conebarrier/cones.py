@@ -23,11 +23,11 @@ format:
   update of Gill, Golub, Murray & Saunders (Math. Comp. 1974).  It is built
   from suffix sums of u_k^2 in O(d) and stored as four d-vectors; both
   triangular solves are O(d) cumulative sums, and no d x d array is formed.
-  The block's factor, gradient and Hessian are formed at x_b / 2^e, with
-  t / 2^e in [1/2, 1), and rescaled by logarithmic homogeneity, so the gap
-  and its square cannot under- or overflow.  Interiority is decided by
-  t - ||u|| > 0, and the barrier value falls back to that scaled gap where
-  the gap at x_b's own scale is not a normal float.
+  Each block is read once, at y = x_b / 2^e with its largest entry in
+  [1/2, 1) (``_unit_scaled``).  Interiority is t - ||u|| > 0 at y, and the
+  value, factor, gradient and Hessian are formed from y and its gap and
+  rescaled by logarithmic homogeneity, so no square under- or overflows at
+  any scale of x_b.  ``dual_membership`` reads dual blocks by the same rule.
 
 Everything else applies L through ``BarrierFactor.solve_lower`` and
 ``solve_upper``; the dual local norm ||v||_x* = ||L^{-1} v|| is one forward
@@ -49,11 +49,7 @@ from .vecnorm import norm2
 ORTHANT = "orthant"
 SOC = "soc"
 
-_TINY = float(np.finfo(float).tiny)  # smallest positive normal float
 _LN2 = math.log(2.0)
-# t range in which ||u||^2 of an SOC block with ||u|| <= t neither overflows nor
-# underflows far enough to change the sign of t - ||u||
-_PLAIN_T = (2.0**-500, 2.0**500)
 
 
 @dataclass(frozen=True)
@@ -127,46 +123,46 @@ def _check_dim(cone: Cone, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _soc_gap(xb: np.ndarray) -> float:
-    """t^2 - ||u||^2 for a second-order cone block (t, u), as (t - ||u||)(t + ||u||).
+def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(y, e) with v = 2^e y and the largest |y_i| in [1/2, 1); the one scale rule for SOC blocks.
 
-    Every barrier entry point and the factor read the gap from here.  At x's
-    own scale the product can under- or overflow, so interiority is decided
-    by t - ||u|| instead, and the factor forms the gap at a unit scale.
+    The barrier is logarithmically homogeneous, so B(x) = B(y) - 2e ln 2,
+    nabla B(x) = 2^-e nabla B(y) and nabla^2 B(x) = 4^-e nabla^2 B(y).  At y
+    no square overflows, or underflows far enough to matter, and scaling by a
+    power of two is exact, so where x's own squares are normal floats the
+    results are bit-equal to an evaluation at x itself.  For an interior
+    block the largest entry is t.
     """
-    t, r = float(xb[0]), norm2(xb[1:])
-    return (t - r) * (t + r)
+    e = math.frexp(np.abs(v).max())[1]
+    return np.ldexp(v, -e), e
 
 
-def _soc_inside(xb: np.ndarray, margin: float) -> bool:
-    """t - ||u|| > margin for a second-order cone block (t, u), at any scale of xb.
+def _soc_read(xb: np.ndarray) -> tuple[np.ndarray, int, float, float]:
+    """(y, e, t - ||u||, (t - ||u||)(t + ||u||)) of an SOC block (t, u) = 2^e y, both read at y.
 
-    Where t lies in ``_PLAIN_T`` the difference is taken at xb's own scale,
-    with no per-call overhead; there ||u||^2 overflows only for
-    ||u|| > 1.3e154 > 4000 t, far outside the cone, which is rejected (with an
-    overflow warning outside ``interior_membership``).  Elsewhere ||u||^2 of an
-    interior point can overflow (t >= 1.3e154) or underflow to a wrong sign, so
-    both sides are compared at y = xb / 2^e (``_unit_scaled``), without warnings.
+    The last is the gap t^2 - ||u||^2 at y; the block is interior iff t - ||u|| > 0.
     """
-    t = float(xb[0])
-    if _PLAIN_T[0] <= t <= _PLAIN_T[1]:
-        return t - norm2(xb[1:]) > margin
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        y, e = _unit_scaled(xb)
-        return bool(y[0] - norm2(y[1:]) > np.ldexp(margin, -e))
+    y, e = _unit_scaled(xb)
+    t, r = float(y[0]), norm2(y[1:])
+    return y, e, t - r, (t - r) * (t + r)
 
 
 def interior_membership(cone: Cone, x: np.ndarray, margin: float = 0.0) -> bool:
-    """True iff x is interior with slack: orthant entries > margin, SOC gaps t - ||u|| > margin."""
+    """True iff x is interior with slack margin >= 0: orthant entries > margin, SOC t - ||u|| > margin.
+
+    An SOC block is read at y (``_soc_read``), where no square overflows, and
+    t - ||u|| is rescaled only where it is positive, so below 1; even a point
+    far outside the cone is rejected without a warning.
+    """
     x = _check_dim(cone, x)
-    # ||u||^2 of an SOC block far outside the cone may overflow to inf: a rejection
-    with np.errstate(over="ignore"):
-        for block, sl in cone.slices():
-            xb = x[sl]
-            if block.kind == ORTHANT:
-                if not np.all(xb > margin):
-                    return False
-            elif not _soc_inside(xb, margin):
+    for block, sl in cone.slices():
+        xb = x[sl]
+        if block.kind == ORTHANT:
+            if not np.all(xb > margin):
+                return False
+        else:
+            _, e, slack, _ = _soc_read(xb)
+            if not (slack > 0.0 and math.ldexp(slack, e) > margin):
                 return False
     return True
 
@@ -174,8 +170,8 @@ def interior_membership(cone: Cone, x: np.ndarray, margin: float = 0.0) -> bool:
 def dual_membership(cone: Cone, s: np.ndarray, tol: float = 0.0) -> bool:
     """Dual-cone membership up to tol per block; both block types are self-dual.
 
-    An SOC block is compared at s_b / 2^e and tol / 2^e, 2^e the scale of its largest
-    entry, where u^T u cannot overflow or vanish; power-of-two scaling is exact.
+    An SOC block is compared at s_b / 2^e and tol / 2^e (``_unit_scaled``),
+    where u^T u cannot overflow or vanish; power-of-two scaling is exact.
     """
     s = _check_dim(cone, s)
     for block, sl in cone.slices():
@@ -184,72 +180,57 @@ def dual_membership(cone: Cone, s: np.ndarray, tol: float = 0.0) -> bool:
             if np.any(sb < -tol):
                 return False
         else:
-            e = math.frexp(np.abs(sb).max())[1]
-            y = np.ldexp(sb, -e)
-            if y[0] + math.ldexp(tol, -e) < np.linalg.norm(y[1:]):
+            y, e = _unit_scaled(sb)
+            if y[0] + math.ldexp(tol, -e) < norm2(y[1:]):
                 return False
     return True
 
 
-def _interior_blocks(cone: Cone, x: np.ndarray) -> Iterator[tuple[ConeBlock, slice, np.ndarray]]:
-    """(block, slice, x_block) per block of a dimension-checked x.
+def _interior_blocks(
+    cone: Cone, x: np.ndarray
+) -> Iterator[tuple[ConeBlock, slice, np.ndarray | tuple[np.ndarray, int, float]]]:
+    """(block, slice, b) per block of a dimension-checked x.
 
-    The one strict-interiority check behind every barrier entry point:
-    raises BoundaryError at the first block that x does not lie inside.  A
-    second-order cone block is tested by t - ||u|| > 0, the test of
-    ``interior_membership`` at margin 0, which is the sign of the gap
-    wherever the gap's product does not underflow.
+    b is x_b for an orthant block and (y, e, gap) of ``_soc_read`` for an SOC
+    block, which is read once here.  The one strict-interiority check behind
+    every barrier entry point: raises BoundaryError at the first block that x
+    does not lie inside.  An SOC block is inside iff t - ||u|| > 0 at y.
     """
     for block, sl in cone.slices():
         xb = x[sl]
         if block.kind == ORTHANT:
             if (xb <= 0.0).any():
                 raise BoundaryError("orthant component not strictly positive")
-        elif not _soc_inside(xb, 0.0):
+            yield block, sl, xb
+            continue
+        y, e, slack, gap = _soc_read(xb)
+        if not slack > 0.0:
             raise BoundaryError("point not interior to second-order cone block")
-        yield block, sl, xb
+        yield block, sl, (y, e, gap)
 
 
 def barrier_value(cone: Cone, x: np.ndarray) -> float:
     """B(x), summed over the blocks.
 
-    A second-order cone block takes the log of its gap at x's own scale where
-    t lies in ``_PLAIN_T`` and that gap is a positive normal float.  Elsewhere
-    it takes log(gap(y)) + 2e ln 2 at y = x / 2^e (``_unit_scaled``), so the
-    value stays finite at every scale the factor handles, and is unchanged
-    where the gap was representable.
+    A second-order cone block takes the log of its gap at x, 4^e gap(y),
+    where that is a normal float, and log(gap(y)) + 2e ln 2 elsewhere, so the
+    value stays finite at every scale the factor handles.
     """
     total = 0.0
-    for block, _, xb in _interior_blocks(cone, _check_dim(cone, x)):
+    for block, _, b in _interior_blocks(cone, _check_dim(cone, x)):
         if block.kind == ORTHANT:
-            total -= float(np.log(xb).sum())
+            total -= float(np.log(b).sum())
             continue
-        gap = _soc_gap(xb) if _PLAIN_T[0] <= xb[0] <= _PLAIN_T[1] else 0.0
-        if _TINY <= gap < math.inf:
-            total -= float(np.log(gap))
+        _, e, gap = b
+        if -1021 <= math.frexp(gap)[1] + 2 * e <= 1024:  # 4^e gap(y) >= 2^-1022 and finite
+            total -= float(np.log(math.ldexp(gap, 2 * e)))
         else:
-            y, e = _unit_scaled(xb)
-            total -= float(np.log(_soc_gap(y))) + 2 * e * _LN2
+            total -= float(np.log(gap)) + 2 * e * _LN2
     return total
 
 
-def _unit_scaled(xb: np.ndarray) -> tuple[np.ndarray, int]:
-    """(y, e) with xb = 2^e y and y_0 in [1/2, 1), for an SOC block with t > 0.
-
-    The barrier is logarithmically homogeneous, so nabla B(x) = 2^-e nabla B(y)
-    and nabla^2 B(x) = 4^-e nabla^2 B(y).  Evaluated at y, the gap and its
-    square neither under- nor overflow at any scale of x, and scaling by a
-    power of two is exact, so at normal scales the result is bit-equal to an
-    evaluation at x itself.
-    """
-    e = math.frexp(xb[0])[1]
-    return np.ldexp(xb, -e), e
-
-
-def _soc_hessian(xb: np.ndarray) -> np.ndarray:
+def _soc_hessian(y: np.ndarray, e: int, gap: float) -> np.ndarray:
     # 4^-e times (2/gap) * diag(-1, 1, ..., 1) + (4/gap^2) * w w^T at y, with w = (t, -u)
-    y, e = _unit_scaled(xb)
-    gap = _soc_gap(y)
     d = y.shape[0]
     w = y.copy()
     w[1:] *= -1.0
@@ -263,14 +244,11 @@ def barrier_hessian(cone: Cone, x: np.ndarray) -> np.ndarray:
     """Dense barrier Hessian, block diagonal; FactorizationError where an entry overflows."""
     n = cone.total_dim
     hess = np.zeros((n, n))
-    try:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for block, sl, xb in _interior_blocks(cone, _check_dim(cone, x)):
-                hess[sl, sl] = np.diag(1.0 / xb**2) if block.kind == ORTHANT else _soc_hessian(xb)
-        finite = bool(np.all(np.isfinite(hess)))
-    except ArithmeticError:  # gap**2 underflows to 0 at a point this close to the boundary
-        finite = False
-    if not finite:
+    # gap(y) > 2^-56 at an interior y, so only the rescaling to x's scale can overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for block, sl, b in _interior_blocks(cone, _check_dim(cone, x)):
+            hess[sl, sl] = np.diag(1.0 / b**2) if block.kind == ORTHANT else _soc_hessian(*b)
+    if not np.isfinite(hess).all():
         raise FactorizationError("barrier Hessian is not finite (point at an extreme scale)")
     return hess
 
@@ -302,12 +280,12 @@ class SocFactor:
         return np.tril(lower, -1) + np.diag(self.root)
 
 
-def _soc_factor(xb: np.ndarray) -> tuple[SocFactor, np.ndarray]:
-    """O(d) factor of (2/gap) diag(-1, 1, ..., 1) + (4/gap^2) w w^T at an interior xb.
+def _soc_factor(y: np.ndarray, e: int, gap: float) -> tuple[SocFactor, np.ndarray]:
+    """O(d) factor of (2/gap) diag(-1, 1, ..., 1) + (4/gap^2) w w^T at an interior block 2^e y.
 
     Returned with the block's barrier gradient -2 w / gap.  Both are formed at
-    y = 2^-e xb and rescaled, so neither fails at an extreme scale of xb where
-    its entries are representable.
+    y, with gap = gap(y), and rescaled, so neither fails at an extreme scale
+    where its entries are representable.
 
     The rank-one LDL^T update of Gill, Golub, Murray & Saunders runs through
     ia_j = 1/alpha_j = ia_{j-1} + w_{j-1}^2 / D_{j-1}.  In closed form
@@ -315,8 +293,7 @@ def _soc_factor(xb: np.ndarray) -> tuple[SocFactor, np.ndarray]:
     taken from suffix sums so that nothing cancels; then
     dbar_j = D_j ia_{j+1} / ia_j.
     """
-    y, e = _unit_scaled(xb)
-    gap, d = _soc_gap(y), y.shape[0]
+    d = y.shape[0]
     w = y.copy()
     w[1:] *= -1.0
     diag = np.full(d, 2.0 / gap)
@@ -420,12 +397,12 @@ def barrier_factor(cone: Cone, x: np.ndarray, counters: OpCounters | None = None
     """
     x = _check_dim(cone, x)
     blocks, gradient = [], np.empty_like(x)
-    for block, sl, xb in _interior_blocks(cone, x):
+    for block, sl, b in _interior_blocks(cone, x):
         if block.kind == ORTHANT:
-            f = 1.0 / xb
+            f = 1.0 / b
             gradient[sl] = -f
         else:
-            f, gradient[sl] = _soc_factor(xb)
+            f, gradient[sl] = _soc_factor(*b)
         blocks.append(f)
     bump(counters, "cholesky")
     return BarrierFactor(cone=cone, point=x.copy(), blocks=tuple(blocks), gradient=gradient)

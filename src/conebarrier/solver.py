@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import certify as certify_mod
-from .capped_cg import CappedCgParams, DirectionKind, capped_cg, nc_curvature
+from .capped_cg import DirectionKind, capped_cg, nc_curvature
 from .cones import barrier_factor, barrier_value, interior_membership, local_norm_dual
 from .counters import OpCounters, bump
 from .errors import (
@@ -289,7 +289,6 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     mu = mu_from_epsilon(eps, beta, cone.theta)
     sqrt_eps = math.sqrt(eps)
     rng = np.random.default_rng(params.seed)
-    cg_params = CappedCgParams(epsilon=sqrt_eps, zeta=params.zeta)
 
     x = x0.copy()
     ws = IterationWorkspace(affine, barrier_factor(cone, x, counters), counters)
@@ -333,7 +332,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             def phi_hessian_op(v):
                 return ws.reduced_hessian_apply(hess_vec, mu, v)
 
-            cg_out = capped_cg(phi_hessian_op, g, cg_params)
+            cg_out = capped_cg(phi_hessian_op, g, sqrt_eps, params.zeta)
             d_hat = cg_out.direction
             q = ws.project(d_hat)
             if cg_out.kind is DirectionKind.NC:

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from conebarrier.capped_cg import CappedCgParams, DirectionKind, capped_cg, iteration_bound
+from conebarrier.capped_cg import DirectionKind, capped_cg, iteration_bound
 from conebarrier.certify import check_fosp, reduced_min_eig
 from conebarrier.cli import fit_loglog_slope
 from conebarrier.cones import (
@@ -214,7 +214,7 @@ def test_criterion_3_capped_cg_fuzz():
         q_mat, _ = np.linalg.qr(g_mat)
         h_mat = (q_mat * spectrum) @ q_mat.T
         g = rng.standard_normal(n)
-        out = capped_cg(lambda v: h_mat @ v, g, CappedCgParams(epsilon=eps, zeta=0.5))
+        out = capped_cg(lambda v: h_mat @ v, g, eps, 0.5)
         d = out.direction
         d_sq = float(d @ d)
         assert d_sq > 0.0

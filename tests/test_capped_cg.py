@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conebarrier.capped_cg import (
-    CappedCgParams,
     DirectionKind,
     capped_cg,
     iteration_bound,
@@ -27,16 +26,14 @@ def random_symmetric(n, rng, spectrum=None, scale=1.0):
 class TestHandExamples:
     def test_identity_sol(self):
         h_mat = np.eye(2)
-        out = capped_cg(matvec_of(h_mat), np.array([1.0, 0.0]),
-                        CappedCgParams(epsilon=0.1, zeta=0.5))
+        out = capped_cg(matvec_of(h_mat), np.array([1.0, 0.0]), 0.1, 0.5)
         assert out.kind is DirectionKind.SOL
         assert out.iterations == 1
         np.testing.assert_allclose(out.direction, [-1.0 / 1.2, 0.0], rtol=1e-12)
 
     def test_preloop_negative_curvature(self):
         h_mat = np.diag([-1.0, 1.0])
-        out = capped_cg(matvec_of(h_mat), np.array([1.0, 0.0]),
-                        CappedCgParams(epsilon=0.1, zeta=0.5))
+        out = capped_cg(matvec_of(h_mat), np.array([1.0, 0.0]), 0.1, 0.5)
         assert out.kind is DirectionKind.NC
         assert out.iterations == 0
         np.testing.assert_allclose(out.direction, [-1.0, 0.0])
@@ -45,19 +42,17 @@ class TestHandExamples:
 
     def test_gradient_orthogonal_to_negative_space(self):
         h_mat = np.diag([-1.0, 1.0])
-        out = capped_cg(matvec_of(h_mat), np.array([0.0, 1.0]),
-                        CappedCgParams(epsilon=0.1, zeta=0.5))
+        out = capped_cg(matvec_of(h_mat), np.array([0.0, 1.0]), 0.1, 0.5)
         assert out.kind is DirectionKind.SOL
         np.testing.assert_allclose(out.direction, [0.0, -1.0 / 1.2], rtol=1e-12)
 
     def test_zero_gradient_rejected(self):
         with pytest.raises(ZeroGradient):
-            capped_cg(matvec_of(np.eye(2)), np.zeros(2), CappedCgParams(epsilon=0.1, zeta=0.5))
+            capped_cg(matvec_of(np.eye(2)), np.zeros(2), 0.1, 0.5)
 
     def test_zero_operator(self):
         # (0 + 2 eps I) d = -g solved exactly in one step
-        out = capped_cg(matvec_of(np.zeros((3, 3))), np.array([1.0, 2.0, -1.0]),
-                        CappedCgParams(epsilon=0.25, zeta=0.5))
+        out = capped_cg(matvec_of(np.zeros((3, 3))), np.array([1.0, 2.0, -1.0]), 0.25, 0.5)
         assert out.kind is DirectionKind.SOL
         np.testing.assert_allclose(out.direction, -np.array([1.0, 2.0, -1.0]) / 0.5)
 
@@ -68,8 +63,7 @@ class TestHandExamples:
         rng = np.random.default_rng(0)
         bad = rng.standard_normal((12, 12))
         try:
-            out = capped_cg(matvec_of(bad), rng.standard_normal(12),
-                            CappedCgParams(epsilon=0.01, zeta=0.5))
+            out = capped_cg(matvec_of(bad), rng.standard_normal(12), 0.01, 0.5)
             assert out.iterations <= 10 * 12 + 100
         except HardCapExceeded:
             pass
@@ -99,7 +93,7 @@ class TestPositiveDefinite:
             spectrum = eps + rng.random(n) * 2.0
             h_mat = random_symmetric(n, rng, spectrum=spectrum)
             g = rng.standard_normal(n)
-            out = capped_cg(matvec_of(h_mat), g, CappedCgParams(epsilon=eps, zeta=0.5))
+            out = capped_cg(matvec_of(h_mat), g, eps, 0.5)
             assert out.kind is DirectionKind.SOL
             # agreement with the dense solve is at the residual level
             resid = np.linalg.norm((h_mat + 2 * eps * np.eye(n)) @ out.direction + g)
@@ -127,7 +121,7 @@ class TestContractFuzz:
                 spectrum = np.concatenate(([-1.0 - rng.random()], rng.random(n - 1)))
             h_mat = random_symmetric(n, rng, spectrum=spectrum)
             g = rng.standard_normal(n)
-            out = capped_cg(matvec_of(h_mat), g, CappedCgParams(epsilon=eps, zeta=0.5))
+            out = capped_cg(matvec_of(h_mat), g, eps, 0.5)
             d = out.direction
             d_sq = float(d @ d)
             assert d_sq > 0.0
@@ -146,7 +140,7 @@ class TestContractFuzz:
         assert sol > 20 and nc > 20  # the ensemble exercises both outcomes
 
     def test_iteration_bound_formula(self):
-        out = capped_cg(matvec_of(np.eye(4)), np.ones(4), CappedCgParams(epsilon=0.1, zeta=0.5))
+        out = capped_cg(matvec_of(np.eye(4)), np.ones(4), 0.1, 0.5)
         # J is the smallest integer with sqrt(T) tau^{J/2} <= zeta_hat
         j = iteration_bound(out, 1000)
         assert np.sqrt(out.cap_t) * out.tau ** (j / 2.0) <= out.zeta_hat

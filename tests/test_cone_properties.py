@@ -10,6 +10,7 @@ norm.  Near a second-order cone boundary the closed-form inverse Hessian
 x x^T - (gamma/2) diag(1, -1, ..., -1) is the reference instead, because a
 dense Cholesky factor of the ill-conditioned Hessian loses its accuracy there.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from conebarrier.cones import (
     barrier_factor,
     barrier_hessian,
     barrier_value,
+    dual_membership,
     interior_membership,
     local_norm_dual,
 )
@@ -131,6 +133,22 @@ def test_certificate_dual_norm_matches_local_norm_dual(cone, seed):
     s = rng.standard_normal(cone.total_dim)
     expected = local_norm_dual(barrier_factor(cone, x), s)
     assert dual_norm(cone, x, s) == pytest.approx(expected, rel=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(cone=CONES, seed=SEEDS, k=st.integers(-900, 900), tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_power_of_two_scaling_is_exact(cone, seed, k, tol):
+    # the barrier is logarithmically homogeneous and every block is read at its unit
+    # scale, so at 2^k x, with all entries normal, the results are rescaled bit for bit
+    rng, x = sample(cone, seed)
+    scaled_x = np.ldexp(x, k)
+    assert interior_membership(cone, scaled_x)
+    unit, scaled = barrier_factor(cone, x), barrier_factor(cone, scaled_x)
+    assert np.array_equal(scaled.gradient, np.ldexp(unit.gradient, -k))
+    v = rng.standard_normal(cone.total_dim)
+    assert np.array_equal(scaled.solve_lower(v), np.ldexp(unit.solve_lower(v), k))
+    s = rng.standard_normal(cone.total_dim)
+    assert dual_membership(cone, np.ldexp(s, k), math.ldexp(tol, k)) == dual_membership(cone, s, tol)
 
 
 @PROPERTY_SETTINGS

@@ -230,8 +230,13 @@ class TestMembership:
         assert not interior_membership(cone, x, margin=6e154)
 
     def test_far_outside_soc_rejected_without_warning(self):
-        # ||u||^2 overflows at x's own scale; RuntimeWarnings are errors here
-        assert not interior_membership(second_order(3), np.array([1.0, 1e200, 0.0]))
+        # ||u||^2 overflows at x's own scale, but the membership test and every barrier
+        # entry point read the block at its unit scale; RuntimeWarnings are errors here
+        x = np.array([1.0, 1e200, 0.0])
+        assert not interior_membership(second_order(3), x)
+        for entry_point in (barrier_value, barrier_factor, barrier_hessian):
+            with pytest.raises(BoundaryError):
+                entry_point(second_order(3), x)
 
     def test_dual_orthant(self):
         assert dual_membership(orthant(2), np.array([0.0, 3.0]), 0.0)

@@ -1,0 +1,80 @@
+"""Contract properties of capped CG and the Lanczos oracle on the solver's own operator.
+
+Each example draws a workspace as ``test_linops_properties.workspace`` does:
+one to four cone blocks, an interior point and m in {0, 1, 2, 3} Gaussian
+constraints.  It adds a random symmetric objective Hessian H_f.  The operator
+is the one ``solve`` hands the inner solvers, v -> ws.reduced_hessian_apply(
+H_f, mu, v), with a barrier damping mu for capped CG and with mu = 0 for the
+oracle; capped CG's right-hand side is g = ws.project(r) for a Gaussian r.
+Tolerances are those of the capped-CG ensemble in ``test_capped_cg.py``.
+"""
+import sys
+
+from hypothesis import assume, event, given
+from hypothesis import strategies as st
+
+import numpy as np
+
+from conebarrier.capped_cg import capped_cg, iteration_bound
+from conebarrier.lanczos import lanczos_iteration_cap, min_eig_oracle
+from conebarrier.vecnorm import norm2
+
+from test_capped_cg import random_symmetric
+from test_cone_properties import CONES, PROPERTY_SETTINGS, SEEDS
+from test_linops_properties import M_ROWS, workspace
+
+EPS = st.sampled_from([0.1, 0.01])
+SPECTRA = st.sampled_from(["indefinite", "definite", "negative_tail"])
+ZETA, DELTA = 0.5, 0.01  # the SolverParams defaults
+
+
+def reduced_operator(cone, seed, m, spectrum, mu):
+    """(rng, ws, v -> ws.reduced_hessian_apply(H_f, mu, v)) for a random symmetric H_f."""
+    rng, ws, _, _ = workspace(cone, seed, m)
+    n = cone.total_dim
+    if spectrum == "indefinite":
+        eigenvalues = 2.0 * rng.random(n) - 1.0
+    elif spectrum == "definite":
+        eigenvalues = 0.05 + rng.random(n)
+    else:
+        eigenvalues = np.concatenate(([-1.0 - rng.random()], rng.random(n - 1)))
+    h_obj = random_symmetric(n, rng, spectrum=eigenvalues)
+    return rng, ws, lambda v: ws.reduced_hessian_apply(lambda z: h_obj @ z, mu, v)
+
+
+@PROPERTY_SETTINGS
+@given(cone=CONES, seed=SEEDS, m=M_ROWS, spectrum=SPECTRA, eps=EPS,
+       mu=st.sampled_from([0.0, 1e-3, 0.1]))
+def test_capped_cg_contracts_on_the_reduced_operator(cone, seed, m, spectrum, eps, mu):
+    assume(m < cone.total_dim)
+    rng, ws, op = reduced_operator(cone, seed, m, spectrum, mu)
+    n = cone.total_dim
+    g = ws.project(rng.standard_normal(n))
+    out = capped_cg(op, g, eps, ZETA)
+    event(out.kind.value)
+    d = out.direction
+    d_sq, hd = float(d @ d), op(d)
+    quad = float(d @ hd)
+    if out.is_solution:
+        assert norm2(hd + 2 * eps * d + g) <= out.zeta_hat * norm2(g) * (1 + 1e-8)
+        assert quad >= -eps * d_sq * (1 + 1e-8)
+    else:
+        assert quad < -eps * d_sq * (1 - 1e-8)
+    # J, the cap that the residual-growth exit enforces in floating point; the exact-arithmetic
+    # min{n, J} is n here (J > 24 >= n), and a SOL run can take a few iterations more than n
+    assert out.iterations <= iteration_bound(out, sys.maxsize)
+
+
+@PROPERTY_SETTINGS
+@given(cone=CONES, seed=SEEDS, m=M_ROWS, spectrum=SPECTRA, eps=EPS)
+def test_oracle_contracts_on_the_reduced_operator(cone, seed, m, spectrum, eps):
+    assume(m < cone.total_dim)
+    rng, _, op = reduced_operator(cone, seed, m, spectrum, 0.0)
+    n = cone.total_dim
+    out = min_eig_oracle(op, n, eps, DELTA, rng)
+    event(out.kind)
+    if out.found_negative_curvature:
+        v = out.direction
+        assert abs(norm2(v) - 1.0) <= 1e-12
+        assert float(v @ op(v)) <= -eps / 2.0
+    assert out.iterations <= lanczos_iteration_cap(n, eps, DELTA)
