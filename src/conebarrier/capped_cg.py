@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import HardCapExceeded, ZeroDirection, ZeroGradient
-from .vecnorm import norm2
 
 
 class DirectionKind(str, Enum):
@@ -52,16 +51,6 @@ def _monitors(u: float, eps: float, zeta: float) -> tuple[float, float, float]:
     return zeta / (3.0 * kappa), tau, 4.0 * kappa**4 / (1.0 - math.sqrt(tau)) ** 2
 
 
-def iteration_bound(result: CappedCgResult, n: int) -> int:
-    """min{n, J} with J the smallest integer where sqrt(T) tau^{J/2} <= zeta_hat."""
-    ratio = np.sqrt(result.cap_t) / result.zeta_hat
-    if ratio <= 1.0:
-        j = 0
-    else:
-        j = int(np.ceil(2.0 * np.log(ratio) / np.log(1.0 / result.tau)))
-    return min(n, j)
-
-
 def capped_cg(
     matvec: Callable[[np.ndarray], np.ndarray],
     g: np.ndarray,
@@ -74,7 +63,7 @@ def capped_cg(
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    rr = float(g @ g)  # also p^T p for p = -g
+    rr = float(g.dot(g))  # also p^T p for p = -g
     g_norm = math.sqrt(rr)
     if g_norm == 0.0:
         raise ZeroGradient("capped CG requires a nonzero right-hand side")
@@ -82,10 +71,10 @@ def capped_cg(
 
     p = -g
     hp = matvec(p)
-    quad_p = float(p @ hp) + 2.0 * eps * rr
+    quad_p = float(p.dot(hp)) + 2.0 * eps * rr
     if quad_p < eps * rr:
         return CappedCgResult(DirectionKind.NC, p, 0, *_monitors(0.0, eps, zeta))
-    u = norm2(hp) / g_norm  # U starts at 0, and ||p|| = ||g||
+    u = math.sqrt(hp.dot(hp)) / g_norm  # U starts at 0, and ||p|| = ||g||
     zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
 
     y = np.zeros(n)
@@ -99,7 +88,7 @@ def capped_cg(
         y = y + alpha * p
         hy = hy + alpha * hp
         r_new = r + alpha * (hp + 2.0 * eps * p)
-        rr_new = float(r_new @ r_new)
+        rr_new = float(r_new.dot(r_new))
         beta = rr_new / rr
         hr = matvec(r_new)
         p = beta * p - r_new
@@ -114,21 +103,21 @@ def capped_cg(
         ys.append(y)
         hys.append(hy)
 
-        p_norm = norm2(p)
-        y_norm = norm2(y)
+        p_norm = math.sqrt(p.dot(p))
+        y_norm = math.sqrt(y.dot(y))
         r_norm = math.sqrt(rr)
         # refresh U from every product at hand, then its derived quantities once
         u_prev = u
         for hv, v_norm in ((hp, p_norm), (hy, y_norm), (hr, r_norm)):
             if v_norm > 0.0:
-                hv_norm = norm2(hv)
+                hv_norm = math.sqrt(hv.dot(hv))
                 if hv_norm > u * v_norm:
                     u = hv_norm / v_norm
         if u != u_prev:
             zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
 
-        quad_y = float(y @ hy) + 2.0 * eps * y_norm**2
-        quad_p = float(p @ hp) + 2.0 * eps * p_norm**2
+        quad_y = float(y.dot(hy)) + 2.0 * eps * y_norm**2
+        quad_p = float(p.dot(hp)) + 2.0 * eps * p_norm**2
         if quad_y < eps * y_norm**2:
             kind, direction = DirectionKind.NC, y
             break
@@ -160,15 +149,15 @@ def _backtrack_nc(
     # ys holds y^0 .. y^j; the search range is i in {0, ..., j-1}
     for i in range(len(ys) - 1):
         dy = y_next - ys[i]
-        dy_sq = float(dy @ dy)
-        quad = float(dy @ (hy_next - hys[i])) + 2.0 * eps * dy_sq
+        dy_sq = float(dy.dot(dy))
+        quad = float(dy.dot(hy_next - hys[i])) + 2.0 * eps * dy_sq
         if quad < eps * dy_sq:
             return dy
     # Recurrence-tracked products drifted; redo the scan with fresh matvecs.
     for i in range(len(ys) - 1):
         dy = y_next - ys[i]
-        dy_sq = float(dy @ dy)
-        quad = float(dy @ matvec(dy)) + 2.0 * eps * dy_sq
+        dy_sq = float(dy.dot(dy))
+        quad = float(dy.dot(matvec(dy))) + 2.0 * eps * dy_sq
         if quad < eps * dy_sq:
             return dy
     raise HardCapExceeded("residual-growth exit found no negative-curvature difference")
@@ -177,7 +166,7 @@ def _backtrack_nc(
 def nc_curvature(matvec: Callable[[np.ndarray], np.ndarray], d: np.ndarray) -> float:
     """Rayleigh quotient d^T H d / ||d||^2; one matvec."""
     d = np.asarray(d, dtype=float)
-    dd = float(d @ d)
+    dd = float(d.dot(d))
     if dd == 0.0:
         raise ZeroDirection("curvature of the zero direction is undefined")
-    return float(d @ matvec(d)) / dd
+    return float(d.dot(matvec(d))) / dd

@@ -64,7 +64,7 @@ class CertificateReport:
 def dual_norm(cone: Cone, x: np.ndarray, s: np.ndarray) -> float:
     """||s||_x* from the closed-form inverse barrier Hessian at an interior x; O(n)."""
     total = 0.0
-    for block, sl in cone.slices():
+    for block, sl in cone.slices:
         xb, sb = x[sl], s[sl]
         if block.kind == cones.ORTHANT:
             total += float(np.sum((xb * sb) ** 2))

@@ -7,13 +7,15 @@ second-order (Lorentz) cones.  Each block carries its canonical barrier:
 * second-order cone (t,u): B(t,u) = -ln(t^2 - ||u||^2),   parameter 2
 
 Values, gradients, Hessians and the barrier parameter are additive across
-blocks, and every barrier entry point walks the blocks through one
-strict-interiority check.  All local-norm computations go through the lower
-Cholesky factor L of the barrier Hessian, nabla^2 B(x) = L L^T, which is
-block diagonal.  The walk that builds it also yields the barrier gradient
-nabla B(x), so one pass per point gives both.  ``BarrierFactor`` stores the
-factor one block at a time, and this module is the only one that knows that
-format:
+blocks.  Every barrier entry point reads the blocks in one walk,
+``barrier_reads``, which is also the one strict-interiority check, and the
+reads can be handed on: the solver walks each point it evaluates once, for
+its barrier value, and builds the accepted point's factor from the same
+reads.  All local-norm computations go through the lower Cholesky factor L
+of the barrier Hessian, nabla^2 B(x) = L L^T, which is block diagonal; the
+reads that build it also yield the barrier gradient nabla B(x).
+``BarrierFactor`` stores the factor one block at a time, and this module is
+the only one that knows that format:
 
 * orthant block: the diagonal 1/x_b of L_b;
 * second-order cone block (t, u) with gap gamma = (t - ||u||)(t + ||u||):
@@ -22,7 +24,9 @@ format:
   L_b = (I + tril(w beta^T, -1)) diag(sqrt(dbar)), by the rank-one LDL^T
   update of Gill, Golub, Murray & Saunders (Math. Comp. 1974).  It is built
   from suffix sums of u_k^2 in O(d) and stored as four d-vectors; both
-  triangular solves are O(d) cumulative sums, and no d x d array is formed.
+  triangular solves are O(d) cumulative sums (``np.add.accumulate``, the
+  ufunc behind ``np.cumsum``, without its wrapper), and no d x d array is
+  formed.
   Each block is read once, at y = x_b / 2^e with its largest entry in
   [1/2, 1) (``_unit_scaled``).  Interiority is t - ||u|| > 0 at y, and the
   value, factor, gradient and Hessian are formed from y and its gap and
@@ -38,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -89,11 +92,14 @@ class Cone:
         """Barrier parameter of the product barrier (>= 1)."""
         return sum(b.barrier_parameter for b in self.blocks)
 
-    def slices(self) -> Iterator[tuple[ConeBlock, slice]]:
-        start = 0
+    @cached_property
+    def slices(self) -> tuple[tuple[ConeBlock, slice], ...]:
+        """(block, slice of x) per block, in block order; formed once per cone."""
+        out, start = [], 0
         for block in self.blocks:
-            yield block, slice(start, start + block.dim)
+            out.append((block, slice(start, start + block.dim)))
             start += block.dim
+        return tuple(out)
 
     def describe(self) -> list[dict]:
         """JSON-ready block list, the wire format used in problem files."""
@@ -133,7 +139,7 @@ def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     results are bit-equal to an evaluation at x itself.  For an interior
     block the largest entry is t.
     """
-    e = math.frexp(np.abs(v).max())[1]
+    e = math.frexp(np.maximum.reduce(np.abs(v)))[1]
     return np.ldexp(v, -e), e
 
 
@@ -155,7 +161,7 @@ def interior_membership(cone: Cone, x: np.ndarray, margin: float = 0.0) -> bool:
     far outside the cone is rejected without a warning.
     """
     x = _check_dim(cone, x)
-    for block, sl in cone.slices():
+    for block, sl in cone.slices:
         xb = x[sl]
         if block.kind == ORTHANT:
             if not np.all(xb > margin):
@@ -172,54 +178,64 @@ def dual_membership(cone: Cone, s: np.ndarray, tol: float = 0.0) -> bool:
 
     An SOC block is compared at s_b / 2^e and tol / 2^e (``_unit_scaled``),
     where u^T u cannot overflow or vanish; power-of-two scaling is exact.
+    A tol / 2^e that overflows exceeds ||u|| - t at y, so the block lies
+    within tol.
     """
     s = _check_dim(cone, s)
-    for block, sl in cone.slices():
+    for block, sl in cone.slices:
         sb = s[sl]
         if block.kind == ORTHANT:
             if np.any(sb < -tol):
                 return False
         else:
             y, e = _unit_scaled(sb)
-            if y[0] + math.ldexp(tol, -e) < norm2(y[1:]):
+            try:
+                tol_y = math.ldexp(tol, -e)
+            except OverflowError:
+                continue
+            if y[0] + tol_y < norm2(y[1:]):
                 return False
     return True
 
 
-def _interior_blocks(
-    cone: Cone, x: np.ndarray
-) -> Iterator[tuple[ConeBlock, slice, np.ndarray | tuple[np.ndarray, int, float]]]:
-    """(block, slice, b) per block of a dimension-checked x.
+def barrier_reads(cone: Cone, x: np.ndarray) -> list[np.ndarray | tuple[np.ndarray, int, float]]:
+    """One read per block of a dimension-checked x: the walk behind every barrier entry point.
 
-    b is x_b for an orthant block and (y, e, gap) of ``_soc_read`` for an SOC
-    block, which is read once here.  The one strict-interiority check behind
-    every barrier entry point: raises BoundaryError at the first block that x
-    does not lie inside.  An SOC block is inside iff t - ||u|| > 0 at y.
+    A read is x_b for an orthant block and (y, e, gap) of ``_soc_read`` for an
+    SOC block.  This is the one strict-interiority check: it raises
+    BoundaryError at the first block that x does not lie inside.  An SOC
+    block is inside iff t - ||u|| > 0 at y.  The solver walks each point it
+    evaluates once, for its barrier value, and hands the accepted point's
+    reads to ``barrier_factor``.
     """
-    for block, sl in cone.slices():
+    reads = []
+    for block, sl in cone.slices:
         xb = x[sl]
         if block.kind == ORTHANT:
-            if (xb <= 0.0).any():
+            if np.count_nonzero(xb <= 0.0):
                 raise BoundaryError("orthant component not strictly positive")
-            yield block, sl, xb
+            reads.append(xb)
             continue
         y, e, slack, gap = _soc_read(xb)
         if not slack > 0.0:
             raise BoundaryError("point not interior to second-order cone block")
-        yield block, sl, (y, e, gap)
+        reads.append((y, e, gap))
+    return reads
 
 
-def barrier_value(cone: Cone, x: np.ndarray) -> float:
-    """B(x), summed over the blocks.
+def barrier_value(cone: Cone, x: np.ndarray, reads: list | None = None) -> float:
+    """B(x), summed over the blocks, from ``barrier_reads(cone, x)``, taken here when not given.
 
     A second-order cone block takes the log of its gap at x, 4^e gap(y),
     where that is a normal float, and log(gap(y)) + 2e ln 2 elsewhere, so the
     value stays finite at every scale the factor handles.
     """
+    if reads is None:
+        reads = barrier_reads(cone, _check_dim(cone, x))
     total = 0.0
-    for block, _, b in _interior_blocks(cone, _check_dim(cone, x)):
+    for (block, _), b in zip(cone.slices, reads):
         if block.kind == ORTHANT:
-            total -= float(np.log(b).sum())
+            total -= float(np.add.reduce(np.log(b)))
             continue
         _, e, gap = b
         if -1021 <= math.frexp(gap)[1] + 2 * e <= 1024:  # 4^e gap(y) >= 2^-1022 and finite
@@ -246,7 +262,7 @@ def barrier_hessian(cone: Cone, x: np.ndarray) -> np.ndarray:
     hess = np.zeros((n, n))
     # gap(y) > 2^-56 at an interior y, so only the rescaling to x's scale can overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for block, sl, b in _interior_blocks(cone, _check_dim(cone, x)):
+        for (block, sl), b in zip(cone.slices, barrier_reads(cone, _check_dim(cone, x))):
             hess[sl, sl] = np.diag(1.0 / b**2) if block.kind == ORTHANT else _soc_hessian(*b)
     if not np.isfinite(hess).all():
         raise FactorizationError("barrier Hessian is not finite (point at an extreme scale)")
@@ -294,52 +310,63 @@ def _soc_factor(y: np.ndarray, e: int, gap: float) -> tuple[SocFactor, np.ndarra
     dbar_j = D_j ia_{j+1} / ia_j.
     """
     d = y.shape[0]
-    w = y.copy()
-    w[1:] *= -1.0
-    diag = np.full(d, 2.0 / gap)
-    diag[0] = -diag[0]
-    tail = np.zeros(d)  # tail[j - 1] = sum_{k>=j} u_k^2 for j = 1..d
-    tail[:-1] = np.cumsum(y[:0:-1] ** 2)[::-1]
+    w = -y
+    w[0] = y[0]
+    c = 2.0 / gap  # D = c diag(-1, 1, ..., 1); the sign of D_0 is applied after each product
     ia = np.empty(d + 1)
     ia[0] = gap * gap / 4.0
-    ia[1:] = -(gap / 4.0) * (gap + 2.0 * tail)
+    ia[d] = 0.0
+    # ia[j] = sum_{k>=j} u_k^2 for j = 1..d-1, accumulated from the end, then
+    # -(gap/4)(gap + 2 ia[j]) in place
+    np.add.accumulate(y[:0:-1] ** 2, out=ia[-2:0:-1])
+    tail = ia[1:]
+    tail *= 2.0
+    tail += gap
+    tail *= -(gap / 4.0)
+    head = ia[:-1]
+    dbar = c * tail
+    dbar /= head
+    dbar[0] = -dbar[0]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        root = np.ldexp(np.sqrt(diag * ia[1:] / ia[:-1]), -e)
+        root = np.ldexp(np.sqrt(dbar), -e)
         gradient = np.ldexp(-2.0 * w / gap, -e)
-    # |w_i| <= t, so the gradient's largest entry is its first
-    if not ((np.isfinite(root) & (root > 0.0)).all() and math.isfinite(gradient[0])):
+    # |w_i| <= t, so the gradient's largest entry is its first; a NaN root fails the comparison
+    if not (0.0 < np.minimum.reduce(root) and np.maximum.reduce(root) < math.inf
+            and math.isfinite(gradient[0])):
         raise FactorizationError(
             "second-order cone barrier Hessian has a non-finite or non-positive pivot "
             "(point at an extreme scale)"
         )
-    return SocFactor(root=root, w=w, p=w / diag, q=w / ia[:-1], exponent=e), gradient
+    p = w / c
+    p[0] = -p[0]
+    return SocFactor(root=root, w=w, p=p, q=w / head, exponent=e), gradient
 
 
-def _exclusive_cumsum(terms: np.ndarray, reverse: bool) -> np.ndarray:
-    """sum_{j<i} terms_j (sum_{j>i} when reverse) along axis 0, as a shifted cumsum.
+def _block_solve(f: np.ndarray | SocFactor, v: np.ndarray, lower: bool) -> np.ndarray:
+    """L_b^{-1} v (lower) or L_b^{-T} v (upper) for one block factor f and a vector or d x m v.
 
-    ``np.add.accumulate`` is the ufunc behind ``np.cumsum``, without its
-    dispatch overhead, which dominates at the block sizes solved here.
+    The SOC sums are exclusive prefix (suffix) sums along axis 0, accumulated
+    straight into the result's shifted rows.
     """
-    if reverse:
-        terms = terms[::-1]
-    out = np.add.accumulate(terms, axis=0)
-    out[1:] = out[:-1]
-    out[0] = 0.0
-    return out[::-1] if reverse else out
-
-
-def _block_solve(kind: str, f: np.ndarray | SocFactor, v: np.ndarray, lower: bool) -> np.ndarray:
-    """L_b^{-1} v (lower) or L_b^{-T} v (upper) for one block factor f."""
-    if kind == ORTHANT:  # L_b = diag(f), so both solves are one division
+    if type(f) is np.ndarray:  # an orthant block, L_b = diag(f): both solves are one division
         return v / f if v.ndim == 1 else v / f[:, None]
     root, p, q = f.root, f.p, f.q
     if v.ndim == 2:
         root, p, q = root[:, None], p[:, None], q[:, None]
-    if lower:  # z_i = v_i - q_i sum_{j<i} p_j v_j, then divide by root
-        return (v - q * _exclusive_cumsum(p * v, reverse=False)) / root
-    y = v / root  # then y_j - p_j sum_{i>j} q_i y_i
-    return y - p * _exclusive_cumsum(q * y, reverse=True)
+    out = np.empty_like(v, dtype=float)
+    if lower:  # z_i = (v_i - q_i sum_{j<i} p_j v_j) / root_i
+        out[0] = 0.0
+        np.add.accumulate(p[:-1] * v[:-1], axis=0, out=out[1:])
+        out *= q
+        np.subtract(v, out, out=out)
+        out /= root
+        return out
+    y = v / root  # then z_j = y_j - p_j sum_{i>j} q_i y_i
+    out[-1] = 0.0
+    np.add.accumulate(q[:0:-1] * y[:0:-1], axis=0, out=out[-2::-1])
+    out *= p
+    np.subtract(y, out, out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -366,38 +393,43 @@ class BarrierFactor:
     def lower(self) -> np.ndarray:
         """Dense L with L L^T = nabla^2 B(point), assembled on each access."""
         lower = np.zeros((self.dim, self.dim))
-        for (block, sl), f in zip(self.cone.slices(), self.blocks):
+        for (block, sl), f in zip(self.cone.slices, self.blocks):
             lower[sl, sl] = np.diag(f) if block.kind == ORTHANT else f.dense
         return lower
 
-    def _solve(self, v: np.ndarray, lower: bool) -> np.ndarray:
-        if len(self.blocks) == 1:
-            f = self.blocks[0]
-            if v.ndim == 1 and type(f) is np.ndarray:  # one orthant block: L = diag(f)
-                return v / f
-            return _block_solve(self.cone.blocks[0].kind, f, v, lower)
+    def _blockwise(self, v: np.ndarray, lower: bool) -> np.ndarray:
         out = np.empty_like(v, dtype=float)
-        for (block, sl), f in zip(self.cone.slices(), self.blocks):
-            out[sl] = _block_solve(block.kind, f, v[sl], lower)
+        for (_, sl), f in zip(self.cone.slices, self.blocks):
+            out[sl] = _block_solve(f, v[sl], lower)
         return out
 
     def solve_lower(self, v: np.ndarray) -> np.ndarray:
         """L^{-1} v for a vector or an n x m matrix; forward substitution."""
-        return self._solve(v, lower=True)
+        if len(self.blocks) == 1:
+            return _block_solve(self.blocks[0], v, True)
+        return self._blockwise(v, True)
 
     def solve_upper(self, v: np.ndarray) -> np.ndarray:
         """L^{-T} v for a vector or an n x m matrix; backward substitution."""
-        return self._solve(v, lower=False)
+        if len(self.blocks) == 1:
+            return _block_solve(self.blocks[0], v, False)
+        return self._blockwise(v, False)
 
 
-def barrier_factor(cone: Cone, x: np.ndarray, counters: OpCounters | None = None) -> BarrierFactor:
-    """Factor the barrier Hessian at an interior point, with the gradient from the same walk.
+def barrier_factor(
+    cone: Cone, x: np.ndarray, counters: OpCounters | None = None, reads: list | None = None
+) -> BarrierFactor:
+    """Factor the barrier Hessian at an interior point, with the gradient from the same reads.
 
-    Counts one Cholesky.
+    ``reads`` is ``barrier_reads(cone, x)`` when the caller has walked x
+    already, as the solver's line search has at the point it accepts; without
+    it x is walked here.  Counts one Cholesky.
     """
-    x = _check_dim(cone, x)
+    if reads is None:
+        x = _check_dim(cone, x)
+        reads = barrier_reads(cone, x)
     blocks, gradient = [], np.empty_like(x)
-    for block, sl, b in _interior_blocks(cone, x):
+    for (block, sl), b in zip(cone.slices, reads):
         if block.kind == ORTHANT:
             f = 1.0 / b
             gradient[sl] = -f

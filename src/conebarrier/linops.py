@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .cones import BarrierFactor
-from .counters import OpCounters, bump
+from .counters import OpCounters
 from .errors import FactorizationError
 
 _SINGULAR_SCHUR = "Schur complement numerically singular; A may be rank-deficient"
@@ -89,7 +89,8 @@ def empty_affine(n: int) -> AffineData:
 class IterationWorkspace:
     """Per-iterate cache: barrier factor, scaled constraints, Schur factor.
 
-    Immutable after construction.
+    Immutable after construction.  Without ``counters`` the workspace counts
+    into a private ``OpCounters``.
     """
 
     def __init__(
@@ -98,27 +99,27 @@ class IterationWorkspace:
         factor: BarrierFactor,
         counters: OpCounters | None = None,
     ) -> None:
-        n = factor.dim
-        if affine.n != n:
+        m, n = affine.A.shape
+        if factor.point.shape[0] != n:
             raise ValueError("affine data and barrier factor disagree on dimension")
         self.affine = affine
         self.factor = factor
-        self.counters = counters
-        self.m = m = affine.m
+        self.counters = counters = OpCounters() if counters is None else counters
+        self.m = m
         # tri_solve count of one projection; each composed op bumps once, this included
         self._project_cost = 2 if m else 0
         if m > 0:
             self.scaled_AT = factor.solve_lower(affine.A.T)
-            bump(counters, "tri_solve", m)
-            schur = self.scaled_AT.T @ self.scaled_AT
-            bump(counters, "matT_mat")
+            counters.add("tri_solve", m)
+            schur = self.scaled_AT.T.dot(self.scaled_AT)
+            counters.add("matT_mat")
             if m == 1:
                 # a scalar factor; not (s > 0) also rejects NaN, as LAPACK potrf does
                 s = float(schur[0, 0])
                 if not s > 0.0:
                     raise FactorizationError(_SINGULAR_SCHUR)
                 c00 = math.sqrt(s)
-                self.schur_lower = np.full((1, 1), c00)
+                self.schur_lower = np.array([[c00]])
                 self._a, self._schur_sq = self.scaled_AT[:, 0], c00**2
             else:
                 try:
@@ -126,9 +127,10 @@ class IterationWorkspace:
                     c_inv = np.linalg.inv(self.schur_lower)
                 except np.linalg.LinAlgError as exc:
                     raise FactorizationError(_SINGULAR_SCHUR) from exc
-                # (N^T N)^{-1} overflows where the Schur complement is (nearly) subnormal
+                # (N^T N)^{-1} = C^{-T} C^{-1}, so each pair of Schur solves is one product
+                # with it; it overflows where the Schur complement is (nearly) subnormal
                 with np.errstate(over="ignore", invalid="ignore"):
-                    self._schur_inv = c_inv.T @ c_inv
+                    self._schur_inv = c_inv.T.dot(c_inv)
                 if not np.isfinite(self._schur_inv).all():
                     raise FactorizationError(_SINGULAR_SCHUR)
         else:
@@ -139,29 +141,28 @@ class IterationWorkspace:
     def point(self) -> np.ndarray:
         return self.factor.point
 
-    def _schur_solve(self, w: np.ndarray) -> np.ndarray:
-        """(N^T N)^{-1} w = C^{-T} C^{-1} w; two triangular solves, counted by the caller."""
-        if self.m == 1:
-            return w / self._schur_sq
-        return self._schur_inv @ w
-
     def _project(self, v: np.ndarray) -> np.ndarray:
-        """project(v) without the count or the m = 0 copy; v itself when m = 0."""
-        if self.m == 1:  # N N^T v / c00^2 with the column a of N
+        """project(v) without the count or the m = 0 copy; v itself when m = 0.
+
+        N (N^T N)^{-1} N^T v is a division by c00^2 when m = 1, with the column
+        a of N, and a product with the Schur inverse otherwise.
+        """
+        if self.m == 1:
             a = self._a
-            return v - a * ((a @ v) / self._schur_sq)
+            return v - a * (a.dot(v) / self._schur_sq)
         if self.m == 0:
             return v
-        return v - self.scaled_AT @ self._schur_solve(self.scaled_AT.T @ v)
+        n_mat = self.scaled_AT
+        return v - n_mat.dot(self._schur_inv.dot(n_mat.T.dot(v)))
 
     def unscale(self, v: np.ndarray) -> np.ndarray:
         """M v = L^{-T} v; one backward substitution."""
-        bump(self.counters, "tri_solve")
+        self.counters.add("tri_solve")
         return self.factor.solve_upper(v)
 
     def scale_dual(self, v: np.ndarray) -> np.ndarray:
         """M^T v = L^{-1} v; one forward substitution."""
-        bump(self.counters, "tri_solve")
+        self.counters.add("tri_solve")
         return self.factor.solve_lower(v)
 
     def project(self, v: np.ndarray) -> np.ndarray:
@@ -171,7 +172,7 @@ class IterationWorkspace:
         """
         if self.m == 0:
             return np.array(v, dtype=float, copy=True)
-        bump(self.counters, "tri_solve", 2)
+        self.counters.add("tri_solve", 2)
         return self._project(v)
 
     def null_step(self, v: np.ndarray) -> np.ndarray:
@@ -179,12 +180,12 @@ class IterationWorkspace:
 
         Three triangular solves (one when m = 0).
         """
-        bump(self.counters, "tri_solve", 1 + self._project_cost)
+        self.counters.add("tri_solve", 1 + self._project_cost)
         return self.factor.solve_upper(self._project(v))
 
     def null_step_t(self, v: np.ndarray) -> np.ndarray:
         """Transpose map project(scale_dual(v)); three triangular solves (one when m = 0)."""
-        bump(self.counters, "tri_solve", 1 + self._project_cost)
+        self.counters.add("tri_solve", 1 + self._project_cost)
         return self._project(self.factor.solve_lower(v))
 
     def multipliers(self, v: np.ndarray) -> np.ndarray:
@@ -195,8 +196,9 @@ class IterationWorkspace:
         """
         if self.m == 0:
             return np.zeros(0)
-        bump(self.counters, "tri_solve", 3)
-        return -self._schur_solve(self.scaled_AT.T @ self.factor.solve_lower(v))
+        self.counters.add("tri_solve", 3)
+        w = self.scaled_AT.T.dot(self.factor.solve_lower(v))
+        return -(w / self._schur_sq if self.m == 1 else self._schur_inv.dot(w))
 
     def reduced_hessian_apply(
         self,
@@ -210,7 +212,7 @@ class IterationWorkspace:
         costing one call of ``hess_vec`` and six triangular solves (two of size
         n, four of size m; two in all when m = 0); only the solves are counted here.
         """
-        bump(self.counters, "tri_solve", 2 + 2 * self._project_cost)
+        self.counters.add("tri_solve", 2 + 2 * self._project_cost)
         factor = self.factor
         v1 = self._project(v)
         v4 = factor.solve_lower(hess_vec(factor.solve_upper(v1)))

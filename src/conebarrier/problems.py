@@ -74,13 +74,13 @@ class ConicProblem:
 
     def hess_vec_at(self, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """The product v -> (Hessian of f at x) v; a dense Hessian is formed and
-        shape-checked once here."""
+        shape-checked once here, and its product is the array's own ``dot``."""
         if self.hess_vec_fn is not None:
             return lambda v: self.hess_vec_fn(x, v)
-        hess, n = self.hessian(x), self.n
-        if np.shape(hess) != (n, n):
-            raise CallbackError(f"hessian callback returned shape {np.shape(hess)}, expected ({n}, {n})")
-        return lambda v: hess @ v
+        hess, n = np.asarray(self.hessian(x), dtype=float), self.n
+        if hess.shape != (n, n):
+            raise CallbackError(f"hessian callback returned shape {hess.shape}, expected ({n}, {n})")
+        return hess.dot
 
 
 def _simplex_affine(n: int) -> AffineData:
@@ -129,7 +129,7 @@ def builtin(name: str, n: int, **params) -> ConicProblem:
             name=name,
             cone=cones.orthant(n),
             affine=_simplex_affine(n),
-            value=lambda x: -0.5 * float(x @ x),
+            value=lambda x: -0.5 * float(x.dot(x)),
             gradient=lambda x: -x,
             hessian=lambda x: -np.eye(n),
             x0=np.full(n, 1.0 / n),
@@ -234,8 +234,8 @@ def _quadratic_problem(
         name=name,
         cone=cone,
         affine=affine,
-        value=lambda x: 0.5 * float(x @ q_mat @ x) + float(c @ x),
-        gradient=lambda x: q_mat @ x + c,
+        value=lambda x: 0.5 * float(x.dot(q_mat).dot(x)) + float(c.dot(x)),
+        gradient=lambda x: q_mat.dot(x) + c,
         hessian=lambda x: q_mat,
         x0=np.asarray(x0, dtype=float),
         serial=serial,

@@ -21,13 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import certify as certify_mod
 from .capped_cg import DirectionKind, capped_cg, nc_curvature
-from .cones import barrier_factor, barrier_value, interior_membership, local_norm_dual
+from .cones import barrier_factor, barrier_reads, barrier_value, interior_membership, local_norm_dual
 from .counters import OpCounters, bump
 from .errors import (
     CallbackError,
@@ -112,44 +113,42 @@ def mu_from_epsilon(eps: float, beta: float, theta_barrier: float) -> float:
 
 
 def phi_value(problem: ConicProblem, x: np.ndarray, mu: float,
-              counters: OpCounters | None = None) -> float:
-    """f(x) + mu B(x); a NaN f raises CallbackError, while +inf is a value to backtrack from."""
+              counters: OpCounters | None = None) -> tuple[float, list]:
+    """(f(x) + mu B(x), the cone reads of x); x is walked once, and its reads can build its factor.
+
+    A NaN f raises CallbackError, while +inf is a value to backtrack from.
+    """
     bump(counters, "fun_eval")
     value = problem.value(x)
     if math.isnan(value):
         raise CallbackError("objective value callback returned NaN")
-    return value + mu * barrier_value(problem.cone, x)
+    cone = problem.cone
+    reads = barrier_reads(cone, x)
+    return value + mu * barrier_value(cone, x, reads), reads
 
 
-def _gradient(problem: ConicProblem, x: np.ndarray, counters: OpCounters) -> np.ndarray:
-    """grad f(x), checked and counted as one grad_eval."""
-    out = _checked_vector("gradient", problem.gradient(x), x.shape[0])
-    bump(counters, "grad_eval")
-    return out
+def _checked_callback(
+    name: str, fn: Callable[[np.ndarray], np.ndarray], n: int, counters: OpCounters, category: str
+) -> Callable[[np.ndarray], np.ndarray]:
+    """fn with each output checked to be n finite floats and counted as one ``category``."""
 
+    def checked(arg: np.ndarray) -> np.ndarray:
+        out = np.asarray(fn(arg), dtype=float)
+        if out.shape != (n,):
+            raise CallbackError(f"{name} callback returned shape {out.shape}, expected ({n},)")
+        if np.count_nonzero(np.isfinite(out)) < n:
+            raise CallbackError(f"{name} callback returned a non-finite entry")
+        counters.add(category)
+        return out
 
-def _checked_vector(name: str, out: np.ndarray, n: int) -> np.ndarray:
-    """A callback's output, once it is known to be n finite floats."""
-    out = np.asarray(out, dtype=float)
-    if out.shape != (n,):
-        raise CallbackError(f"{name} callback returned shape {out.shape}, expected ({n},)")
-    if not np.isfinite(out).all():
-        raise CallbackError(f"{name} callback returned a non-finite entry")
-    return out
+    return checked
 
 
 def _hessian_operator(
     problem: ConicProblem, x: np.ndarray, counters: OpCounters
 ) -> Callable[[np.ndarray], np.ndarray]:
     """v -> (Hessian of f at x) v, each product checked and counted as one hess_vec."""
-    hess_vec, n = problem.hess_vec_at(x), x.shape[0]
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        out = _checked_vector("hess_vec", hess_vec(v), n)
-        bump(counters, "hess_vec")
-        return out
-
-    return apply
+    return _checked_callback("hess_vec", problem.hess_vec_at(x), x.shape[0], counters, "hess_vec")
 
 
 def first_order_gate(
@@ -175,7 +174,7 @@ def first_order_gate(
     multiplier lambda2 with the barrier gradient at the previous point: one
     forward substitution.
     """
-    vec2 = grad_f + (ws.affine.A.T @ lambda2 if ws.m else 0.0) + mu * grad_b_prev
+    vec2 = grad_f + (ws.affine.A.T.dot(lambda2) if ws.m else 0.0) + mu * grad_b_prev
     r1 = norm2(g)
     r2 = local_norm_dual(ws.factor, vec2, counters)
     if r1 <= r2:
@@ -196,7 +195,7 @@ def _beta_over(qnorm: float, beta: float) -> float:
 # step at beta, and a curvature step takes the sign that makes g^T d <= 0.
 
 def _sol_scale(d_hat: np.ndarray, qnorm: float, beta: float) -> float:
-    if not d_hat.any():
+    if not np.count_nonzero(d_hat):
         raise ZeroDirection("cannot scale a zero direction")
     return min(1.0, _beta_over(qnorm, beta))
 
@@ -208,7 +207,7 @@ def _curvature_scale(d_hat: np.ndarray, qnorm: float, rate: float, g: np.ndarray
     its Rayleigh quotient's magnitude over ||d_hat||.
     """
     factor = min(rate, _beta_over(qnorm, beta))
-    return -factor if float(g @ d_hat) >= 0.0 else factor
+    return -factor if g.dot(d_hat) >= 0.0 else factor
 
 
 def _backtrack(
@@ -221,17 +220,20 @@ def _backtrack(
     counters: OpCounters | None,
     step: np.ndarray,
     phi0: float,
-) -> tuple[float, np.ndarray, float]:
-    """Backtrack from phi0 along ``step`` = null_step(d); ``decrease`` multiplies theta^{2j}."""
-    if not d.any():
+) -> tuple[float, np.ndarray, float, list]:
+    """Backtrack from phi0 along ``step`` = null_step(d); ``decrease`` multiplies theta^{2j}.
+
+    Returns (t, x_trial, phi_trial, reads of x_trial) at the first trial with enough decrease.
+    """
+    if not np.count_nonzero(d):
         raise ZeroDirection("line search requires a nonzero direction")
     x = ws.point
     for j in range(params.max_backtracks + 1):
         t = params.theta**j
         x_trial = x + t * step
-        phi_trial = phi_value(problem, x_trial, mu, counters)
+        phi_trial, reads = phi_value(problem, x_trial, mu, counters)
         if phi_trial < phi0 - decrease * t * t:
-            return t, x_trial, phi_trial
+            return t, x_trial, phi_trial, reads
     raise LineSearchFailure(
         f"no sufficient decrease within {params.max_backtracks} backtracking steps"
     )
@@ -247,9 +249,9 @@ def line_search_sol(
     *,
     step: np.ndarray,
     phi0: float,
-) -> tuple[float, np.ndarray, float]:
+) -> tuple[float, np.ndarray, float, list]:
     """Quadratic decrease target eta sqrt(eps) theta^{2j} ||d||^2."""
-    decrease = params.eta * math.sqrt(params.epsilon) * float(d @ d)
+    decrease = params.eta * math.sqrt(params.epsilon) * float(d.dot(d))
     return _backtrack(problem, ws, mu, d, decrease, params, counters, step, phi0)
 
 
@@ -263,7 +265,7 @@ def line_search_nc(
     *,
     step: np.ndarray,
     phi0: float,
-) -> tuple[float, np.ndarray, float]:
+) -> tuple[float, np.ndarray, float, list]:
     """Cubic decrease target eta theta^{2j} ||d||^3 / 2."""
     decrease = params.eta * norm2(d) ** 3 / 2.0
     return _backtrack(problem, ws, mu, d, decrease, params, counters, step, phi0)
@@ -290,9 +292,10 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     sqrt_eps = math.sqrt(eps)
     rng = np.random.default_rng(params.seed)
 
+    gradient = _checked_callback("gradient", problem.gradient, n, counters, "grad_eval")
     x = x0.copy()
-    ws = IterationWorkspace(affine, barrier_factor(cone, x, counters), counters)
-    phi = phi_value(problem, x, mu, counters)
+    phi, reads = phi_value(problem, x, mu, counters)
+    ws = IterationWorkspace(affine, barrier_factor(cone, x, counters, reads), counters)
     lambda2, grad_b_prev = np.zeros(m), ws.factor.gradient
 
     def finish(status, k, lam, record=None, oracle=None):
@@ -317,7 +320,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         )
 
     for k in range(params.max_outer_iters):
-        grad_f = _gradient(problem, x, counters)
+        grad_f = gradient(x)
         grad_b = ws.factor.gradient
         gphi = grad_f + mu * grad_b
         g = ws.null_step_t(gphi)
@@ -328,10 +331,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         # each branch yields d_hat, its projection q and the multiplier c of d = c d_hat
         if not triggered:
             hess_vec = _hessian_operator(problem, x, counters)
-
-            def phi_hessian_op(v):
-                return ws.reduced_hessian_apply(hess_vec, mu, v)
-
+            phi_hessian_op = partial(ws.reduced_hessian_apply, hess_vec, mu)
             cg_out = capped_cg(phi_hessian_op, g, sqrt_eps, params.zeta)
             d_hat = cg_out.direction
             q = ws.project(d_hat)
@@ -348,8 +348,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             if not params.fosp_only:
                 hess_vec = _hessian_operator(problem, x, counters)
                 oracle = min_eig_oracle(
-                    lambda v: ws.reduced_hessian_apply(hess_vec, 0.0, v),
-                    n, sqrt_eps, params.delta, rng,
+                    partial(ws.reduced_hessian_apply, hess_vec, 0.0), n, sqrt_eps, params.delta, rng
                 )
             cg_iters, lanczos_iters = 0, (0 if oracle is None else oracle.iterations)
             if oracle is None or not oracle.found_negative_curvature:
@@ -369,7 +368,9 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         step = ws.unscale(q) if c == 1.0 else ws.null_step(d)
         record = IterationRecord(k, phi, res_min, branch, 0.0, norm2(d), cg_iters, lanczos_iters)
         try:
-            record.alpha, x, phi = searcher(problem, ws, mu, d, params, counters, step=step, phi0=phi)
+            record.alpha, x, phi, reads = searcher(
+                problem, ws, mu, d, params, counters, step=step, phi0=phi
+            )
         except LineSearchFailure:
             return finish(SolveStatus.LINE_SEARCH_FAILURE, k, ws.multipliers(gphi), record)
         trace.add(record)
@@ -380,15 +381,16 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             lambda2 = ws.multipliers(hess_vec(step) + gphi)
         grad_b_prev = grad_b
         if m:
-            drift = float(np.abs(affine.A @ x - affine.b).max())
+            drift = float(np.maximum.reduce(np.abs(affine.A.dot(x) - affine.b)))
             if drift > FEAS_TOL * b_scale / 10.0:
-                x = _reproject(affine, cone, x)
-        ws = IterationWorkspace(affine, barrier_factor(cone, x, counters), counters)
+                x, reads = _reproject(affine, cone, x), None
+        # the accepted point's reads from the line search, so it is not walked again
+        ws = IterationWorkspace(affine, barrier_factor(cone, x, counters, reads), counters)
 
     # lambda1 at x_final itself, from its workspace and one more gradient
     lambda1 = np.zeros(0)
     if m:
-        lambda1 = ws.multipliers(_gradient(problem, x, counters) + mu * ws.factor.gradient)
+        lambda1 = ws.multipliers(gradient(x) + mu * ws.factor.gradient)
     return finish(SolveStatus.MAX_ITERS_EXCEEDED, params.max_outer_iters, lambda1)
 
 

@@ -3,7 +3,10 @@
 For a 1-D float vector ``np.linalg.norm(v)`` flattens ``v`` in memory order
 and returns ``sqrt(v.dot(v))``.  ``norm2`` makes exactly those two calls and
 skips the wrapper's argument handling, so its result is bit-equal to numpy's.
-The solver, capped CG and the cone layer take several norms per iteration.
+The solver and the cone layer take several norms per iteration.  For a
+contiguous vector the flattening is a view, so ``math.sqrt(v.dot(v))`` is the
+same float; capped CG, whose vectors are all arrays it forms itself, takes its
+norms in that form and saves one call per norm in its inner loop.
 """
 from __future__ import annotations
 

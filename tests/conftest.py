@@ -20,7 +20,7 @@ CONE_FAMILIES = [
 def random_interior_point(cone: Cone, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Strictly interior sample with a healthy margin in every block."""
     x = np.empty(cone.total_dim)
-    for block, sl in cone.slices():
+    for block, sl in cone.slices:
         if block.kind == ORTHANT:
             x[sl] = scale * np.exp(0.5 * rng.standard_normal(block.dim))
         else:
@@ -46,6 +46,16 @@ def scaled_residuals(problem, x: np.ndarray, lam: np.ndarray, weights: np.ndarra
     """
     s = problem.gradient(x) + problem.affine.A.T @ lam
     return dual_norm(problem.cone, x, s), dual_norm(problem.cone, x / weights, weights * s)
+
+
+def iteration_bound(result, n: int) -> int:
+    """min{n, J} for a capped-CG result, J the smallest integer with sqrt(T) tau^{J/2} <= zeta_hat."""
+    ratio = np.sqrt(result.cap_t) / result.zeta_hat
+    if ratio <= 1.0:
+        j = 0
+    else:
+        j = int(np.ceil(2.0 * np.log(ratio) / np.log(1.0 / result.tau)))
+    return min(n, j)
 
 
 def dense_operators(A: np.ndarray, lower: np.ndarray):

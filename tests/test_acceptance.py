@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from conebarrier.capped_cg import DirectionKind, capped_cg, iteration_bound
+from conebarrier.capped_cg import DirectionKind, capped_cg
 from conebarrier.certify import check_fosp, reduced_min_eig
 from conebarrier.cli import fit_loglog_slope
 from conebarrier.cones import (
@@ -39,7 +39,13 @@ from conebarrier.linops import AffineData, IterationWorkspace
 from conebarrier.problems import ConicProblem, builtin
 from conebarrier.solver import SolverParams, SolveStatus, solve
 
-from conftest import dense_operators, primal_local_norm, random_interior_point, scaled_residuals
+from conftest import (
+    dense_operators,
+    iteration_bound,
+    primal_local_norm,
+    random_interior_point,
+    scaled_residuals,
+)
 
 
 def criterion(num, label, budget=None):

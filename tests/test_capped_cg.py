@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from conebarrier.capped_cg import (
-    DirectionKind,
-    capped_cg,
-    iteration_bound,
-    nc_curvature,
-)
+from conebarrier.capped_cg import DirectionKind, capped_cg, nc_curvature
 from conebarrier.errors import ZeroDirection, ZeroGradient
+
+from conftest import iteration_bound
 
 
 def matvec_of(h_mat):

@@ -211,7 +211,7 @@ class TestScaleInvariance:
 def dual_norm_unscaled(cone, x, s):
     """The closed-form dual norm with every SOC block evaluated at x's own scale."""
     total = 0.0
-    for block, sl in cone.slices():
+    for block, sl in cone.slices:
         xb, sb = x[sl], s[sl]
         if block.kind == "orthant":
             total += float(np.sum((xb * sb) ** 2))

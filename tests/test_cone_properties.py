@@ -10,12 +10,13 @@ norm.  Near a second-order cone boundary the closed-form inverse Hessian
 x x^T - (gamma/2) diag(1, -1, ..., -1) is the reference instead, because a
 dense Cholesky factor of the ill-conditioned Hessian loses its accuracy there.
 """
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
@@ -25,16 +26,18 @@ from conebarrier.cones import (
     SOC,
     Cone,
     ConeBlock,
+    SocFactor,
     barrier_factor,
     barrier_hessian,
+    barrier_reads,
     barrier_value,
     dual_membership,
     interior_membership,
     local_norm_dual,
 )
-from conebarrier.errors import BoundaryError
+from conebarrier.errors import BoundaryError, FactorizationError
 
-from conftest import random_interior_point
+from conftest import CONE_FAMILIES, random_interior_point
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -77,7 +80,7 @@ def soc_pivots_exact(xb):
 def min_relative_soc_gap(cone, x):
     """Smallest (t^2 - ||u||^2) / t^2 over the second-order cone blocks of x (1 if none)."""
     gaps = [soc_gap_exact(x[sl]) / x[sl.start] ** 2
-            for block, sl in cone.slices() if block.kind == SOC]
+            for block, sl in cone.slices if block.kind == SOC]
     return min(gaps, default=1.0)
 
 
@@ -152,11 +155,97 @@ def test_power_of_two_scaling_is_exact(cone, seed, k, tol):
 
 
 @PROPERTY_SETTINGS
+@given(cone=st.sampled_from(CONE_FAMILIES), seed=SEEDS, k=st.integers(-1000, 1000))
+@example(cone=CONE_FAMILIES[-1], seed=0, k=498).via("2^498 is about 1e150")
+@example(cone=CONE_FAMILIES[-1], seed=0, k=-498).via("2^-498 is about 1e-150")
+def test_factor_from_handed_over_reads_equals_a_fresh_factor(cone, seed, k):
+    # the solver walks a trial point once, for its barrier value, and builds the
+    # accepted point's factor from those reads; that factor must be the fresh one, bit
+    # for bit, field by field, and must fail where the fresh one fails
+    _, x = sample(cone, seed)
+    x = np.ldexp(x, k)
+    assert interior_membership(cone, x)
+    reads = barrier_reads(cone, x)
+    assert barrier_value(cone, x, reads) == barrier_value(cone, x)
+    try:
+        fresh = barrier_factor(cone, x)
+    except FactorizationError:
+        with pytest.raises(FactorizationError):
+            barrier_factor(cone, x, reads=reads)
+        return
+    handed = barrier_factor(cone, x, reads=reads)
+    assert handed.cone == fresh.cone
+    assert np.array_equal(handed.point, fresh.point)
+    assert np.array_equal(handed.gradient, fresh.gradient)
+    assert len(handed.blocks) == len(fresh.blocks)
+    for (block, _), got, want in zip(cone.slices, handed.blocks, fresh.blocks):
+        if block.kind == ORTHANT:
+            assert np.array_equal(got, want)
+            continue
+        assert isinstance(got, SocFactor) and isinstance(want, SocFactor)
+        for field in dataclasses.fields(SocFactor):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+def textbook_soc_factor(xb):
+    """(root, w, p, q) of an SOC block by the plain expressions: D as an array, ``np.cumsum``."""
+    e = math.frexp(np.abs(xb).max())[1]
+    y = np.ldexp(xb, -e)
+    t, r = y[0], np.linalg.norm(y[1:])
+    gap = (t - r) * (t + r)
+    d = y.shape[0]
+    w = y.copy()
+    w[1:] *= -1.0
+    diag = np.full(d, 2.0 / gap)
+    diag[0] = -diag[0]
+    tail = np.zeros(d)
+    tail[:-1] = np.cumsum(y[:0:-1] ** 2)[::-1]
+    ia = np.empty(d + 1)
+    ia[0] = gap * gap / 4.0
+    ia[1:] = -(gap / 4.0) * (gap + 2.0 * tail)
+    return np.ldexp(np.sqrt(diag * ia[1:] / ia[:-1]), -e), w, w / diag, w / ia[:-1]
+
+
+def textbook_soc_solve(root, p, q, v, lower):
+    """L_b^{-1} v or L_b^{-T} v of an SOC block as a shifted ``np.cumsum``, without in-place steps."""
+    if v.ndim == 2:
+        root, p, q = root[:, None], p[:, None], q[:, None]
+    sums = np.zeros_like(v)
+    if lower:
+        sums[1:] = np.cumsum(p * v, axis=0)[:-1]
+        return (v - q * sums) / root
+    y = v / root
+    sums[:-1] = np.cumsum((q * y)[::-1], axis=0)[::-1][1:]
+    return y - p * sums
+
+
+@PROPERTY_SETTINGS
+@given(cone=CONES, seed=SEEDS, k=st.integers(-900, 900), cols=st.integers(1, 4))
+def test_soc_factor_and_solves_are_bit_equal_to_the_textbook_form(cone, seed, k, cols):
+    # the factor and its solves use in-place steps, a scalar D and np.add.accumulate
+    # into shifted rows; each is the same floating-point operation on the same operands
+    rng, x = sample(cone, seed)
+    x = np.ldexp(x, k)
+    factor = barrier_factor(cone, x)
+    for (block, sl), f in zip(cone.slices, factor.blocks):
+        if block.kind == ORTHANT:
+            continue
+        root, w, p, q = textbook_soc_factor(x[sl])
+        for got, want in ((f.root, root), (f.w, w), (f.p, p), (f.q, q)):
+            assert np.array_equal(got, want)
+        for v in (rng.standard_normal(block.dim), rng.standard_normal((block.dim, cols))):
+            vs = np.zeros((cone.total_dim,) + v.shape[1:])
+            vs[sl] = v
+            assert np.array_equal(factor.solve_lower(vs)[sl], textbook_soc_solve(root, p, q, v, True))
+            assert np.array_equal(factor.solve_upper(vs)[sl], textbook_soc_solve(root, p, q, v, False))
+
+
+@PROPERTY_SETTINGS
 @given(cone=CONES, seed=SEEDS, data=st.data())
 def test_every_barrier_entry_point_rejects_the_same_boundary_points(cone, seed, data):
     rng, x = sample(cone, seed)
     index = data.draw(st.integers(0, len(cone.blocks) - 1), label="block")
-    block, sl = list(cone.slices())[index]
+    block, sl = list(cone.slices)[index]
     if block.kind == ORTHANT:
         j = data.draw(st.integers(0, block.dim - 1), label="component")
         x[sl.start + j] = data.draw(st.sampled_from([0.0, -1.0]), label="value")

@@ -253,6 +253,15 @@ class TestMembership:
         # u^T u underflows to 0 at s's own scale, while ||u|| = 1.03e-170 > t
         assert not dual_membership(second_order(3), np.array([1e-170, 0.5e-170, 0.9e-170]))
 
+    @pytest.mark.parametrize("s, tol, expected", [
+        ([1e-300, 0.5e-300, 0.0], 1e10, True),
+        ([1e-300, 2e-300, 0.0], 1e10, True),
+        ([1e-300, 2e-300, 0.0], 0.0, False),
+    ])
+    def test_dual_soc_tolerance_beyond_float_range_at_unit_scale(self, s, tol, expected):
+        # tol / 2^e overflows at the block's unit scale, so tol exceeds ||u|| - t there
+        assert dual_membership(second_order(3), np.array(s), tol) is expected
+
 
 @pytest.mark.parametrize("cone", CONE_FAMILIES, ids=lambda c: f"{len(c.blocks)}b{c.total_dim}")
 class TestBarrierIdentities:

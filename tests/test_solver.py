@@ -50,6 +50,25 @@ def quadratic_problem(q_mat, c, cone, affine, x0=None):
     )
 
 
+def mixed_cone_quadratic():
+    """Indefinite quadratic on orthant(4) x soc(6) with m = 2, from x0 = x_bar.
+
+    The first constraint row pins the SOC block's t, but the orthant directions are
+    unbounded, and so is the objective along them.
+    """
+    from conebarrier.cones import ConeBlock, product
+
+    rng = np.random.default_rng(5)
+    n = 10
+    cone = product(ConeBlock("orthant", 4), ConeBlock("soc", 6))
+    g = rng.standard_normal((n, n))
+    q_mat = (g + g.T) / (2 * np.sqrt(n))
+    c = rng.standard_normal(n)
+    x_bar = np.concatenate([np.ones(4), [2.0], rng.standard_normal(5) / 3])
+    a_mat = np.vstack([np.eye(n)[4], rng.standard_normal(n)])
+    return quadratic_problem(q_mat, c, cone, AffineData(A=a_mat, b=a_mat @ x_bar), x0=x_bar)
+
+
 def ws_at(x, A=None, b=None):
     x = np.asarray(x, dtype=float)
     cone = orthant(x.size)
@@ -280,12 +299,12 @@ class TestLineSearches:
         mu = mu_from_epsilon(eps, params.beta, 4.0)
         ws = ws_at(p.x0, A=p.affine.A, b=p.affine.b)
         d = np.array([1.0, -1.0, 0.5, -0.5]) * 0.05
-        phi0 = phi_value(p, ws.point, mu)
+        phi0, _ = phi_value(p, ws.point, mu)
         step = ws.null_step(d)
         # direct-evaluation oracle: the unit step already decreases enough
         target = params.eta * math.sqrt(eps) * float(d @ d)
-        assert phi_value(p, ws.point + step, mu) < phi0 - target
-        alpha, x_new, phi_new = line_search_sol(p, ws, mu, d, params, step=step, phi0=phi0)
+        assert phi_value(p, ws.point + step, mu)[0] < phi0 - target
+        alpha, x_new, phi_new, _ = line_search_sol(p, ws, mu, d, params, step=step, phi0=phi0)
         assert alpha == 1.0
         np.testing.assert_allclose(x_new, ws.point + step)
 
@@ -297,7 +316,7 @@ class TestLineSearches:
         d = np.zeros(3)
         with pytest.raises(ZeroDirection):
             line_search_sol(p, ws, mu, d, params,
-                            step=ws.null_step(d), phi0=phi_value(p, ws.point, mu))
+                            step=ws.null_step(d), phi0=phi_value(p, ws.point, mu)[0])
 
     def test_backtrack_depth_two(self):
         # crafted so j = 0, 1 fail and j = 2 is the first acceptance
@@ -307,15 +326,15 @@ class TestLineSearches:
         p = quadratic_problem(np.eye(1), [-1.075], orthant(1), empty_affine(1))
         ws = ws_at([1.0])
         d = np.array([0.3])
-        phi0 = phi_value(p, ws.point, mu)
+        phi0, _ = phi_value(p, ws.point, mu)
         step = ws.null_step(d)
         accepts = []
         for j in range(3):
             t = params.theta**j
-            lhs = phi_value(p, ws.point + t * step, mu)
+            lhs, _ = phi_value(p, ws.point + t * step, mu)
             accepts.append(lhs < phi0 - params.eta * math.sqrt(eps) * t * t * float(d @ d))
         assert accepts == [False, False, True]
-        alpha, _, _ = line_search_sol(p, ws, mu, d, params, step=step, phi0=phi0)
+        alpha, _, _, _ = line_search_sol(p, ws, mu, d, params, step=step, phi0=phi0)
         assert alpha == pytest.approx(0.25)
 
     def test_nc_unit_step_on_concave_quadratic(self):
@@ -329,8 +348,8 @@ class TestLineSearches:
         v = np.array([1.0, 0.0])
         curvature_phi = float(v @ ws.reduced_hessian_apply(lambda w: -w, mu, v))
         d = _curvature_scale(v, qnorm(ws, v), abs(curvature_phi), g, beta=0.5) * v
-        phi0 = phi_value(p, ws.point, mu)
-        alpha, x_new, phi_new = line_search_nc(p, ws, mu, d, params,
+        phi0, _ = phi_value(p, ws.point, mu)
+        alpha, x_new, phi_new, _ = line_search_nc(p, ws, mu, d, params,
                                                step=ws.null_step(d), phi0=phi0)
         assert alpha == 1.0
         assert phi_new < phi0 - params.eta * np.linalg.norm(d) ** 3 / 2
@@ -352,7 +371,7 @@ class TestLineSearches:
         d = np.array([-0.5])
         with pytest.raises(LineSearchFailure):
             line_search_sol(p, ws, mu, d, params,
-                            step=ws.null_step(d), phi0=phi_value(p, ws.point, mu))
+                            step=ws.null_step(d), phi0=phi_value(p, ws.point, mu)[0])
 
 
 class TestSolverParams:
@@ -494,44 +513,23 @@ class TestSolveBasics:
         assert res.trace.certificate.fosp_ok
 
     def test_mixed_cone_end_to_end(self):
-        # orthant x second-order product; the raw quadratic is unbounded below
-        # over the unbounded orthant directions, so solve the perturbed problem
-        from conebarrier.cones import ConeBlock, product
+        # the raw quadratic is unbounded below over the unbounded orthant
+        # directions, so solve the perturbed problem
         from conebarrier.problems import perturb
 
-        rng = np.random.default_rng(5)
-        n = 10
-        cone = product(ConeBlock("orthant", 4), ConeBlock("soc", 6))
-        g = rng.standard_normal((n, n))
-        q_mat = (g + g.T) / (2 * np.sqrt(n))
-        c = rng.standard_normal(n)
-        x_bar = np.concatenate([np.ones(4), [2.0], rng.standard_normal(5) / 3])
-        a_mat = np.vstack([np.eye(n)[4], rng.standard_normal(n)])
-        base = quadratic_problem(q_mat, c, cone, AffineData(A=a_mat, b=a_mat @ x_bar),
-                                 x0=x_bar)
-        p = perturb(base, sigma=2.0)
-        res = solve(p, x_bar, SolverParams(epsilon=1e-3, seed=7, max_outer_iters=100000))
+        p = perturb(mixed_cone_quadratic(), sigma=2.0)
+        res = solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7, max_outer_iters=100000))
         assert res.status is SolveStatus.SOSP_CERTIFIED
         cert = res.trace.certificate
         assert cert.fosp_ok and cert.sosp_ok
-        assert interior_membership(cone, res.x_final, 0.0)
+        assert interior_membership(p.cone, res.x_final, 0.0)
 
     def test_unbounded_instance_raises_divergence(self):
-        from conebarrier.cones import ConeBlock, product
         from conebarrier.errors import DivergenceError
 
-        rng = np.random.default_rng(5)
-        n = 10
-        cone = product(ConeBlock("orthant", 4), ConeBlock("soc", 6))
-        g = rng.standard_normal((n, n))
-        q_mat = (g + g.T) / (2 * np.sqrt(n))
-        c = rng.standard_normal(n)
-        x_bar = np.concatenate([np.ones(4), [2.0], rng.standard_normal(5) / 3])
-        a_mat = np.vstack([np.eye(n)[4], rng.standard_normal(n)])
-        p = quadratic_problem(q_mat, c, cone, AffineData(A=a_mat, b=a_mat @ x_bar),
-                              x0=x_bar)
+        p = mixed_cone_quadratic()
         with pytest.raises(DivergenceError):
-            solve(p, x_bar, SolverParams(epsilon=1e-3, seed=7, max_outer_iters=200000))
+            solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7, max_outer_iters=200000))
 
     def test_unconstrained_solve(self):
         p = builtin("regularized_loss", 5, seed=1)
@@ -620,6 +618,63 @@ class TestSolveBasics:
         np.testing.assert_array_equal(r1.x_final, r2.x_final)
         assert r1.iterations == r2.iterations
         assert r1.trace.counters == r2.trace.counters
+
+
+class TestOneWalkPerPoint:
+    """The solver walks the cone blocks of each point it evaluates once, for the
+    barrier value, and builds the accepted point's factor from those reads.  Only a
+    re-projected point is walked again, by its factor, and the dense certificate's
+    barrier Hessian is one more walk."""
+
+    @staticmethod
+    def count_walks(monkeypatch, problem, params):
+        from conebarrier import cones
+        from conebarrier import solver as solver_mod
+
+        calls = {"walks": 0, "reprojections": 0, "certificate": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        walk = counted("walks", cones.barrier_reads)
+        monkeypatch.setattr(cones, "barrier_reads", walk)
+        monkeypatch.setattr(solver_mod, "barrier_reads", walk)
+        monkeypatch.setattr(solver_mod, "_reproject", counted("reprojections", solver_mod._reproject))
+        monkeypatch.setattr(cones, "barrier_hessian", counted("certificate", cones.barrier_hessian))
+        res = solve(problem, problem.x0, params)
+        ops = res.trace.counters
+        assert calls["walks"] == ops["fun_eval"] + calls["reprojections"] + calls["certificate"]
+        assert ops["cholesky"] == res.iterations + 1
+        return res, calls
+
+    def test_accepted_points_are_not_walked_again(self, monkeypatch):
+        p = builtin("nonconvex_qp_simplex", 30, seed=0)
+        res, calls = self.count_walks(monkeypatch, p, SolverParams(epsilon=1e-2, seed=7))
+        assert res.status is SolveStatus.SOSP_CERTIFIED
+        assert calls["reprojections"] == 0 and calls["certificate"] == 1
+        assert res.trace.counters["fun_eval"] == res.iterations + 1
+
+    def test_every_backtracking_trial_is_walked_once(self, monkeypatch):
+        # a value callback that jumps by 1 where x_2 > 0.4 rejects the trials that cross
+        # it, so the line search backtracks until it runs out of steps
+        base = builtin("nonconvex_qp_simplex", 5, seed=0)
+        p = dataclasses.replace(base, value=lambda x: base.value(x) + (1.0 if x[2] > 0.4 else 0.0))
+        res, calls = self.count_walks(monkeypatch, p, SolverParams(epsilon=1e-2, seed=7))
+        assert res.status is SolveStatus.LINE_SEARCH_FAILURE
+        ops = res.trace.counters
+        assert ops["fun_eval"] > ops["cholesky"]  # trials outnumber accepted points
+
+    def test_a_reprojected_point_is_walked_by_its_factor(self, monkeypatch):
+        # the unbounded instance drifts off Ax = b as its iterates grow
+        p = mixed_cone_quadratic()
+        res, calls = self.count_walks(
+            monkeypatch, p, SolverParams(epsilon=1e-3, seed=7, max_outer_iters=60)
+        )
+        assert res.status is SolveStatus.MAX_ITERS_EXCEEDED
+        assert calls["reprojections"] > 0
 
 
 class TestCallbackErrors:
