@@ -278,8 +278,8 @@ class SocFactor:
     the unit lower part, the same for x as for y, has the inverse
     I - tril(q p^T, -1).  So w, p and q stay at y's scale and only the
     diagonal root = 2^-e root_y carries x's: L^{-1} v and L^{-T} v are one
-    shifted cumulative sum and one division each, for a vector or a d x m
-    matrix.
+    shifted cumulative sum and one division each, for a vector or a k x d
+    stack of rows.
     """
 
     root: np.ndarray  # 2^-e sqrt(dbar), the diagonal of L
@@ -343,27 +343,26 @@ def _soc_factor(y: np.ndarray, e: int, gap: float) -> tuple[SocFactor, np.ndarra
 
 
 def _block_solve(f: np.ndarray | SocFactor, v: np.ndarray, lower: bool) -> np.ndarray:
-    """L_b^{-1} v (lower) or L_b^{-T} v (upper) for one block factor f and a vector or d x m v.
+    """L_b^{-1} v (lower) or L_b^{-T} v (upper) for one block factor f, along v's last axis.
 
-    The SOC sums are exclusive prefix (suffix) sums along axis 0, accumulated
-    straight into the result's shifted rows.
+    v is one vector or a k x d stack of rows, each solved alike.  The SOC sums
+    are exclusive prefix (suffix) sums along the last axis, accumulated
+    straight into the result's shifted entries.
     """
     if type(f) is np.ndarray:  # an orthant block, L_b = diag(f): both solves are one division
-        return v / f if v.ndim == 1 else v / f[:, None]
+        return v / f
     root, p, q = f.root, f.p, f.q
-    if v.ndim == 2:
-        root, p, q = root[:, None], p[:, None], q[:, None]
     out = np.empty_like(v, dtype=float)
     if lower:  # z_i = (v_i - q_i sum_{j<i} p_j v_j) / root_i
-        out[0] = 0.0
-        np.add.accumulate(p[:-1] * v[:-1], axis=0, out=out[1:])
+        out[..., 0] = 0.0
+        np.add.accumulate(p[:-1] * v[..., :-1], axis=-1, out=out[..., 1:])
         out *= q
         np.subtract(v, out, out=out)
         out /= root
         return out
     y = v / root  # then z_j = y_j - p_j sum_{i>j} q_i y_i
-    out[-1] = 0.0
-    np.add.accumulate(q[:0:-1] * y[:0:-1], axis=0, out=out[-2::-1])
+    out[..., -1] = 0.0
+    np.add.accumulate(q[:0:-1] * y[..., :0:-1], axis=-1, out=out[..., -2::-1])
     out *= p
     np.subtract(y, out, out=out)
     return out
@@ -400,17 +399,17 @@ class BarrierFactor:
     def _blockwise(self, v: np.ndarray, lower: bool) -> np.ndarray:
         out = np.empty_like(v, dtype=float)
         for (_, sl), f in zip(self.cone.slices, self.blocks):
-            out[sl] = _block_solve(f, v[sl], lower)
+            out[..., sl] = _block_solve(f, v[..., sl], lower)
         return out
 
     def solve_lower(self, v: np.ndarray) -> np.ndarray:
-        """L^{-1} v for a vector or an n x m matrix; forward substitution."""
+        """L^{-1} v for a vector, or for each row of a k x n stack; forward substitution."""
         if len(self.blocks) == 1:
             return _block_solve(self.blocks[0], v, True)
         return self._blockwise(v, True)
 
     def solve_upper(self, v: np.ndarray) -> np.ndarray:
-        """L^{-T} v for a vector or an n x m matrix; backward substitution."""
+        """L^{-T} v for a vector, or for each row of a k x n stack; backward substitution."""
         if len(self.blocks) == 1:
             return _block_solve(self.blocks[0], v, False)
         return self._blockwise(v, False)

@@ -15,6 +15,10 @@ precomputes
 * ``scaled_AT``  N = L^{-1} A^T            (m forward substitutions)
 * ``schur_lower`` C with C C^T = N^T N     (Schur complement A M M^T A^T)
 
+``solve_lower`` and ``solve_upper`` take a vector or a k x n stack of rows,
+so N is built as ``solve_lower(A).T``: one forward substitution along each
+contiguous row of A, and N is the transposed view of that m x n result.
+
 and exposes the derived linear maps, each applied through triangular solves:
 
 * ``unscale(v)``      M v   = L^{-T} v       scaled direction -> ambient
@@ -109,7 +113,7 @@ class IterationWorkspace:
         # tri_solve count of one projection; each composed op bumps once, this included
         self._project_cost = 2 if m else 0
         if m > 0:
-            self.scaled_AT = factor.solve_lower(affine.A.T)
+            self.scaled_AT = factor.solve_lower(affine.A).T
             counters.add("tri_solve", m)
             schur = self.scaled_AT.T.dot(self.scaled_AT)
             counters.add("matT_mat")

@@ -249,13 +249,21 @@ def perturb(problem: ConicProblem, sigma: float) -> ConicProblem:
     n = problem.n
     base_value, base_grad = problem.value, problem.gradient
     base_hess, base_hv = problem.hessian, problem.hess_vec_fn
+
+    def hessian(x: np.ndarray) -> np.ndarray:
+        # a fresh array with 2 sigma added on its diagonal, the same bits as
+        # base_hess(x) + 2 sigma I without forming I; base_hess's array is shared, never written
+        hess = np.add(base_hess(x), 0.0, dtype=float)
+        hess.flat[::n + 1] += 2.0 * sigma
+        return hess
+
     return ConicProblem(
         name=f"{problem.name}+reg",
         cone=problem.cone,
         affine=problem.affine,
         value=lambda x: base_value(x) + sigma * float(x @ x),
         gradient=lambda x: base_grad(x) + 2.0 * sigma * x,
-        hessian=None if base_hess is None else lambda x: base_hess(x) + 2.0 * sigma * np.eye(n),
+        hessian=None if base_hess is None else hessian,
         hess_vec_fn=None if base_hv is None else lambda x, v: base_hv(x, v) + 2.0 * sigma * v,
         x0=problem.x0,
         serial=None,

@@ -41,7 +41,7 @@ from .errors import (
 from .lanczos import min_eig_oracle
 from .linops import IterationWorkspace
 from .problems import ConicProblem
-from .trace import BRANCH_CG_NC, BRANCH_CG_SOL, BRANCH_MEO_NC, BRANCH_TERMINATE, IterationRecord, SolveTrace
+from .trace import BRANCH_CG_NC, BRANCH_CG_SOL, BRANCH_MEO_NC, BRANCH_TERMINATE, SolveTrace
 from .vecnorm import norm2
 
 INTERIOR_GUARD = 1e-12  # solver-internal strict-interiority margin
@@ -298,9 +298,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     ws = IterationWorkspace(affine, barrier_factor(cone, x, counters, reads), counters)
     lambda2, grad_b_prev = np.zeros(m), ws.factor.gradient
 
-    def finish(status, k, lam, record=None, oracle=None):
-        if record is not None:
-            trace.add(record)
+    def finish(status, k, lam, oracle=None):
         trace.counters = counters.snapshot()
         lam = np.asarray(lam, dtype=float).reshape(m)
         if status is SolveStatus.SOSP_CERTIFIED and problem.has_dense_hessian \
@@ -353,9 +351,9 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             cg_iters, lanczos_iters = 0, (0 if oracle is None else oracle.iterations)
             if oracle is None or not oracle.found_negative_curvature:
                 status = SolveStatus.FOSP_CERTIFIED if oracle is None else SolveStatus.SOSP_CERTIFIED
-                record = IterationRecord(k, phi, res_min, BRANCH_TERMINATE, 0.0, 0.0, 0, lanczos_iters)
+                trace.append(k, phi, res_min, BRANCH_TERMINATE, 0.0, 0.0, 0, lanczos_iters)
                 lam = ws.multipliers(gphi) if which == "lambda1" else lambda2
-                return finish(status, k, lam, record, oracle)
+                return finish(status, k, lam, oracle)
             d_hat = oracle.direction
             q = ws.project(d_hat)
             qnorm = norm2(q)
@@ -366,18 +364,21 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         # projected afresh when d is scaled, so that it is exactly null_step(d) either way
         d = c * d_hat
         step = ws.unscale(q) if c == 1.0 else ws.null_step(d)
-        record = IterationRecord(k, phi, res_min, branch, 0.0, norm2(d), cg_iters, lanczos_iters)
+        dir_norm = norm2(d)
         try:
-            record.alpha, x, phi, reads = searcher(
+            alpha, x_next, phi_next, reads = searcher(
                 problem, ws, mu, d, params, counters, step=step, phi0=phi
             )
         except LineSearchFailure:
-            return finish(SolveStatus.LINE_SEARCH_FAILURE, k, ws.multipliers(gphi), record)
-        trace.add(record)
+            # the failed step's row, with alpha = 0.0
+            trace.append(k, phi, res_min, branch, 0.0, dir_norm, cg_iters, lanczos_iters)
+            return finish(SolveStatus.LINE_SEARCH_FAILURE, k, ws.multipliers(gphi))
+        trace.append(k, phi, res_min, branch, alpha, dir_norm, cg_iters, lanczos_iters)
+        x, phi = x_next, phi_next
 
         # lambda2 from the Newton-step residual holds only after a unit SOL step;
         # otherwise the previous lambda2 carries over
-        if m and branch == BRANCH_CG_SOL and record.alpha == 1.0:
+        if m and branch == BRANCH_CG_SOL and alpha == 1.0:
             lambda2 = ws.multipliers(hess_vec(step) + gphi)
         grad_b_prev = grad_b
         if m:

@@ -91,12 +91,14 @@ def test_block_solves_match_dense_triangular_solves(cone, seed, cols):
     factor = barrier_factor(cone, x)
     lower = factor.lower
     n = cone.total_dim
-    for v in (rng.standard_normal(n), rng.standard_normal((n, cols))):
+    # a vector, and a cols x n stack of rows solved one row at a time
+    for v in (rng.standard_normal(n), rng.standard_normal((cols, n))):
         np.testing.assert_allclose(
-            factor.solve_lower(v), solve_triangular(lower, v, lower=True), rtol=1e-9, atol=1e-9
+            factor.solve_lower(v), solve_triangular(lower, v.T, lower=True).T, rtol=1e-9, atol=1e-9
         )
         np.testing.assert_allclose(
-            factor.solve_upper(v), solve_triangular(lower.T, v, lower=False), rtol=1e-9, atol=1e-9
+            factor.solve_upper(v), solve_triangular(lower.T, v.T, lower=False).T,
+            rtol=1e-9, atol=1e-9,
         )
         assert factor.solve_lower(v).shape == v.shape
 
@@ -207,15 +209,16 @@ def textbook_soc_factor(xb):
 
 
 def textbook_soc_solve(root, p, q, v, lower):
-    """L_b^{-1} v or L_b^{-T} v of an SOC block as a shifted ``np.cumsum``, without in-place steps."""
-    if v.ndim == 2:
-        root, p, q = root[:, None], p[:, None], q[:, None]
+    """L_b^{-1} v or L_b^{-T} v of an SOC block as a shifted ``np.cumsum``, without in-place steps.
+
+    v is a vector or a stack of rows, solved along its last axis.
+    """
     sums = np.zeros_like(v)
     if lower:
-        sums[1:] = np.cumsum(p * v, axis=0)[:-1]
+        sums[..., 1:] = np.cumsum(p * v, axis=-1)[..., :-1]
         return (v - q * sums) / root
     y = v / root
-    sums[:-1] = np.cumsum((q * y)[::-1], axis=0)[::-1][1:]
+    sums[..., :-1] = np.cumsum((q * y)[..., ::-1], axis=-1)[..., ::-1][..., 1:]
     return y - p * sums
 
 
@@ -233,11 +236,11 @@ def test_soc_factor_and_solves_are_bit_equal_to_the_textbook_form(cone, seed, k,
         root, w, p, q = textbook_soc_factor(x[sl])
         for got, want in ((f.root, root), (f.w, w), (f.p, p), (f.q, q)):
             assert np.array_equal(got, want)
-        for v in (rng.standard_normal(block.dim), rng.standard_normal((block.dim, cols))):
-            vs = np.zeros((cone.total_dim,) + v.shape[1:])
-            vs[sl] = v
-            assert np.array_equal(factor.solve_lower(vs)[sl], textbook_soc_solve(root, p, q, v, True))
-            assert np.array_equal(factor.solve_upper(vs)[sl], textbook_soc_solve(root, p, q, v, False))
+        for v in (rng.standard_normal(block.dim), rng.standard_normal((cols, block.dim))):
+            vs = np.zeros(v.shape[:-1] + (cone.total_dim,))
+            vs[..., sl] = v
+            assert np.array_equal(factor.solve_lower(vs)[..., sl], textbook_soc_solve(root, p, q, v, True))
+            assert np.array_equal(factor.solve_upper(vs)[..., sl], textbook_soc_solve(root, p, q, v, False))
 
 
 @PROPERTY_SETTINGS
@@ -274,8 +277,9 @@ def test_soc_factor_accurate_up_to_the_boundary(dim):
         # is within a few eps / gap of them; the dense Cholesky factor was up to 3e10 eps / gap off
         pivots = np.diag(factor.lower) ** 2
         np.testing.assert_allclose(pivots, soc_pivots_exact(x), rtol=16 * np.finfo(float).eps / gap)
-        for v in (rng.standard_normal(dim), rng.standard_normal((dim, 3))):
-            inverse_hessian_v = np.multiply.outer(x, x @ v) - 0.5 * gap * (sign @ v)
+        # a vector, and a 3 x dim stack of rows
+        for v in (rng.standard_normal(dim), rng.standard_normal((3, dim))):
+            inverse_hessian_v = np.multiply.outer(v @ x, x) - 0.5 * gap * (v @ sign)
             got = factor.solve_upper(factor.solve_lower(v))
             rel = np.linalg.norm(got - inverse_hessian_v) / np.linalg.norm(inverse_hessian_v)
             assert rel <= 1e-10, f"d={dim}, gap 1e-{k}: relative error {rel:.1e}"

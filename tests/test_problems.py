@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -93,6 +94,30 @@ class TestPerturb:
     def test_sigma_positive(self):
         with pytest.raises(ValueError):
             perturb(builtin("negnorm_simplex", 2), 0.0)
+
+    def test_hessian_bit_equal_to_adding_the_identity_and_base_unwritten(self):
+        # the shift goes onto the diagonal of a fresh array: the same bits as
+        # base + 2 sigma I, signed zeros included, while the base array (a builtin
+        # quadratic hands out its one Q) stays as it was
+        rng = np.random.default_rng(3)
+        n = 6
+        base = builtin("nonconvex_qp_simplex", n, seed=2)
+        x = base.x0
+        hessians = [base.hessian(x)]
+        for _ in range(50):
+            h = rng.standard_normal((n, n))
+            h[rng.random((n, n)) < 0.3] = 0.0
+            h[rng.random((n, n)) < 0.3] = -0.0
+            hessians.append(h)
+        for h in hessians:
+            kept = h.copy()
+            problem = dataclasses.replace(base, hessian=lambda x, h=h: h)
+            for sigma in (0.7, 1e-300, 2.5e5):
+                got = perturb(problem, sigma).hessian(x)
+                assert got is not h
+                assert got.tobytes() == (h + 2.0 * sigma * np.eye(n)).tobytes()
+            assert h.tobytes() == kept.tobytes()
+        assert base.hessian(x) is hessians[0]
 
 
 def finite_diff_check(problem, x, h=1e-6):
