@@ -1,8 +1,11 @@
 """Independent verification of approximate stationarity at a candidate point.
 
-Everything here recomputes its own dense linear algebra from the problem
-callbacks; nothing is shared with the solver's iteration machinery, so a
-passing report is an independent check of the returned point.
+Everything here recomputes its own closed forms and dense linear algebra
+from the problem callbacks, with numpy only, and takes only the ``Cone`` type
+and the block kinds from ``cones``: a passing report is an independent check
+of the returned point.  A second-order cone block x_b = (t, u) is read at
+y = x_b / 2^e with its largest |y_i| in [1/2, 1), where no square over- or
+underflows; power-of-two scaling is exact.
 
 First-order test at (x, lambda):
 
@@ -10,11 +13,11 @@ First-order test at (x, lambda):
     s = grad f(x) + A^T lambda  in the dual cone,
     ||s||_x* <= eps_g.
 
-The dual norm ||s||_x* = sqrt(s^T grad^2 B(x)^{-1} s) is read off the
-closed-form inverse barrier Hessian, block by block and without a
-factorization: diag(x_b^2) on an orthant block, and
-x_b x_b^T - (gamma/2) diag(1, -1, ..., -1) with gamma = t^2 - ||u||^2 on a
-second-order cone block x_b = (t, u).
+Interiority is x_b > 0 on an orthant block and t - ||u|| > 0 at y, and
+both block types are self-dual.  ||s||_x* = sqrt(s^T grad^2 B(x)^{-1} s) is
+read off the closed-form inverse barrier Hessian, block by block: diag(x_b^2)
+on an orthant block, and x_b x_b^T - (gamma/2) diag(1, -1, ..., -1) with
+gamma = t^2 - ||u||^2 on a second-order cone block.
 
 Second-order test (desk scale, dense Hessian required): the smallest
 eigenvalue of the objective Hessian restricted to null(A), measured against
@@ -36,9 +39,8 @@ from typing import Any
 
 import numpy as np
 
-from . import cones
-from .cones import Cone
-from .errors import SizeError
+from .cones import ORTHANT, Cone
+from .errors import BoundaryError, FactorizationError, SizeError
 from .problems import ConicProblem
 
 DESK_SCALE_LIMIT = 500
@@ -61,18 +63,79 @@ class CertificateReport:
         return asdict(self)
 
 
+def _soc_read(xb: np.ndarray) -> tuple[np.ndarray, int, float, float]:
+    """(y, e, t, ||u||) of an SOC block x_b = 2^e y, with t and ||u|| read at y."""
+    e = math.frexp(float(np.max(np.abs(xb))))[1]
+    y = np.ldexp(xb, -e)
+    return y, e, float(y[0]), math.sqrt(y[1:].dot(y[1:]))
+
+
+def is_interior(cone: Cone, x: np.ndarray) -> bool:
+    """True iff every orthant entry is > 0 and every SOC block has t - ||u|| > 0 at y."""
+    for block, sl in cone.slices:
+        if block.kind == ORTHANT:
+            if not np.all(x[sl] > 0.0):
+                return False
+            continue
+        _, _, t, r = _soc_read(x[sl])
+        if not t - r > 0.0:
+            return False
+    return True
+
+
+def in_dual_cone(cone: Cone, s: np.ndarray, tol: float = 0.0) -> bool:
+    """Dual-cone membership up to tol per block; an SOC block is compared at y, with tol / 2^e."""
+    for block, sl in cone.slices:
+        if block.kind == ORTHANT:
+            if np.any(s[sl] < -tol):
+                return False
+            continue
+        _, e, t, r = _soc_read(s[sl])
+        try:
+            if t + math.ldexp(tol, -e) < r:
+                return False
+        except OverflowError:  # tol / 2^e exceeds any ||u|| - t at y
+            pass
+    return True
+
+
+def barrier_hessian(cone: Cone, x: np.ndarray) -> np.ndarray:
+    """Dense grad^2 B(x) at an interior x (else BoundaryError): diag(1/x_b^2) per orthant block.
+
+    An SOC block's is 4^-e [(2/gamma) diag(-1, 1, ..., 1) + (4/gamma^2) w w^T] at y, with
+    w = (t, -u) and gamma = (t - ||u||)(t + ||u||) > 2^-56; FactorizationError where it overflows.
+    """
+    if not is_interior(cone, x):
+        raise BoundaryError("the barrier Hessian needs a strictly interior point")
+    hess = np.zeros((cone.total_dim, cone.total_dim))
+    with np.errstate(divide="ignore", over="ignore"):
+        for block, sl in cone.slices:
+            if block.kind == ORTHANT:
+                hess[sl, sl] = np.diag(1.0 / x[sl] ** 2)
+                continue
+            y, e, t, r = _soc_read(x[sl])
+            gap = (t - r) * (t + r)
+            w = np.concatenate(([y[0]], -y[1:]))
+            hb = (4.0 / gap**2) * np.outer(w, w)
+            hb[np.diag_indices(block.dim)] += 2.0 / gap
+            hb[0, 0] -= 4.0 / gap
+            hess[sl, sl] = np.ldexp(hb, -2 * e)
+    if not np.isfinite(hess).all():
+        raise FactorizationError("barrier Hessian is not finite (point at an extreme scale)")
+    return hess
+
+
 def dual_norm(cone: Cone, x: np.ndarray, s: np.ndarray) -> float:
     """||s||_x* from the closed-form inverse barrier Hessian at an interior x; O(n)."""
     total = 0.0
     for block, sl in cone.slices:
         xb, sb = x[sl], s[sl]
-        if block.kind == cones.ORTHANT:
+        if block.kind == ORTHANT:
             total += float(np.sum((xb * sb) ** 2))
         else:
-            # at (x_b / 2^e, s_b 2^e) with t / 2^e in [1/2, 1), an exact rescaling that
-            # leaves every term bit-equal and keeps the gap from over- or underflowing
-            e = math.frexp(xb[0])[1]
-            xb, sb = np.ldexp(xb, -e), np.ldexp(sb, e)
+            # at (x_b / 2^e, s_b 2^e): exact, so bit-equal, and the gap cannot over- or underflow
+            xb, e, _, _ = _soc_read(xb)
+            sb = np.ldexp(sb, e)
             gap = float(xb[0] ** 2 - xb[1:] @ xb[1:])
             total += float(xb @ sb) ** 2 - 0.5 * gap * float(sb[0] ** 2 - sb[1:] @ sb[1:])
     return math.sqrt(max(total, 0.0))
@@ -87,6 +150,8 @@ def check_fosp(
     """First-order report; failures are reported, never raised."""
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1)
+    if x.shape != (problem.n,):
+        raise ValueError(f"x has shape {x.shape}, expected ({problem.n},)")
     if lam.shape != (problem.m,):
         raise ValueError(f"lambda has length {lam.shape[0]}, expected {problem.m}")
     affine = problem.affine
@@ -98,9 +163,9 @@ def check_fosp(
         b_scale = 1.0
     feasibility_ok = primal_residual <= FEAS_TOL * b_scale
 
-    interior_ok = cones.interior_membership(problem.cone, x, margin=0.0)
+    interior_ok = is_interior(problem.cone, x)
     s = problem.gradient(x) + (affine.A.T @ lam if problem.m else 0.0)
-    dual_cone_ok = cones.dual_membership(problem.cone, s, tol=DUAL_TOL)
+    dual_cone_ok = in_dual_cone(problem.cone, s, tol=DUAL_TOL)
     fosp_residual = dual_norm(problem.cone, x, s) if interior_ok else math.inf
     fosp_ok = feasibility_ok and interior_ok and dual_cone_ok and fosp_residual <= eps_g
     return CertificateReport(
@@ -126,8 +191,9 @@ def reduced_min_eig(problem: ConicProblem, x: np.ndarray) -> float:
     z = _null_space(problem.affine.A) if problem.m else np.eye(n)
     if z.shape[1] == 0:
         return math.inf
-    hess_f = problem.hessian(np.asarray(x, dtype=float))
-    hess_b = cones.barrier_hessian(problem.cone, x)
+    x = np.asarray(x, dtype=float)
+    hess_f = problem.hessian(x)
+    hess_b = barrier_hessian(problem.cone, x)
     g_red = z.T @ hess_f @ z
     b_red = z.T @ hess_b @ z
     lower = np.linalg.cholesky(0.5 * (b_red + b_red.T))

@@ -29,9 +29,10 @@ the only one that knows that format:
   formed.
   Each block is read once, at y = x_b / 2^e with its largest entry in
   [1/2, 1) (``_unit_scaled``).  Interiority is t - ||u|| > 0 at y, and the
-  value, factor, gradient and Hessian are formed from y and its gap and
-  rescaled by logarithmic homogeneity, so no square under- or overflows at
-  any scale of x_b.  ``dual_membership`` reads dual blocks by the same rule.
+  value, factor and gradient are formed from y and its gap and rescaled by
+  logarithmic homogeneity, so no square under- or overflows at any scale of
+  x_b.  This is the solver's layer only; ``certify`` keeps closed forms of
+  its own.
 
 Everything else applies L through ``BarrierFactor.solve_lower`` and
 ``solve_upper``; the dual local norm ||v||_x* = ||L^{-1} v|| is one forward
@@ -130,7 +131,7 @@ def _check_dim(cone: Cone, x: np.ndarray) -> np.ndarray:
 
 
 def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """(y, e) with v = 2^e y and the largest |y_i| in [1/2, 1); the one scale rule for SOC blocks.
+    """(y, e) with v = 2^e y and the largest |y_i| in [1/2, 1); the layer's one SOC scale rule.
 
     The barrier is logarithmically homogeneous, so B(x) = B(y) - 2e ln 2,
     nabla B(x) = 2^-e nabla B(y) and nabla^2 B(x) = 4^-e nabla^2 B(y).  At y
@@ -153,71 +154,26 @@ def _soc_read(xb: np.ndarray) -> tuple[np.ndarray, int, float, float]:
     return y, e, t - r, (t - r) * (t + r)
 
 
-def interior_membership(cone: Cone, x: np.ndarray, margin: float = 0.0) -> bool:
-    """True iff x is interior with slack margin >= 0: orthant entries > margin, SOC t - ||u|| > margin.
-
-    An SOC block is read at y (``_soc_read``), where no square overflows, and
-    t - ||u|| is rescaled only where it is positive, so below 1; even a point
-    far outside the cone is rejected without a warning.
-    """
-    x = _check_dim(cone, x)
-    for block, sl in cone.slices:
-        xb = x[sl]
-        if block.kind == ORTHANT:
-            if not np.all(xb > margin):
-                return False
-        else:
-            _, e, slack, _ = _soc_read(xb)
-            if not (slack > 0.0 and math.ldexp(slack, e) > margin):
-                return False
-    return True
-
-
-def dual_membership(cone: Cone, s: np.ndarray, tol: float = 0.0) -> bool:
-    """Dual-cone membership up to tol per block; both block types are self-dual.
-
-    An SOC block is compared at s_b / 2^e and tol / 2^e (``_unit_scaled``),
-    where u^T u cannot overflow or vanish; power-of-two scaling is exact.
-    A tol / 2^e that overflows exceeds ||u|| - t at y, so the block lies
-    within tol.
-    """
-    s = _check_dim(cone, s)
-    for block, sl in cone.slices:
-        sb = s[sl]
-        if block.kind == ORTHANT:
-            if np.any(sb < -tol):
-                return False
-        else:
-            y, e = _unit_scaled(sb)
-            try:
-                tol_y = math.ldexp(tol, -e)
-            except OverflowError:
-                continue
-            if y[0] + tol_y < norm2(y[1:]):
-                return False
-    return True
-
-
-def barrier_reads(cone: Cone, x: np.ndarray) -> list[np.ndarray | tuple[np.ndarray, int, float]]:
+def barrier_reads(cone: Cone, x: np.ndarray, margin: float = 0.0) -> list:
     """One read per block of a dimension-checked x: the walk behind every barrier entry point.
 
     A read is x_b for an orthant block and (y, e, gap) of ``_soc_read`` for an
-    SOC block.  This is the one strict-interiority check: it raises
-    BoundaryError at the first block that x does not lie inside.  An SOC
-    block is inside iff t - ||u|| > 0 at y.  The solver walks each point it
-    evaluates once, for its barrier value, and hands the accepted point's
-    reads to ``barrier_factor``.
+    SOC block.  The one strict-interiority check: BoundaryError unless every
+    orthant entry is > margin >= 0 and every SOC block has t - ||u|| > margin,
+    taken at y and rescaled only where positive, so a NaN entry or a point far
+    outside the cone is rejected without a warning.  The solver hands the
+    accepted point's reads to ``barrier_factor``.
     """
     reads = []
     for block, sl in cone.slices:
         xb = x[sl]
         if block.kind == ORTHANT:
-            if np.count_nonzero(xb <= 0.0):
-                raise BoundaryError("orthant component not strictly positive")
+            if np.count_nonzero(xb > margin) < xb.shape[0]:
+                raise BoundaryError("orthant component not strictly interior")
             reads.append(xb)
             continue
         y, e, slack, gap = _soc_read(xb)
-        if not slack > 0.0:
+        if not slack > 0.0 or (margin and not math.ldexp(slack, e) > margin):
             raise BoundaryError("point not interior to second-order cone block")
         reads.append((y, e, gap))
     return reads
@@ -245,30 +201,6 @@ def barrier_value(cone: Cone, x: np.ndarray, reads: list | None = None) -> float
     return total
 
 
-def _soc_hessian(y: np.ndarray, e: int, gap: float) -> np.ndarray:
-    # 4^-e times (2/gap) * diag(-1, 1, ..., 1) + (4/gap^2) * w w^T at y, with w = (t, -u)
-    d = y.shape[0]
-    w = y.copy()
-    w[1:] *= -1.0
-    hess = (4.0 / gap**2) * np.outer(w, w)
-    hess[np.arange(d), np.arange(d)] += 2.0 / gap
-    hess[0, 0] -= 4.0 / gap
-    return np.ldexp(hess, -2 * e)
-
-
-def barrier_hessian(cone: Cone, x: np.ndarray) -> np.ndarray:
-    """Dense barrier Hessian, block diagonal; FactorizationError where an entry overflows."""
-    n = cone.total_dim
-    hess = np.zeros((n, n))
-    # gap(y) > 2^-56 at an interior y, so only the rescaling to x's scale can overflow
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for (block, sl), b in zip(cone.slices, barrier_reads(cone, _check_dim(cone, x))):
-            hess[sl, sl] = np.diag(1.0 / b**2) if block.kind == ORTHANT else _soc_hessian(*b)
-    if not np.isfinite(hess).all():
-        raise FactorizationError("barrier Hessian is not finite (point at an extreme scale)")
-    return hess
-
-
 @dataclass(frozen=True)
 class SocFactor:
     """Exact lower Cholesky factor of one second-order cone block's barrier Hessian.
@@ -287,13 +219,6 @@ class SocFactor:
     p: np.ndarray  # w / D
     q: np.ndarray  # w / ia, with ia_j = 1 / alpha_j of the rank-one update
     exponent: int  # e, with x = 2^e y
-
-    @property
-    def dense(self) -> np.ndarray:
-        """The d x d factor L, assembled on each access (for tests and views)."""
-        # below the diagonal, L_ij = 2^-e w_i q_j / root_y,j = 4^-e w_i q_j / root_j
-        lower = np.ldexp(np.outer(self.w, self.q / self.root), -2 * self.exponent)
-        return np.tril(lower, -1) + np.diag(self.root)
 
 
 def _soc_factor(y: np.ndarray, e: int, gap: float) -> tuple[SocFactor, np.ndarray]:
@@ -383,18 +308,6 @@ class BarrierFactor:
     point: np.ndarray
     blocks: tuple[np.ndarray | SocFactor, ...]
     gradient: np.ndarray  # nabla B(point)
-
-    @property
-    def dim(self) -> int:
-        return self.point.shape[0]
-
-    @property
-    def lower(self) -> np.ndarray:
-        """Dense L with L L^T = nabla^2 B(point), assembled on each access."""
-        lower = np.zeros((self.dim, self.dim))
-        for (block, sl), f in zip(self.cone.slices, self.blocks):
-            lower[sl, sl] = np.diag(f) if block.kind == ORTHANT else f.dense
-        return lower
 
     def _blockwise(self, v: np.ndarray, lower: bool) -> np.ndarray:
         out = np.empty_like(v, dtype=float)

@@ -28,9 +28,10 @@ import numpy as np
 
 from . import certify as certify_mod
 from .capped_cg import DirectionKind, capped_cg, nc_curvature
-from .cones import barrier_factor, barrier_reads, barrier_value, interior_membership, local_norm_dual
+from .cones import barrier_factor, barrier_reads, barrier_value, local_norm_dual
 from .counters import OpCounters, bump
 from .errors import (
+    BoundaryError,
     CallbackError,
     DivergenceError,
     InfeasibleStart,
@@ -278,8 +279,10 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     n, m = problem.n, problem.m
     if x0.shape != (n,):
         raise InfeasibleStart(f"x0 has shape {x0.shape}, expected ({n},)")
-    if not interior_membership(cone, x0, margin=INTERIOR_GUARD):
-        raise InfeasibleStart("x0 is not strictly interior to the cone")
+    try:
+        barrier_reads(cone, x0, INTERIOR_GUARD)
+    except BoundaryError:
+        raise InfeasibleStart("x0 is not strictly interior to the cone") from None
     b_scale = 1.0 + (float(np.max(np.abs(affine.b))) if m else 0.0)
     if m and float(np.max(np.abs(affine.A @ x0 - affine.b))) > FEAS_TOL * b_scale:
         raise InfeasibleStart("x0 violates the equality constraints")
@@ -384,8 +387,9 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         if m:
             drift = float(np.maximum.reduce(np.abs(affine.A.dot(x) - affine.b)))
             if drift > FEAS_TOL * b_scale / 10.0:
-                x, reads = _reproject(affine, cone, x), None
-        # the accepted point's reads from the line search, so it is not walked again
+                x, reads = _reproject(affine, cone, x)
+        # the accepted point's reads, from the line search or the re-projection, so it
+        # is not walked again
         ws = IterationWorkspace(affine, barrier_factor(cone, x, counters, reads), counters)
 
     # lambda1 at x_final itself, from its workspace and one more gradient
@@ -395,15 +399,16 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     return finish(SolveStatus.MAX_ITERS_EXCEEDED, params.max_outer_iters, lambda1)
 
 
-def _reproject(affine, cone, x: np.ndarray) -> np.ndarray:
-    """Least-squares correction back onto {Ax = b}; must stay interior."""
+def _reproject(affine, cone, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Least-squares correction back onto {Ax = b}, with its cone reads; must stay interior."""
     residual = affine.A @ x - affine.b
     correction = affine.A.T @ np.linalg.solve(affine.A @ affine.A.T, residual)
     x_new = x - correction
-    if not interior_membership(cone, x_new, margin=INTERIOR_GUARD):
+    try:
+        return x_new, barrier_reads(cone, x_new, INTERIOR_GUARD)
+    except BoundaryError:
         raise DivergenceError(
             "feasibility cannot be maintained at the current iterate scale; the "
             "objective may be unbounded below on the feasible set (consider the "
             "quadratic perturbation wrapper)"
-        )
-    return x_new
+        ) from None

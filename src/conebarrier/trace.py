@@ -33,6 +33,7 @@ BRANCHES = (BRANCH_CG_SOL, BRANCH_CG_NC, BRANCH_MEO_NC, BRANCH_TERMINATE)
 _BRANCH_CODE = {name: code for code, name in enumerate(BRANCHES)}
 
 CSV_HEADER = "k,phi_mu,residual,branch,alpha,dir_norm,cg_iters,lanczos_iters"
+_FIELDS = tuple(CSV_HEADER.split(","))
 _CSV_ROW = "{},{!r},{!r},{},{!r},{!r},{},{}\n"
 
 
@@ -46,9 +47,6 @@ class IterationRecord:
     dir_norm: float
     cg_iters: int
     lanczos_iters: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
 
     def to_csv_row(self) -> str:
         return _CSV_ROW.format(*dataclasses.astuple(self))[:-1]
@@ -91,17 +89,16 @@ class SolveTrace:
         """The rows as a new list of ``IterationRecord``, built on each access."""
         return list(starmap(IterationRecord, self._rows()))
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "records": [r.to_dict() for r in self.records],
-            "counters": dict(self.counters),
-            "certificate": self.certificate.to_dict() if self.certificate is not None else None,
-        }
-
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w") as out:
             out.write(CSV_HEADER + "\n")
             out.writelines(starmap(_CSV_ROW.format, self._rows()))
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
+        """Rows, counters and certificate as one indented JSON document, one plain dict per row."""
+        doc = {"records": [dict(zip(_FIELDS, row)) for row in self._rows()],
+               "counters": dict(self.counters),
+               "certificate": None if self.certificate is None else self.certificate.to_dict()}
+        with open(path, "w") as out:
+            json.dump(doc, out, indent=2)
+            out.write("\n")

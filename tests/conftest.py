@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conebarrier.certify import dual_norm
-from conebarrier.cones import ORTHANT, Cone, ConeBlock, barrier_hessian, orthant, product, second_order
+from conebarrier.certify import barrier_hessian, dual_norm
+from conebarrier.cones import ORTHANT, BarrierFactor, Cone, ConeBlock, orthant, product, second_order
 
 
 CONE_FAMILIES = [
@@ -28,6 +28,24 @@ def random_interior_point(cone: Cone, rng: np.random.Generator, scale: float = 1
             x[sl][1:] = u
             x[sl.start] = np.linalg.norm(u) + scale * (0.2 + np.abs(rng.standard_normal()))
     return x
+
+
+def dense_lower(factor: BarrierFactor) -> np.ndarray:
+    """Dense L with L L^T = nabla^2 B(point), assembled from the factor's blocks.
+
+    An orthant block stores the diagonal of L_b.  A second-order cone block
+    stores root = 2^-e root_y, the diagonal, and w, q at y's scale; below the
+    diagonal, L_ij = 2^-e w_i q_j / root_y,j = 4^-e w_i q_j / root_j.
+    """
+    n = factor.point.shape[0]
+    lower = np.zeros((n, n))
+    for (block, sl), f in zip(factor.cone.slices, factor.blocks):
+        if block.kind == ORTHANT:
+            lower[sl, sl] = np.diag(f)
+        else:
+            below = np.ldexp(np.outer(f.w, f.q / f.root), -2 * f.exponent)
+            lower[sl, sl] = np.tril(below, -1) + np.diag(f.root)
+    return lower
 
 
 def primal_local_norm(cone: Cone, x: np.ndarray, v: np.ndarray) -> float:

@@ -22,13 +22,12 @@ import numpy as np
 import pytest
 
 from conebarrier.capped_cg import DirectionKind, capped_cg
-from conebarrier.certify import check_fosp, reduced_min_eig
+from conebarrier.certify import check_fosp, is_interior, reduced_min_eig
 from conebarrier.cli import fit_loglog_slope
 from conebarrier.cones import (
     ConeBlock,
     barrier_factor,
     barrier_value,
-    interior_membership,
     local_norm_dual,
     orthant,
     product,
@@ -40,6 +39,7 @@ from conebarrier.problems import ConicProblem, builtin
 from conebarrier.solver import SolverParams, SolveStatus, solve
 
 from conftest import (
+    dense_lower,
     dense_operators,
     iteration_bound,
     primal_local_norm,
@@ -101,7 +101,7 @@ def negnorm_vertex_size(eps):
 def assert_end_to_end_invariants(problem, result, iterates, eps):
     assert result.status is SolveStatus.SOSP_CERTIFIED
     for x in iterates:
-        assert interior_membership(problem.cone, x, 0.0)
+        assert is_interior(problem.cone, x)
         if problem.m:
             b_scale = 1.0 + np.max(np.abs(problem.affine.b))
             assert np.max(np.abs(problem.affine.A @ x - problem.affine.b)) <= 1e-9 * b_scale
@@ -113,7 +113,7 @@ def assert_end_to_end_invariants(problem, result, iterates, eps):
     assert reduced_min_eig(problem, result.x_final) >= -math.sqrt(eps) - 1e-6
     # same claim through the dense scaled-and-projected Hessian directly
     factor = barrier_factor(problem.cone, result.x_final)
-    _, _, p_d, _ = dense_operators(problem.affine.A, factor.lower)
+    _, _, p_d, _ = dense_operators(problem.affine.A, dense_lower(factor))
     scaled = p_d.T @ problem.hessian(result.x_final) @ p_d
     assert np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[0] >= -math.sqrt(eps) - 1e-6
 
@@ -167,8 +167,8 @@ def test_criterion_1_barrier_identities():
         factor = barrier_factor(cone, x)
         u = rng.standard_normal(cone.total_dim)
         u *= 0.999 / np.linalg.norm(u)
-        step = solve_triangular(factor.lower.T, u, lower=False)
-        assert interior_membership(cone, x + step, 0.0)
+        step = solve_triangular(dense_lower(factor).T, u, lower=False)
+        assert is_interior(cone, x + step)
 
 
 @criterion(2, "projection operators match dense assembly", budget=5.0)
@@ -184,7 +184,7 @@ def test_criterion_2_operator_calculus():
             affine = AffineData(A=a_mat, b=np.zeros(m)) if m \
                 else AffineData(A=np.zeros((0, n)), b=np.zeros(0))
             ws = IterationWorkspace(affine, factor)
-            m_d, q_d, p_d, r_d = dense_operators(a_mat if m else np.zeros((0, n)), factor.lower)
+            m_d, q_d, p_d, r_d = dense_operators(a_mat if m else np.zeros((0, n)), dense_lower(factor))
             v = rng.standard_normal(n)
             u = rng.standard_normal(n)
             np.testing.assert_allclose(ws.project(v), q_d @ v, atol=1e-9, rtol=1e-9)

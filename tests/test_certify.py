@@ -1,11 +1,15 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conebarrier.certify import check_fosp, check_sosp_dense, dual_norm, reduced_min_eig
-from conebarrier.cones import ConeBlock, barrier_hessian, orthant, product, second_order
+from conebarrier import capped_cg, cones, lanczos, linops, vecnorm
+from conebarrier import certify as certify_mod
+
+from conebarrier.certify import barrier_hessian, check_fosp, check_sosp_dense, dual_norm, reduced_min_eig
+from conebarrier.cones import ConeBlock, orthant, product, second_order
 from conebarrier.errors import SizeError
 from conebarrier.linops import AffineData, empty_affine
 from conebarrier.problems import ConicProblem, builtin
@@ -38,6 +42,17 @@ class TestCheckFosp:
         assert not report.interior_ok
         assert not report.fosp_ok
         assert report.fosp_residual == math.inf
+
+    def test_nan_entry_reported_not_interior(self):
+        p = simplex_negnorm(2)
+        report = check_fosp(p, np.array([math.nan, 1.0]), np.array([0.5]), eps_g=1.0)
+        assert not report.interior_ok
+        assert not report.fosp_ok
+        assert report.fosp_residual == math.inf
+
+    def test_wrong_length_point_raises(self):
+        with pytest.raises(ValueError):
+            check_fosp(simplex_negnorm(2), np.array([0.5, 0.25, 0.25]), np.array([0.5]), eps_g=1.0)
 
     def test_infeasible_point_reported(self):
         p = simplex_negnorm(2)
@@ -149,6 +164,67 @@ class TestCheckSospDense:
                 d = z @ rng.standard_normal(z.shape[1])
                 ratio = (d @ hess_f @ d) / (d @ hess_b @ d)
                 assert ratio >= min_eig - 1e-6
+
+
+class TestIndependence:
+    """The certificate shares no code with the solver's layers: with every function
+    of ``cones``, ``linops``, ``lanczos``, ``capped_cg`` and ``vecnorm`` made to
+    raise, both checks return the reports they return unpatched."""
+
+    SOLVER_MODULES = (cones, linops, lanczos, capped_cg, vecnorm)
+
+    @staticmethod
+    def cases(rng):
+        cone_list = [orthant(6), second_order(6),
+                     product(ConeBlock("orthant", 3), ConeBlock("soc", 4), ConeBlock("soc", 2))]
+        for cone in cone_list:
+            n = cone.total_dim
+            for m in range(4):
+                g = rng.standard_normal((n, n))
+                q_mat = g + g.T
+                a_mat = rng.standard_normal((m, n))
+                x = random_interior_point(cone, rng)
+                p = ConicProblem(
+                    name="qp",
+                    cone=cone,
+                    affine=AffineData(A=a_mat, b=a_mat @ x) if m else empty_affine(n),
+                    value=lambda x, q_mat=q_mat: 0.5 * float(x @ q_mat @ x),
+                    gradient=lambda x, q_mat=q_mat: q_mat @ x,
+                    hessian=lambda x, q_mat=q_mat: q_mat,
+                )
+                lam = rng.standard_normal(m)
+                outside = x.copy()
+                outside[0] = -1.0
+                yield p, x, lam
+                yield p, outside, lam
+
+    def reports(self, rng):
+        return [(check_fosp(p, x, lam, eps_g=1e-3).to_dict(),
+                 check_sosp_dense(p, x, lam, eps_g=1e-3, eps_h=1e-2).to_dict())
+                for p, x, lam in self.cases(rng)]
+
+    def test_reports_unchanged_with_solver_layers_raising(self, monkeypatch):
+        expected = self.reports(np.random.default_rng(7))
+        assert any(fosp["interior_ok"] for fosp, _ in expected)
+        assert any(sosp["sosp_min_eig"] not in (None, -math.inf) for _, sosp in expected)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate called into the solver's layers")
+
+        functions = set()
+        for module in self.SOLVER_MODULES:
+            for name, obj in vars(module).items():
+                if inspect.isfunction(obj):
+                    functions.add(obj)
+                    monkeypatch.setattr(module, name, refuse)
+        assert len(functions) >= 20
+        # and any of them that certify has bound under its own name
+        for name, obj in vars(certify_mod).items():
+            if inspect.isfunction(obj) and obj in functions:
+                monkeypatch.setattr(certify_mod, name, refuse)
+        with pytest.raises(AssertionError):
+            vecnorm.norm2(np.ones(2))
+        assert self.reports(np.random.default_rng(7)) == expected
 
 
 class TestScaleInvariance:

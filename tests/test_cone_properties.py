@@ -2,9 +2,10 @@
 
 Each example draws one to four orthant and second-order cone blocks and an
 interior point from ``conftest.random_interior_point``.  The dense factor
-``BarrierFactor.lower`` and ``scipy.linalg.solve_triangular`` are the
-reference for the block-wise solves, ``np.linalg.cholesky`` of the dense
-Hessian is the reference for ``lower`` away from the boundary, and
+``conftest.dense_lower`` and ``scipy.linalg.solve_triangular`` are the
+reference for the block-wise solves, ``np.linalg.cholesky`` of the
+certificate's dense Hessian ``certify.barrier_hessian``, which shares no
+code with the factor, is the reference for it away from the boundary, and
 ``local_norm_dual`` is the reference for the certificate's closed-form dual
 norm.  Near a second-order cone boundary the closed-form inverse Hessian
 x x^T - (gamma/2) diag(1, -1, ..., -1) is the reference instead, because a
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from conebarrier.certify import dual_norm
+from conebarrier.certify import barrier_hessian, dual_norm, in_dual_cone, is_interior
 from conebarrier.cones import (
     ORTHANT,
     SOC,
@@ -28,16 +29,13 @@ from conebarrier.cones import (
     ConeBlock,
     SocFactor,
     barrier_factor,
-    barrier_hessian,
     barrier_reads,
     barrier_value,
-    dual_membership,
-    interior_membership,
     local_norm_dual,
 )
 from conebarrier.errors import BoundaryError, FactorizationError
 
-from conftest import CONE_FAMILIES, random_interior_point
+from conftest import CONE_FAMILIES, dense_lower, random_interior_point
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -89,7 +87,7 @@ def min_relative_soc_gap(cone, x):
 def test_block_solves_match_dense_triangular_solves(cone, seed, cols):
     rng, x = sample(cone, seed)
     factor = barrier_factor(cone, x)
-    lower = factor.lower
+    lower = dense_lower(factor)
     n = cone.total_dim
     # a vector, and a cols x n stack of rows solved one row at a time
     for v in (rng.standard_normal(n), rng.standard_normal((cols, n))):
@@ -107,7 +105,7 @@ def test_block_solves_match_dense_triangular_solves(cone, seed, cols):
 @given(cone=CONES, seed=SEEDS)
 def test_lower_is_cholesky_factor_of_hessian(cone, seed):
     _, x = sample(cone, seed)
-    lower = barrier_factor(cone, x).lower
+    lower = dense_lower(barrier_factor(cone, x))
     hess = barrier_hessian(cone, x)
     np.testing.assert_array_equal(lower, np.tril(lower))
     assert np.all(np.diag(lower) > 0.0)
@@ -147,13 +145,13 @@ def test_power_of_two_scaling_is_exact(cone, seed, k, tol):
     # scale, so at 2^k x, with all entries normal, the results are rescaled bit for bit
     rng, x = sample(cone, seed)
     scaled_x = np.ldexp(x, k)
-    assert interior_membership(cone, scaled_x)
+    assert is_interior(cone, scaled_x)
     unit, scaled = barrier_factor(cone, x), barrier_factor(cone, scaled_x)
     assert np.array_equal(scaled.gradient, np.ldexp(unit.gradient, -k))
     v = rng.standard_normal(cone.total_dim)
     assert np.array_equal(scaled.solve_lower(v), np.ldexp(unit.solve_lower(v), k))
     s = rng.standard_normal(cone.total_dim)
-    assert dual_membership(cone, np.ldexp(s, k), math.ldexp(tol, k)) == dual_membership(cone, s, tol)
+    assert in_dual_cone(cone, np.ldexp(s, k), math.ldexp(tol, k)) == in_dual_cone(cone, s, tol)
 
 
 @PROPERTY_SETTINGS
@@ -166,7 +164,7 @@ def test_factor_from_handed_over_reads_equals_a_fresh_factor(cone, seed, k):
     # for bit, field by field, and must fail where the fresh one fails
     _, x = sample(cone, seed)
     x = np.ldexp(x, k)
-    assert interior_membership(cone, x)
+    assert is_interior(cone, x)
     reads = barrier_reads(cone, x)
     assert barrier_value(cone, x, reads) == barrier_value(cone, x)
     try:
@@ -246,7 +244,11 @@ def test_soc_factor_and_solves_are_bit_equal_to_the_textbook_form(cone, seed, k,
 @PROPERTY_SETTINGS
 @given(cone=CONES, seed=SEEDS, data=st.data())
 def test_every_barrier_entry_point_rejects_the_same_boundary_points(cone, seed, data):
+    # the walk and the certificate's own interiority test, which share no code, agree
+    # on the interior sample and on the point moved onto or past one block's boundary
     rng, x = sample(cone, seed)
+    assert is_interior(cone, x)
+    barrier_reads(cone, x)
     index = data.draw(st.integers(0, len(cone.blocks) - 1), label="block")
     block, sl = list(cone.slices)[index]
     if block.kind == ORTHANT:
@@ -256,8 +258,8 @@ def test_every_barrier_entry_point_rejects_the_same_boundary_points(cone, seed, 
         u_norm = np.linalg.norm(x[sl.start + 1:sl.stop])
         # outside the cone (gap < 0), or in its negative (gap > 0 but t < 0)
         x[sl.start] = data.draw(st.sampled_from([0.5 * u_norm, -u_norm - 1.0]), label="t")
-    assert not interior_membership(cone, x)
-    for entry_point in (barrier_value, barrier_hessian, barrier_factor):
+    assert not is_interior(cone, x)
+    for entry_point in (barrier_reads, barrier_value, barrier_factor):
         with pytest.raises(BoundaryError):
             entry_point(cone, x)
 
@@ -275,7 +277,7 @@ def test_soc_factor_accurate_up_to_the_boundary(dim):
         factor = barrier_factor(cone, x)
         # the pivots have condition number about t^2 / gap = 1 / gap, so a stable factor
         # is within a few eps / gap of them; the dense Cholesky factor was up to 3e10 eps / gap off
-        pivots = np.diag(factor.lower) ** 2
+        pivots = np.diag(dense_lower(factor)) ** 2
         np.testing.assert_allclose(pivots, soc_pivots_exact(x), rtol=16 * np.finfo(float).eps / gap)
         # a vector, and a 3 x dim stack of rows
         for v in (rng.standard_normal(dim), rng.standard_normal((3, dim))):

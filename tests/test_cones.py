@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from conebarrier import cones
+from conebarrier.certify import barrier_hessian, in_dual_cone, is_interior
 from conebarrier.cones import (
     ConeBlock,
     barrier_factor,
-    barrier_hessian,
+    barrier_reads,
     barrier_value,
-    dual_membership,
-    interior_membership,
     local_norm_dual,
     orthant,
     product,
@@ -19,7 +18,7 @@ from conebarrier.cones import (
 from conebarrier.counters import OpCounters
 from conebarrier.errors import BoundaryError, FactorizationError
 
-from conftest import CONE_FAMILIES, primal_local_norm, random_interior_point
+from conftest import CONE_FAMILIES, dense_lower, primal_local_norm, random_interior_point
 
 
 def finite_diff_gradient(cone, x, h=1e-6):
@@ -102,15 +101,15 @@ class TestBarrierGradient:
 class TestBarrierFactor:
     def test_orthant_half(self):
         factor = barrier_factor(orthant(2), np.array([0.5, 0.5]))
-        np.testing.assert_allclose(factor.lower, np.diag([2.0, 2.0]))
+        np.testing.assert_allclose(dense_lower(factor), np.diag([2.0, 2.0]))
 
     def test_soc_unit(self):
         factor = barrier_factor(second_order(2), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(factor.lower, np.diag([np.sqrt(2.0)] * 2), atol=1e-12)
+        np.testing.assert_allclose(dense_lower(factor), np.diag([np.sqrt(2.0)] * 2), atol=1e-12)
 
     def test_orthant_small(self):
         factor = barrier_factor(orthant(1), np.array([0.1]))
-        np.testing.assert_allclose(factor.lower, [[10.0]])
+        np.testing.assert_allclose(dense_lower(factor), [[10.0]])
 
     @pytest.mark.parametrize("t", [1e-160, 1e160])
     def test_soc_extreme_scale_raises_typed_error(self, t):
@@ -118,7 +117,7 @@ class TestBarrierFactor:
         # 1/t^2) only at 1e160; as for the orthant, only that Hessian raises, typed
         x = np.array([t, 0.0, 0.0])
         factor = barrier_factor(second_order(3), x)
-        np.testing.assert_allclose(factor.lower, np.sqrt(2.0) / t * np.eye(3), rtol=1e-15)
+        np.testing.assert_allclose(dense_lower(factor), np.sqrt(2.0) / t * np.eye(3), rtol=1e-15)
         if t < 1.0:
             with pytest.raises(FactorizationError):
                 barrier_hessian(second_order(3), x)
@@ -136,7 +135,7 @@ class TestBarrierFactor:
             t = 10.0**k
             factor, hessian = barrier_factor(cone, t * z), barrier_hessian(cone, t * z)
             np.testing.assert_allclose(factor.gradient * t, unit.gradient, rtol=1e-14, atol=0)
-            np.testing.assert_allclose(factor.lower * t, unit.lower, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(dense_lower(factor) * t, dense_lower(unit), rtol=1e-14, atol=0)
             np.testing.assert_allclose(factor.solve_lower(v) / t, unit.solve_lower(v),
                                        rtol=1e-14, atol=0)
             np.testing.assert_allclose(hessian * t * t, unit_hessian, rtol=1e-14, atol=0)
@@ -173,19 +172,19 @@ class TestBarrierFactor:
             factor = barrier_factor(cone, x)
             hess = barrier_hessian(cone, x)
             np.testing.assert_allclose(
-                factor.lower @ factor.lower.T, hess, rtol=1e-10, atol=1e-12
+                dense_lower(factor) @ dense_lower(factor).T, hess, rtol=1e-10, atol=1e-12
             )
-            assert np.all(np.diag(factor.lower) > 0)
+            assert np.all(np.diag(dense_lower(factor)) > 0)
 
 
 class TestLocalNorms:
     def test_primal_identity_factor(self):
         factor = barrier_factor(orthant(2), np.array([1.0, 1.0]))
-        assert np.linalg.norm(factor.lower.T @ np.array([3.0, 4.0])) == pytest.approx(5.0)
+        assert np.linalg.norm(dense_lower(factor).T @ np.array([3.0, 4.0])) == pytest.approx(5.0)
 
     def test_primal_scaled(self):
         factor = barrier_factor(orthant(2), np.array([0.5, 0.5]))
-        assert np.linalg.norm(factor.lower.T @ np.array([1.0, 0.0])) == pytest.approx(2.0)
+        assert np.linalg.norm(dense_lower(factor).T @ np.array([1.0, 0.0])) == pytest.approx(2.0)
 
     def test_dual_identity_factor(self):
         factor = barrier_factor(orthant(2), np.array([1.0, 1.0]))
@@ -204,13 +203,38 @@ class TestLocalNorms:
 
 class TestMembership:
     def test_interior_tiny_positive(self):
-        assert interior_membership(orthant(2), np.array([1e-9, 1.0]), 0.0)
+        x = np.array([1e-9, 1.0])
+        assert is_interior(orthant(2), x)
+        barrier_reads(orthant(2), x)
+        barrier_reads(orthant(2), x, margin=1e-12)
+        with pytest.raises(BoundaryError):
+            barrier_reads(orthant(2), x, margin=1e-9)
 
     def test_interior_boundary(self):
-        assert not interior_membership(orthant(2), np.array([0.0, 1.0]), 0.0)
+        assert not is_interior(orthant(2), np.array([0.0, 1.0]))
+        with pytest.raises(BoundaryError):
+            barrier_reads(orthant(2), np.array([0.0, 1.0]))
 
     def test_interior_soc_boundary(self):
-        assert not interior_membership(second_order(3), np.array([1.0, 0.6, 0.8]), 0.0)
+        assert not is_interior(second_order(3), np.array([1.0, 0.6, 0.8]))
+        with pytest.raises(BoundaryError):
+            barrier_reads(second_order(3), np.array([1.0, 0.6, 0.8]))
+
+    @pytest.mark.parametrize("cone, x", [
+        (orthant(2), [math.nan, 1.0]),
+        (second_order(3), [math.nan, 0.0, 0.0]),
+        (second_order(3), [1.0, math.nan, 0.0]),
+    ], ids=["orthant", "soc-t", "soc-u"])
+    def test_nan_entry_is_not_interior(self, cone, x):
+        # NaN compares false, so the one walk, every barrier entry point behind it and
+        # the certificate's own test all reject it; RuntimeWarnings are errors here
+        x = np.array(x)
+        for entry_point in (barrier_reads, barrier_value, barrier_factor):
+            with pytest.raises(BoundaryError):
+                entry_point(cone, x)
+        with pytest.raises(BoundaryError):
+            barrier_reads(cone, x, margin=1e-12)
+        assert not is_interior(cone, x)
 
     def test_soc_interior_from_1e_minus_300_to_1e300(self):
         # ||u||^2 overflows from ||u|| ~ 1.3e154 and underflows below 1e-162, so the
@@ -219,39 +243,40 @@ class TestMembership:
         for k in range(-300, 301):
             t = 10.0**k
             inside, outside = np.array([t, 0.5 * t, 0.0]), np.array([t, 0.0, 2.0 * t])
-            assert interior_membership(cone, inside) and not interior_membership(cone, outside), k
+            assert is_interior(cone, inside) and not is_interior(cone, outside), k
             assert barrier_factor(cone, inside).blocks[0].root[0] > 0.0
             expected = -math.log(0.75) - 2.0 * math.log(t)
             assert abs(barrier_value(cone, inside) - expected) <= 1e-14 * abs(expected), k
             with pytest.raises(BoundaryError):
                 barrier_factor(cone, outside)
         x = np.array([1e155, 0.5e155, 0.0])
-        assert interior_membership(cone, x, margin=4e154)
-        assert not interior_membership(cone, x, margin=6e154)
+        barrier_reads(cone, x, margin=4e154)
+        with pytest.raises(BoundaryError):
+            barrier_reads(cone, x, margin=6e154)
 
     def test_far_outside_soc_rejected_without_warning(self):
         # ||u||^2 overflows at x's own scale, but the membership test and every barrier
         # entry point read the block at its unit scale; RuntimeWarnings are errors here
         x = np.array([1.0, 1e200, 0.0])
-        assert not interior_membership(second_order(3), x)
-        for entry_point in (barrier_value, barrier_factor, barrier_hessian):
+        assert not is_interior(second_order(3), x)
+        for entry_point in (barrier_reads, barrier_value, barrier_factor, barrier_hessian):
             with pytest.raises(BoundaryError):
                 entry_point(second_order(3), x)
 
     def test_dual_orthant(self):
-        assert dual_membership(orthant(2), np.array([0.0, 3.0]), 0.0)
-        assert not dual_membership(orthant(2), np.array([-1e-3, 3.0]), 1e-6)
+        assert in_dual_cone(orthant(2), np.array([0.0, 3.0]), 0.0)
+        assert not in_dual_cone(orthant(2), np.array([-1e-3, 3.0]), 1e-6)
 
     def test_dual_soc_boundary(self):
-        assert dual_membership(second_order(2), np.array([1.0, -1.0]), 0.0)
+        assert in_dual_cone(second_order(2), np.array([1.0, -1.0]), 0.0)
 
     def test_dual_soc_far_above_normal_scale(self):
         # u^T u overflows at s's own scale; RuntimeWarnings are errors here
-        assert dual_membership(second_order(3), np.array([1e170, 0.5e170, 0.0]))
+        assert in_dual_cone(second_order(3), np.array([1e170, 0.5e170, 0.0]))
 
     def test_dual_soc_far_below_normal_scale(self):
         # u^T u underflows to 0 at s's own scale, while ||u|| = 1.03e-170 > t
-        assert not dual_membership(second_order(3), np.array([1e-170, 0.5e-170, 0.9e-170]))
+        assert not in_dual_cone(second_order(3), np.array([1e-170, 0.5e-170, 0.9e-170]))
 
     @pytest.mark.parametrize("s, tol, expected", [
         ([1e-300, 0.5e-300, 0.0], 1e10, True),
@@ -260,7 +285,7 @@ class TestMembership:
     ])
     def test_dual_soc_tolerance_beyond_float_range_at_unit_scale(self, s, tol, expected):
         # tol / 2^e overflows at the block's unit scale, so tol exceeds ||u|| - t there
-        assert dual_membership(second_order(3), np.array(s), tol) is expected
+        assert in_dual_cone(second_order(3), np.array(s), tol) is expected
 
 
 @pytest.mark.parametrize("cone", CONE_FAMILIES, ids=lambda c: f"{len(c.blocks)}b{c.total_dim}")
@@ -298,8 +323,8 @@ class TestBarrierIdentities:
             factor = barrier_factor(cone, x)
             u = rng.standard_normal(cone.total_dim)
             u *= 0.999 / np.linalg.norm(u)
-            step = solve_triangular(factor.lower.T, u, lower=False)
-            assert interior_membership(cone, x + step, 0.0)
+            step = solve_triangular(dense_lower(factor).T, u, lower=False)
+            assert is_interior(cone, x + step)
 
     def test_gradient_hessian_consistency(self, cone, rng):
         x = random_interior_point(cone, rng)

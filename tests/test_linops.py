@@ -10,7 +10,7 @@ from conebarrier.errors import FactorizationError
 from conebarrier.linops import AffineData, IterationWorkspace, empty_affine
 from conebarrier.vecnorm import norm2
 
-from conftest import CONE_FAMILIES, dense_operators, primal_local_norm, random_interior_point
+from conftest import CONE_FAMILIES, dense_lower, dense_operators, primal_local_norm, random_interior_point
 
 MIXED = CONE_FAMILIES[-1]  # orthant x SOC x orthant x SOC
 
@@ -215,7 +215,7 @@ class TestAgainstDenseAssembly:
             factor = barrier_factor(cone, x)
             affine = AffineData(A=a_mat, b=np.zeros(m)) if m else empty_affine(n)
             ws = IterationWorkspace(affine, factor)
-            m_d, q_d, p_d, r_d = dense_operators(a_mat, factor.lower)
+            m_d, q_d, p_d, r_d = dense_operators(a_mat, dense_lower(factor))
             for _ in range(3):
                 v = rng.standard_normal(n)
                 np.testing.assert_allclose(ws.unscale(v), m_d @ v, atol=1e-9, rtol=1e-9)
@@ -236,7 +236,7 @@ class TestAgainstDenseAssembly:
         x = random_interior_point(cone, rng)
         factor = barrier_factor(cone, x)
         ws = IterationWorkspace(AffineData(A=a_mat, b=np.zeros(m)), factor)
-        m_d, _, p_d, r_d = dense_operators(a_mat, factor.lower)
+        m_d, _, p_d, r_d = dense_operators(a_mat, dense_lower(factor))
         np.testing.assert_allclose(
             (np.eye(n) + r_d.T @ a_mat) @ m_d, p_d, atol=1e-10
         )

@@ -17,6 +17,7 @@ from conebarrier.cones import barrier_factor, local_norm_dual
 from conebarrier.linops import AffineData, IterationWorkspace, empty_affine
 from conebarrier.vecnorm import norm2
 
+from conftest import dense_lower
 from test_cone_properties import CONES, PROPERTY_SETTINGS, SEEDS, sample
 
 M_ROWS = st.integers(0, 3)
@@ -29,7 +30,7 @@ def workspace(cone, seed, m):
     a_mat = rng.standard_normal((m, n))
     affine = AffineData(A=a_mat, b=a_mat @ x) if m else empty_affine(n)
     ws = IterationWorkspace(affine, barrier_factor(cone, x))
-    m_norm = np.linalg.norm(np.linalg.inv(ws.factor.lower), 2)
+    m_norm = np.linalg.norm(np.linalg.inv(dense_lower(ws.factor)), 2)
     return rng, ws, a_mat, m_norm
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conebarrier.cones import interior_membership
+from conebarrier.certify import is_interior
 from conebarrier.errors import SchemaError, UnknownProblem
 from conebarrier.problems import (
     BUILTIN_NAMES,
@@ -54,14 +54,14 @@ class TestBuiltins:
 
     def test_soc_quadratic_start(self):
         p = builtin("soc_quadratic", 10, m=2, seed=0)
-        assert interior_membership(p.cone, p.x0, 0.0)
+        assert is_interior(p.cone, p.x0)
         np.testing.assert_allclose(p.affine.A @ p.x0, p.affine.b, atol=1e-14)
 
     def test_all_builtins_ship_interior_feasible_start(self):
         for name in BUILTIN_NAMES:
             p = builtin(name, 8)
             assert p.x0 is not None
-            assert interior_membership(p.cone, p.x0, 0.0)
+            assert is_interior(p.cone, p.x0)
             if p.m:
                 assert np.max(np.abs(p.affine.A @ p.x0 - p.affine.b)) <= 1e-12
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conebarrier.cones import barrier_factor, interior_membership, orthant
+from conebarrier.certify import is_interior
+from conebarrier.cones import barrier_factor, orthant
 from conebarrier.errors import (
     CallbackError,
     InfeasibleStart,
@@ -491,7 +492,7 @@ class TestSolveBasics:
         # one gradient call per iteration plus one inside the final certificate
         assert len(iterates) == res.iterations + 2
         for x in iterates:
-            assert interior_membership(p.cone, x, 0.0)
+            assert is_interior(p.cone, x)
             assert np.max(np.abs(p.affine.A @ x - p.affine.b)) <= 1e-9 * 2.0
         for x_prev, x_next in zip(iterates, iterates[1:]):
             assert primal_local_norm(p.cone, x_prev, x_next - x_prev) <= params.beta * (1 + 1e-9)
@@ -522,7 +523,7 @@ class TestSolveBasics:
         assert res.status is SolveStatus.SOSP_CERTIFIED
         cert = res.trace.certificate
         assert cert.fosp_ok and cert.sosp_ok
-        assert interior_membership(p.cone, res.x_final, 0.0)
+        assert is_interior(p.cone, res.x_final)
 
     def test_unbounded_instance_raises_divergence(self):
         from conebarrier.errors import DivergenceError
@@ -622,16 +623,17 @@ class TestSolveBasics:
 
 class TestOneWalkPerPoint:
     """The solver walks the cone blocks of each point it evaluates once, for the
-    barrier value, and builds the accepted point's factor from those reads.  Only a
-    re-projected point is walked again, by its factor, and the dense certificate's
-    barrier Hessian is one more walk."""
+    barrier value, and builds the accepted point's factor from those reads.  A
+    re-projected point is walked once, at the interiority margin, and its factor
+    is built from those reads; the check of x0 at that margin is one more walk.
+    The certificate does not walk: it has its own interiority test."""
 
     @staticmethod
     def count_walks(monkeypatch, problem, params):
         from conebarrier import cones
         from conebarrier import solver as solver_mod
 
-        calls = {"walks": 0, "reprojections": 0, "certificate": 0}
+        calls = {"walks": 0, "reprojections": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -643,10 +645,9 @@ class TestOneWalkPerPoint:
         monkeypatch.setattr(cones, "barrier_reads", walk)
         monkeypatch.setattr(solver_mod, "barrier_reads", walk)
         monkeypatch.setattr(solver_mod, "_reproject", counted("reprojections", solver_mod._reproject))
-        monkeypatch.setattr(cones, "barrier_hessian", counted("certificate", cones.barrier_hessian))
         res = solve(problem, problem.x0, params)
         ops = res.trace.counters
-        assert calls["walks"] == ops["fun_eval"] + calls["reprojections"] + calls["certificate"]
+        assert calls["walks"] == ops["fun_eval"] + calls["reprojections"] + 1
         assert ops["cholesky"] == res.iterations + 1
         return res, calls
 
@@ -654,7 +655,7 @@ class TestOneWalkPerPoint:
         p = builtin("nonconvex_qp_simplex", 30, seed=0)
         res, calls = self.count_walks(monkeypatch, p, SolverParams(epsilon=1e-2, seed=7))
         assert res.status is SolveStatus.SOSP_CERTIFIED
-        assert calls["reprojections"] == 0 and calls["certificate"] == 1
+        assert calls["reprojections"] == 0
         assert res.trace.counters["fun_eval"] == res.iterations + 1
 
     def test_every_backtracking_trial_is_walked_once(self, monkeypatch):
@@ -667,7 +668,7 @@ class TestOneWalkPerPoint:
         ops = res.trace.counters
         assert ops["fun_eval"] > ops["cholesky"]  # trials outnumber accepted points
 
-    def test_a_reprojected_point_is_walked_by_its_factor(self, monkeypatch):
+    def test_a_reprojected_point_is_walked_once(self, monkeypatch):
         # the unbounded instance drifts off Ax = b as its iterates grow
         p = mixed_cone_quadratic()
         res, calls = self.count_walks(

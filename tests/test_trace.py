@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conebarrier.certify import CertificateReport
 from conebarrier.problems import builtin
 from conebarrier.solver import SolverParams, SolveStatus, solve
 from conebarrier.trace import BRANCHES, IterationRecord, SolveTrace
@@ -76,6 +77,20 @@ def test_write_csv_streams_rows(tmp_path):
     assert peak <= 64 * 1024
     rows = [dataclasses.astuple(r) for r in trace.records]
     assert path.read_bytes() == reference_csv(rows)
+
+
+def test_write_json_builds_one_plain_dict_per_row(tmp_path):
+    # rows go from the columns into plain dicts and json.dump writes the text in
+    # chunks; an IterationRecord plus its asdict copy per row, then the whole indented
+    # string, peaked at about 38 MiB here
+    trace = synthetic_trace()
+    trace.counters = {"cholesky": ROWS, "tri_solve": 3 * ROWS}
+    trace.certificate = CertificateReport(True, 0.0, True, True, 1e-4, True)
+    path = tmp_path / "trace.json"
+    _, _, peak = traced_bytes(lambda: trace.write_json(path))
+    assert peak <= 12 * 2**20
+    rows = [dataclasses.astuple(r) for r in trace.records]
+    assert path.read_bytes() == reference_json(rows, trace)
 
 
 def line_search_failure_problem():
