@@ -13,8 +13,8 @@ First-order test at (x, lambda):
     s = grad f(x) + A^T lambda  in the dual cone,
     ||s||_x* <= eps_g.
 
-Interiority is x_b > 0 on an orthant block and t - ||u|| > 0 at y, and
-both block types are self-dual.  ||s||_x* = sqrt(s^T grad^2 B(x)^{-1} s) is
+Interiority is 0 < x_b < inf on an orthant block and 0 < t - ||u|| < inf at
+y, and both block types are self-dual.  ||s||_x* = sqrt(s^T grad^2 B(x)^{-1} s) is
 read off the closed-form inverse barrier Hessian, block by block: diag(x_b^2)
 on an orthant block, and x_b x_b^T - (gamma/2) diag(1, -1, ..., -1) with
 gamma = t^2 - ||u||^2 on a second-order cone block.
@@ -70,22 +70,30 @@ def _soc_read(xb: np.ndarray) -> tuple[np.ndarray, int, float, float]:
     return y, e, float(y[0]), math.sqrt(y[1:].dot(y[1:]))
 
 
+def _slices(cone: Cone, *vectors: np.ndarray) -> tuple:
+    """``cone.slices``, after a ValueError unless each vector has length ``cone.total_dim``."""
+    for v in vectors:
+        if np.shape(v) != (cone.total_dim,):
+            raise ValueError(f"expected vector of length {cone.total_dim}, got shape {np.shape(v)}")
+    return cone.slices
+
+
 def is_interior(cone: Cone, x: np.ndarray) -> bool:
-    """True iff every orthant entry is > 0 and every SOC block has t - ||u|| > 0 at y."""
-    for block, sl in cone.slices:
+    """True iff every orthant entry is in (0, inf) and every SOC block has 0 < t - ||u|| < inf at y."""
+    for block, sl in _slices(cone, x):
         if block.kind == ORTHANT:
-            if not np.all(x[sl] > 0.0):
+            if not np.all((x[sl] > 0.0) & (x[sl] < math.inf)):
                 return False
             continue
         _, _, t, r = _soc_read(x[sl])
-        if not t - r > 0.0:
+        if not 0.0 < t - r < math.inf:
             return False
     return True
 
 
 def in_dual_cone(cone: Cone, s: np.ndarray, tol: float = 0.0) -> bool:
     """Dual-cone membership up to tol per block; an SOC block is compared at y, with tol / 2^e."""
-    for block, sl in cone.slices:
+    for block, sl in _slices(cone, s):
         if block.kind == ORTHANT:
             if np.any(s[sl] < -tol):
                 return False
@@ -128,7 +136,7 @@ def barrier_hessian(cone: Cone, x: np.ndarray) -> np.ndarray:
 def dual_norm(cone: Cone, x: np.ndarray, s: np.ndarray) -> float:
     """||s||_x* from the closed-form inverse barrier Hessian at an interior x; O(n)."""
     total = 0.0
-    for block, sl in cone.slices:
+    for block, sl in _slices(cone, x, s):
         xb, sb = x[sl], s[sl]
         if block.kind == ORTHANT:
             total += float(np.sum((xb * sb) ** 2))
@@ -147,7 +155,7 @@ def check_fosp(
     lam: np.ndarray,
     eps_g: float,
 ) -> CertificateReport:
-    """First-order report; failures are reported, never raised."""
+    """First-order report; certificate failures are reported, and wrong shapes raise ValueError."""
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if x.shape != (problem.n,):
@@ -164,7 +172,10 @@ def check_fosp(
     feasibility_ok = primal_residual <= FEAS_TOL * b_scale
 
     interior_ok = is_interior(problem.cone, x)
-    s = problem.gradient(x) + (affine.A.T @ lam if problem.m else 0.0)
+    grad = np.asarray(problem.gradient(x), dtype=float)
+    if grad.shape != (problem.n,):
+        raise ValueError(f"gradient has shape {grad.shape}, expected ({problem.n},)")
+    s = grad + (affine.A.T @ lam if problem.m else 0.0)
     dual_cone_ok = in_dual_cone(problem.cone, s, tol=DUAL_TOL)
     fosp_residual = dual_norm(problem.cone, x, s) if interior_ok else math.inf
     fosp_ok = feasibility_ok and interior_ok and dual_cone_ok and fosp_residual <= eps_g

@@ -8,12 +8,13 @@ second-order (Lorentz) cones.  Each block carries its canonical barrier:
 
 Values, gradients, Hessians and the barrier parameter are additive across
 blocks.  Every barrier entry point reads the blocks in one walk,
-``barrier_reads``, which is also the one strict-interiority check, and the
-reads can be handed on: the solver walks each point it evaluates once, for
-its barrier value, and builds the accepted point's factor from the same
-reads.  All local-norm computations go through the lower Cholesky factor L
-of the barrier Hessian, nabla^2 B(x) = L L^T, which is block diagonal; the
-reads that build it also yield the barrier gradient nabla B(x).
+``barrier_reads``, which is also the one entry check (length, finiteness and
+strict interiority) and returns B(x) with the reads.  The reads can be handed
+on: the solver walks each point it evaluates once, and builds the accepted
+point's factor from the same reads.  All local-norm computations go through
+the lower Cholesky factor L of the barrier Hessian, nabla^2 B(x) = L L^T,
+which is block diagonal; the reads that build it also yield the barrier
+gradient nabla B(x).
 ``BarrierFactor`` stores the factor one block at a time, and this module is
 the only one that knows that format:
 
@@ -28,11 +29,11 @@ the only one that knows that format:
   ufunc behind ``np.cumsum``, without its wrapper), and no d x d array is
   formed.
   Each block is read once, at y = x_b / 2^e with its largest entry in
-  [1/2, 1) (``_unit_scaled``).  Interiority is t - ||u|| > 0 at y, and the
-  value, factor and gradient are formed from y and its gap and rescaled by
-  logarithmic homogeneity, so no square under- or overflows at any scale of
-  x_b.  This is the solver's layer only; ``certify`` keeps closed forms of
-  its own.
+  [1/2, 1) (``_soc_read``).  Interiority is 0 < t - ||u|| < inf at y, and
+  the value, factor and gradient are formed from y and its gap and rescaled
+  by logarithmic homogeneity, so no square under- or overflows at any scale
+  of x_b.  This is the solver's layer only; ``certify`` keeps closed forms
+  of its own.
 
 Everything else applies L through ``BarrierFactor.solve_lower`` and
 ``solve_upper``; the dual local norm ||v||_x* = ||L^{-1} v|| is one forward
@@ -123,89 +124,68 @@ def cone_from_description(desc: list[dict]) -> Cone:
     return Cone(tuple(ConeBlock(d["type"], int(d["dim"])) for d in desc))
 
 
-def _check_dim(cone: Cone, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (cone.total_dim,):
-        raise ValueError(f"expected vector of length {cone.total_dim}, got shape {x.shape}")
-    return x
-
-
-def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """(y, e) with v = 2^e y and the largest |y_i| in [1/2, 1); the layer's one SOC scale rule.
-
-    The barrier is logarithmically homogeneous, so B(x) = B(y) - 2e ln 2,
-    nabla B(x) = 2^-e nabla B(y) and nabla^2 B(x) = 4^-e nabla^2 B(y).  At y
-    no square overflows, or underflows far enough to matter, and scaling by a
-    power of two is exact, so where x's own squares are normal floats the
-    results are bit-equal to an evaluation at x itself.  For an interior
-    block the largest entry is t.
-    """
-    e = math.frexp(np.maximum.reduce(np.abs(v)))[1]
-    return np.ldexp(v, -e), e
-
-
 def _soc_read(xb: np.ndarray) -> tuple[np.ndarray, int, float, float]:
     """(y, e, t - ||u||, (t - ||u||)(t + ||u||)) of an SOC block (t, u) = 2^e y, both read at y.
 
-    The last is the gap t^2 - ||u||^2 at y; the block is interior iff t - ||u|| > 0.
+    y has its largest |y_i| in [1/2, 1); this is the layer's one SOC scale
+    rule.  The barrier is logarithmically homogeneous, so B(x) = B(y) - 2e ln 2,
+    nabla B(x) = 2^-e nabla B(y) and nabla^2 B(x) = 4^-e nabla^2 B(y).  At y no
+    square overflows, or underflows far enough to matter, and scaling by a
+    power of two is exact, so where x's own squares are normal floats the
+    results are bit-equal to an evaluation at x itself.  The last entry is the
+    gap t^2 - ||u||^2 at y; the block is interior iff 0 < t - ||u|| < inf, and
+    then its largest entry is t.
     """
-    y, e = _unit_scaled(xb)
+    e = math.frexp(np.maximum.reduce(np.abs(xb)))[1]
+    y = np.ldexp(xb, -e)
     t, r = float(y[0]), norm2(y[1:])
     return y, e, t - r, (t - r) * (t + r)
 
 
-def barrier_reads(cone: Cone, x: np.ndarray, margin: float = 0.0) -> list:
-    """One read per block of a dimension-checked x: the walk behind every barrier entry point.
+def barrier_reads(cone: Cone, x: np.ndarray, margin: float = 0.0) -> tuple[float, list]:
+    """(B(x), one read per block): the one walk and entry check behind every barrier entry point.
 
-    A read is x_b for an orthant block and (y, e, gap) of ``_soc_read`` for an
-    SOC block.  The one strict-interiority check: BoundaryError unless every
-    orthant entry is > margin >= 0 and every SOC block has t - ||u|| > margin,
-    taken at y and rescaled only where positive, so a NaN entry or a point far
-    outside the cone is rejected without a warning.  The solver hands the
+    ValueError unless x has length ``cone.total_dim``.  A read is x_b for an
+    orthant block and (y, e, gap) of ``_soc_read`` for an SOC block.
+    BoundaryError unless every orthant entry is finite and > margin >= 0 and
+    every SOC block is finite with t - ||u|| > margin, taken at y and rescaled
+    only where positive: NaN, inf and points far outside the cone are rejected
+    without a warning.  An SOC block's term is -log of its gap at x, 4^e gap(y),
+    where that is a normal float, and -log(gap(y)) - 2e ln 2 elsewhere, so B
+    stays finite at every scale the factor handles.  The solver hands the
     accepted point's reads to ``barrier_factor``.
     """
-    reads = []
+    if x.shape != (cone.total_dim,):
+        raise ValueError(f"expected vector of length {cone.total_dim}, got shape {x.shape}")
+    total, reads = 0.0, []
     for block, sl in cone.slices:
         xb = x[sl]
         if block.kind == ORTHANT:
             if np.count_nonzero(xb > margin) < xb.shape[0]:
                 raise BoundaryError("orthant component not strictly interior")
+            logs = float(np.add.reduce(np.log(xb)))
+            if not logs < math.inf:  # a sum of logs of finite doubles is finite
+                raise BoundaryError("orthant component not finite")
+            total -= logs
             reads.append(xb)
             continue
         y, e, slack, gap = _soc_read(xb)
-        if not slack > 0.0 or (margin and not math.ldexp(slack, e) > margin):
+        # at y a finite block has slack < 2, and an infinite entry gives NaN or inf
+        if not 0.0 < slack < math.inf or (margin and not math.ldexp(slack, e) > margin):
             raise BoundaryError("point not interior to second-order cone block")
-        reads.append((y, e, gap))
-    return reads
-
-
-def barrier_value(cone: Cone, x: np.ndarray, reads: list | None = None) -> float:
-    """B(x), summed over the blocks, from ``barrier_reads(cone, x)``, taken here when not given.
-
-    A second-order cone block takes the log of its gap at x, 4^e gap(y),
-    where that is a normal float, and log(gap(y)) + 2e ln 2 elsewhere, so the
-    value stays finite at every scale the factor handles.
-    """
-    if reads is None:
-        reads = barrier_reads(cone, _check_dim(cone, x))
-    total = 0.0
-    for (block, _), b in zip(cone.slices, reads):
-        if block.kind == ORTHANT:
-            total -= float(np.add.reduce(np.log(b)))
-            continue
-        _, e, gap = b
         if -1021 <= math.frexp(gap)[1] + 2 * e <= 1024:  # 4^e gap(y) >= 2^-1022 and finite
             total -= float(np.log(math.ldexp(gap, 2 * e)))
         else:
             total -= float(np.log(gap)) + 2 * e * _LN2
-    return total
+        reads.append((y, e, gap))
+    return total, reads
 
 
 @dataclass(frozen=True)
 class SocFactor:
     """Exact lower Cholesky factor of one second-order cone block's barrier Hessian.
 
-    Built at y = 2^-e x (see ``_unit_scaled``), so L = 2^-e L_y.  Here
+    Built at y = 2^-e x (see ``_soc_read``), so L = 2^-e L_y.  Here
     L_y = (I + tril(w beta^T, -1)) diag(root_y) with beta = q / root_y^2, and
     the unit lower part, the same for x as for y, has the inverse
     I - tril(q p^T, -1).  So w, p and q stay at y's scale and only the
@@ -333,13 +313,13 @@ def barrier_factor(
 ) -> BarrierFactor:
     """Factor the barrier Hessian at an interior point, with the gradient from the same reads.
 
-    ``reads`` is ``barrier_reads(cone, x)`` when the caller has walked x
+    ``reads`` is ``barrier_reads(cone, x)[1]`` when the caller has walked x
     already, as the solver's line search has at the point it accepts; without
     it x is walked here.  Counts one Cholesky.
     """
     if reads is None:
-        x = _check_dim(cone, x)
-        reads = barrier_reads(cone, x)
+        x = np.asarray(x, dtype=float)
+        reads = barrier_reads(cone, x)[1]
     blocks, gradient = [], np.empty_like(x)
     for (block, sl), b in zip(cone.slices, reads):
         if block.kind == ORTHANT:

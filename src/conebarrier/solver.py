@@ -28,7 +28,7 @@ import numpy as np
 
 from . import certify as certify_mod
 from .capped_cg import DirectionKind, capped_cg, nc_curvature
-from .cones import barrier_factor, barrier_reads, barrier_value, local_norm_dual
+from .cones import barrier_factor, barrier_reads, local_norm_dual
 from .counters import OpCounters, bump
 from .errors import (
     BoundaryError,
@@ -123,9 +123,8 @@ def phi_value(problem: ConicProblem, x: np.ndarray, mu: float,
     value = problem.value(x)
     if math.isnan(value):
         raise CallbackError("objective value callback returned NaN")
-    cone = problem.cone
-    reads = barrier_reads(cone, x)
-    return value + mu * barrier_value(cone, x, reads), reads
+    barrier, reads = barrier_reads(problem.cone, x)
+    return value + mu * barrier, reads
 
 
 def _checked_callback(
@@ -405,7 +404,7 @@ def _reproject(affine, cone, x: np.ndarray) -> tuple[np.ndarray, list]:
     correction = affine.A.T @ np.linalg.solve(affine.A @ affine.A.T, residual)
     x_new = x - correction
     try:
-        return x_new, barrier_reads(cone, x_new, INTERIOR_GUARD)
+        return x_new, barrier_reads(cone, x_new, INTERIOR_GUARD)[1]
     except BoundaryError:
         raise DivergenceError(
             "feasibility cannot be maintained at the current iterate scale; the "

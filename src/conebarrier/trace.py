@@ -16,7 +16,6 @@ from the columns to the file one at a time.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 from array import array
 from dataclasses import dataclass
@@ -47,9 +46,6 @@ class IterationRecord:
     dir_norm: float
     cg_iters: int
     lanczos_iters: int
-
-    def to_csv_row(self) -> str:
-        return _CSV_ROW.format(*dataclasses.astuple(self))[:-1]
 
 
 class SolveTrace:

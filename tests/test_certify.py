@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -53,6 +54,19 @@ class TestCheckFosp:
     def test_wrong_length_point_raises(self):
         with pytest.raises(ValueError):
             check_fosp(simplex_negnorm(2), np.array([0.5, 0.25, 0.25]), np.array([0.5]), eps_g=1.0)
+
+    def test_wrong_length_gradient_raises(self):
+        # a length-1 gradient would broadcast through + A^T lambda
+        p = dataclasses.replace(simplex_negnorm(2), gradient=lambda x: np.array([-0.5]))
+        with pytest.raises(ValueError, match="gradient"):
+            check_fosp(p, np.array([0.5, 0.5]), np.array([0.5]), eps_g=1.0)
+
+    def test_infinite_entry_reported_not_interior(self):
+        p = simplex_negnorm(2)
+        report = check_fosp(p, np.array([math.inf, 1.0]), np.array([0.5]), eps_g=1.0)
+        assert not report.interior_ok
+        assert not report.fosp_ok
+        assert report.fosp_residual == math.inf
 
     def test_infeasible_point_reported(self):
         p = simplex_negnorm(2)

@@ -30,7 +30,6 @@ from conebarrier.cones import (
     SocFactor,
     barrier_factor,
     barrier_reads,
-    barrier_value,
     local_norm_dual,
 )
 from conebarrier.errors import BoundaryError, FactorizationError
@@ -165,8 +164,8 @@ def test_factor_from_handed_over_reads_equals_a_fresh_factor(cone, seed, k):
     _, x = sample(cone, seed)
     x = np.ldexp(x, k)
     assert is_interior(cone, x)
-    reads = barrier_reads(cone, x)
-    assert barrier_value(cone, x, reads) == barrier_value(cone, x)
+    value, reads = barrier_reads(cone, x)
+    assert barrier_reads(cone, x)[0] == value
     try:
         fresh = barrier_factor(cone, x)
     except FactorizationError:
@@ -259,7 +258,7 @@ def test_every_barrier_entry_point_rejects_the_same_boundary_points(cone, seed, 
         # outside the cone (gap < 0), or in its negative (gap > 0 but t < 0)
         x[sl.start] = data.draw(st.sampled_from([0.5 * u_norm, -u_norm - 1.0]), label="t")
     assert not is_interior(cone, x)
-    for entry_point in (barrier_reads, barrier_value, barrier_factor):
+    for entry_point in (barrier_reads, barrier_factor):
         with pytest.raises(BoundaryError):
             entry_point(cone, x)
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conebarrier import cones
-from conebarrier.certify import barrier_hessian, in_dual_cone, is_interior
+from conebarrier.certify import barrier_hessian, dual_norm, in_dual_cone, is_interior
 from conebarrier.cones import (
     ConeBlock,
     barrier_factor,
     barrier_reads,
-    barrier_value,
     local_norm_dual,
     orthant,
     product,
@@ -27,7 +26,7 @@ def finite_diff_gradient(cone, x, h=1e-6):
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        g[i] = (barrier_value(cone, x + e) - barrier_value(cone, x - e)) / (2 * h)
+        g[i] = (barrier_reads(cone, x + e)[0] - barrier_reads(cone, x - e)[0]) / (2 * h)
     return g
 
 
@@ -63,19 +62,19 @@ class TestConeStructure:
 
 class TestBarrierValue:
     def test_orthant_ones(self):
-        assert barrier_value(orthant(2), np.array([1.0, 1.0])) == 0.0
+        assert barrier_reads(orthant(2), np.array([1.0, 1.0]))[0] == 0.0
 
     def test_soc_unit(self):
-        assert barrier_value(second_order(2), np.array([1.0, 0.0])) == 0.0
+        assert barrier_reads(second_order(2), np.array([1.0, 0.0]))[0] == 0.0
 
     def test_orthant_single(self):
-        assert barrier_value(orthant(1), np.array([2.0])) == pytest.approx(-np.log(2.0))
+        assert barrier_reads(orthant(1), np.array([2.0]))[0] == pytest.approx(-np.log(2.0))
 
     def test_boundary_raises(self):
         with pytest.raises(BoundaryError):
-            barrier_value(orthant(2), np.array([0.0, 1.0]))
+            barrier_reads(orthant(2), np.array([0.0, 1.0]))[0]
         with pytest.raises(BoundaryError):
-            barrier_value(second_order(3), np.array([1.0, 0.6, 0.8]))
+            barrier_reads(second_order(3), np.array([1.0, 0.6, 0.8]))[0]
 
 
 class TestBarrierGradient:
@@ -148,7 +147,7 @@ class TestBarrierFactor:
             t = 10.0**k
             x = np.array([t, 0.0, 0.0])
             expected = -2.0 * math.log(t)
-            assert abs(barrier_value(cone, x) - expected) <= 1e-14 * abs(expected), k
+            assert abs(barrier_reads(cone, x)[0] - expected) <= 1e-14 * abs(expected), k
             factor = barrier_factor(cone, x)
             assert factor.blocks[0].root[0] > 0.0 and np.isfinite(factor.gradient).all()
 
@@ -229,12 +228,48 @@ class TestMembership:
         # NaN compares false, so the one walk, every barrier entry point behind it and
         # the certificate's own test all reject it; RuntimeWarnings are errors here
         x = np.array(x)
-        for entry_point in (barrier_reads, barrier_value, barrier_factor):
+        for entry_point in (barrier_reads, barrier_factor):
             with pytest.raises(BoundaryError):
                 entry_point(cone, x)
         with pytest.raises(BoundaryError):
             barrier_reads(cone, x, margin=1e-12)
         assert not is_interior(cone, x)
+
+    @pytest.mark.parametrize("cone, x", [
+        (orthant(2), [math.inf, 1.0]),
+        (second_order(3), [math.inf, 0.0, 0.0]),
+        (second_order(3), [1.0, math.inf, 0.0]),
+        (second_order(3), [math.inf, math.inf, 0.0]),
+        (second_order(3), [math.inf, -math.inf, 0.0]),
+    ], ids=["orthant", "soc-t", "soc-u", "soc-t-u", "soc-t-minus-u"])
+    def test_infinite_entry_is_not_interior(self, cone, x):
+        # B would be -inf there, which a line search takes as a decrease; the walk, every
+        # barrier entry point and the certificate reject it; RuntimeWarnings are errors here
+        x = np.array(x)
+        for entry_point in (barrier_reads, barrier_factor):
+            with pytest.raises(BoundaryError):
+                entry_point(cone, x)
+        with pytest.raises(BoundaryError):
+            barrier_reads(cone, x, margin=1e-12)
+        assert not is_interior(cone, x)
+
+    @pytest.mark.parametrize("cone, n", [
+        (orthant(3), 2),
+        (orthant(3), 4),
+        (product(ConeBlock("orthant", 2), ConeBlock("soc", 3)), 4),
+        (product(ConeBlock("orthant", 2), ConeBlock("soc", 3)), 6),
+    ], ids=["orthant-short", "orthant-long", "mixed-short", "mixed-long"])
+    def test_wrong_length_raises(self, cone, n):
+        # every entry of an all-ones vector is interior to a block it reaches, so only the
+        # length check rejects it, in the walk and in each certificate function
+        x = np.ones(n)
+        for entry_point in (barrier_reads, barrier_factor, is_interior, in_dual_cone):
+            with pytest.raises(ValueError, match="length"):
+                entry_point(cone, x)
+        good = np.ones(cone.total_dim)
+        for args in ((x, good), (good, x)):
+            with pytest.raises(ValueError, match="length"):
+                dual_norm(cone, *args)
 
     def test_soc_interior_from_1e_minus_300_to_1e300(self):
         # ||u||^2 overflows from ||u|| ~ 1.3e154 and underflows below 1e-162, so the
@@ -246,7 +281,7 @@ class TestMembership:
             assert is_interior(cone, inside) and not is_interior(cone, outside), k
             assert barrier_factor(cone, inside).blocks[0].root[0] > 0.0
             expected = -math.log(0.75) - 2.0 * math.log(t)
-            assert abs(barrier_value(cone, inside) - expected) <= 1e-14 * abs(expected), k
+            assert abs(barrier_reads(cone, inside)[0] - expected) <= 1e-14 * abs(expected), k
             with pytest.raises(BoundaryError):
                 barrier_factor(cone, outside)
         x = np.array([1e155, 0.5e155, 0.0])
@@ -259,7 +294,7 @@ class TestMembership:
         # entry point read the block at its unit scale; RuntimeWarnings are errors here
         x = np.array([1.0, 1e200, 0.0])
         assert not is_interior(second_order(3), x)
-        for entry_point in (barrier_reads, barrier_value, barrier_factor, barrier_hessian):
+        for entry_point in (barrier_reads, barrier_factor, barrier_hessian):
             with pytest.raises(BoundaryError):
                 entry_point(second_order(3), x)
 
@@ -293,9 +328,9 @@ class TestBarrierIdentities:
     def test_log_homogeneity(self, cone, rng):
         for _ in range(20):
             x = random_interior_point(cone, rng)
-            bx = barrier_value(cone, x)
+            bx = barrier_reads(cone, x)[0]
             for t in (0.5, 2.0, 10.0):
-                lhs = barrier_value(cone, t * x)
+                lhs = barrier_reads(cone, t * x)[0]
                 assert abs(lhs - bx + cone.theta * np.log(t)) <= 1e-8 * (1.0 + abs(bx))
 
     def test_gradient_identities(self, cone, rng):
