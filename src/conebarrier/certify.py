@@ -26,10 +26,13 @@ basis this is the smallest generalized eigenvalue of
 
     (Z^T grad^2 f(x) Z) w = lambda (Z^T grad^2 B(x) Z) w.
 
-Z is read off numpy's SVD of A with scipy's ``null_space`` rank rule, and
+It is formed at the unit-scaled y = x / d, d = 2^e per orthant entry and per
+SOC block, from null(A) = D null(A D), D grad^2 f(x) D and grad^2 B(y) with
+D = diag(d): the same eigenvalues, bit-equal under power-of-two rescalings.
+Z is read off numpy's SVD of A D with scipy's ``null_space`` rank rule, and
 the pencil is reduced to a standard problem as LAPACK ``sygv`` does it: with
-Z^T grad^2 B(x) Z = C C^T, lambda_min is the smallest eigenvalue of
-C^{-1} (Z^T grad^2 f(x) Z) C^{-T}.
+Z^T grad^2 B(y) Z = C C^T, lambda_min is the smallest eigenvalue of
+C^{-1} (Z^T D grad^2 f(x) D Z) C^{-T}.
 """
 from __future__ import annotations
 
@@ -68,6 +71,14 @@ def _soc_read(xb: np.ndarray) -> tuple[np.ndarray, int, float, float]:
     e = math.frexp(float(np.max(np.abs(xb))))[1]
     y = np.ldexp(xb, -e)
     return y, e, float(y[0]), math.sqrt(y[1:].dot(y[1:]))
+
+
+def _unit_scale(cone: Cone, x: np.ndarray) -> np.ndarray:
+    """d with x / d unit-scaled: 2^e per orthant entry (``frexp``) and per SOC block (``_soc_read``)."""
+    d = np.empty(cone.total_dim)
+    for block, sl in cone.slices:
+        d[sl] = np.ldexp(1.0, np.frexp(x[sl])[1] if block.kind == ORTHANT else _soc_read(x[sl])[1])
+    return d
 
 
 def _slices(cone: Cone, *vectors: np.ndarray) -> tuple:
@@ -163,12 +174,8 @@ def check_fosp(
     if lam.shape != (problem.m,):
         raise ValueError(f"lambda has length {lam.shape[0]}, expected {problem.m}")
     affine = problem.affine
-    if problem.m:
-        primal_residual = float(np.max(np.abs(affine.A @ x - affine.b)))
-        b_scale = 1.0 + float(np.max(np.abs(affine.b)))
-    else:
-        primal_residual = 0.0
-        b_scale = 1.0
+    primal_residual = float(np.max(np.abs(affine.A @ x - affine.b), initial=0.0))
+    b_scale = 1.0 + float(np.max(np.abs(affine.b), initial=0.0))
     feasibility_ok = primal_residual <= FEAS_TOL * b_scale
 
     interior_ok = is_interior(problem.cone, x)
@@ -192,25 +199,28 @@ def check_fosp(
 def reduced_min_eig(problem: ConicProblem, x: np.ndarray) -> float:
     """Smallest eigenvalue of the null-space objective Hessian in the barrier metric.
 
-    Returns +inf when the null space is trivial (m = n).
+    Formed at x / d (module docstring).  Returns +inf when the null space is
+    trivial (m = n); FactorizationError where the pencil is numerically singular.
     """
     if not problem.has_dense_hessian:
         raise SizeError("dense second-order certification needs a dense Hessian")
     n = problem.n
     if n > DESK_SCALE_LIMIT:
         raise SizeError(f"dense certification limited to n <= {DESK_SCALE_LIMIT}")
-    z = _null_space(problem.affine.A) if problem.m else np.eye(n)
+    x = np.asarray(x, dtype=float)
+    d = _unit_scale(problem.cone, x)
+    z = _null_space(problem.affine.A * d) if problem.m else np.eye(n)
     if z.shape[1] == 0:
         return math.inf
-    x = np.asarray(x, dtype=float)
-    hess_f = problem.hessian(x)
-    hess_b = barrier_hessian(problem.cone, x)
-    g_red = z.T @ hess_f @ z
-    b_red = z.T @ hess_b @ z
-    lower = np.linalg.cholesky(0.5 * (b_red + b_red.T))
-    # C^{-1} G C^{-T} from two solves with C, as the LAPACK sygst reduction forms it
-    reduced = np.linalg.solve(lower, np.linalg.solve(lower, g_red).T)
-    return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
+    g_red = z.T @ (d[:, None] * np.asarray(problem.hessian(x), dtype=float) * d) @ z
+    b_red = z.T @ barrier_hessian(problem.cone, x / d) @ z
+    try:
+        lower = np.linalg.cholesky(0.5 * (b_red + b_red.T))
+        # C^{-1} G C^{-T} from two solves with C, as the LAPACK sygst reduction forms it
+        reduced = np.linalg.solve(lower, np.linalg.solve(lower, g_red).T)
+        return float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"dense second-order certificate failed: {exc}") from None
 
 
 def _null_space(a_mat: np.ndarray) -> np.ndarray:

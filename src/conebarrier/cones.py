@@ -9,12 +9,12 @@ second-order (Lorentz) cones.  Each block carries its canonical barrier:
 Values, gradients, Hessians and the barrier parameter are additive across
 blocks.  Every barrier entry point reads the blocks in one walk,
 ``barrier_reads``, which is also the one entry check (length, finiteness and
-strict interiority) and returns B(x) with the reads.  The reads can be handed
-on: the solver walks each point it evaluates once, and builds the accepted
-point's factor from the same reads.  All local-norm computations go through
-the lower Cholesky factor L of the barrier Hessian, nabla^2 B(x) = L L^T,
-which is block diagonal; the reads that build it also yield the barrier
-gradient nabla B(x).
+strict interiority at any scale) and returns B(x) with the reads.
+The reads can be handed on: the solver walks each point it evaluates once,
+and builds the accepted point's factor from the same reads.  All local-norm
+computations go through the lower Cholesky factor L of the barrier Hessian,
+nabla^2 B(x) = L L^T, which is block diagonal; the reads that build it also
+yield the barrier gradient nabla B(x).
 ``BarrierFactor`` stores the factor one block at a time, and this module is
 the only one that knows that format:
 
@@ -142,18 +142,18 @@ def _soc_read(xb: np.ndarray) -> tuple[np.ndarray, int, float, float]:
     return y, e, t - r, (t - r) * (t + r)
 
 
-def barrier_reads(cone: Cone, x: np.ndarray, margin: float = 0.0) -> tuple[float, list]:
+def barrier_reads(cone: Cone, x: np.ndarray) -> tuple[float, list]:
     """(B(x), one read per block): the one walk and entry check behind every barrier entry point.
 
     ValueError unless x has length ``cone.total_dim``.  A read is x_b for an
     orthant block and (y, e, gap) of ``_soc_read`` for an SOC block.
-    BoundaryError unless every orthant entry is finite and > margin >= 0 and
-    every SOC block is finite with t - ||u|| > margin, taken at y and rescaled
-    only where positive: NaN, inf and points far outside the cone are rejected
-    without a warning.  An SOC block's term is -log of its gap at x, 4^e gap(y),
-    where that is a normal float, and -log(gap(y)) - 2e ln 2 elsewhere, so B
-    stays finite at every scale the factor handles.  The solver hands the
-    accepted point's reads to ``barrier_factor``.
+    BoundaryError unless every orthant entry is finite and normal (>= 2^-1022,
+    so 1/x_b is finite) and every SOC block is finite with t - ||u|| > 0 at y,
+    with no constant that ties the test to the scale of x: NaN, inf and points
+    far outside the cone are rejected without a warning.  An SOC block's term
+    is -log of its gap at x, 4^e gap(y), where that is a normal float, and
+    -log(gap(y)) - 2e ln 2 elsewhere, so B stays finite at every scale the
+    factor handles.  The solver hands the accepted point's reads to ``barrier_factor``.
     """
     if x.shape != (cone.total_dim,):
         raise ValueError(f"expected vector of length {cone.total_dim}, got shape {x.shape}")
@@ -161,8 +161,8 @@ def barrier_reads(cone: Cone, x: np.ndarray, margin: float = 0.0) -> tuple[float
     for block, sl in cone.slices:
         xb = x[sl]
         if block.kind == ORTHANT:
-            if np.count_nonzero(xb > margin) < xb.shape[0]:
-                raise BoundaryError("orthant component not strictly interior")
+            if np.count_nonzero(xb >= 2.0**-1022) < xb.shape[0]:
+                raise BoundaryError("orthant component not strictly interior (or subnormal)")
             logs = float(np.add.reduce(np.log(xb)))
             if not logs < math.inf:  # a sum of logs of finite doubles is finite
                 raise BoundaryError("orthant component not finite")
@@ -171,7 +171,7 @@ def barrier_reads(cone: Cone, x: np.ndarray, margin: float = 0.0) -> tuple[float
             continue
         y, e, slack, gap = _soc_read(xb)
         # at y a finite block has slack < 2, and an infinite entry gives NaN or inf
-        if not 0.0 < slack < math.inf or (margin and not math.ldexp(slack, e) > margin):
+        if not 0.0 < slack < math.inf:
             raise BoundaryError("point not interior to second-order cone block")
         if -1021 <= math.frexp(gap)[1] + 2 * e <= 1024:  # 4^e gap(y) >= 2^-1022 and finite
             total -= float(np.log(math.ldexp(gap, 2 * e)))

@@ -45,7 +45,6 @@ from .problems import ConicProblem
 from .trace import BRANCH_CG_NC, BRANCH_CG_SOL, BRANCH_MEO_NC, BRANCH_TERMINATE, SolveTrace
 from .vecnorm import norm2
 
-INTERIOR_GUARD = 1e-12  # solver-internal strict-interiority margin
 FEAS_TOL = 1e-9  # relative residual of Ax = b accepted at x0; a tenth of it triggers re-projection
 
 
@@ -117,13 +116,14 @@ def phi_value(problem: ConicProblem, x: np.ndarray, mu: float,
               counters: OpCounters | None = None) -> tuple[float, list]:
     """(f(x) + mu B(x), the cone reads of x); x is walked once, and its reads can build its factor.
 
-    A NaN f raises CallbackError, while +inf is a value to backtrack from.
+    The walk comes first, so f is only called at an interior x (else BoundaryError);
+    a NaN f raises CallbackError, while +inf is a value to backtrack from.
     """
     bump(counters, "fun_eval")
+    barrier, reads = barrier_reads(problem.cone, x)
     value = problem.value(x)
     if math.isnan(value):
         raise CallbackError("objective value callback returned NaN")
-    barrier, reads = barrier_reads(problem.cone, x)
     return value + mu * barrier, reads
 
 
@@ -278,13 +278,6 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     n, m = problem.n, problem.m
     if x0.shape != (n,):
         raise InfeasibleStart(f"x0 has shape {x0.shape}, expected ({n},)")
-    try:
-        barrier_reads(cone, x0, INTERIOR_GUARD)
-    except BoundaryError:
-        raise InfeasibleStart("x0 is not strictly interior to the cone") from None
-    b_scale = 1.0 + (float(np.max(np.abs(affine.b))) if m else 0.0)
-    if m and float(np.max(np.abs(affine.A @ x0 - affine.b))) > FEAS_TOL * b_scale:
-        raise InfeasibleStart("x0 violates the equality constraints")
 
     counters = OpCounters()
     trace = SolveTrace()
@@ -296,7 +289,13 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
 
     gradient = _checked_callback("gradient", problem.gradient, n, counters, "grad_eval")
     x = x0.copy()
-    phi, reads = phi_value(problem, x, mu, counters)
+    try:  # x0 is checked by the walk that values it
+        phi, reads = phi_value(problem, x, mu, counters)
+    except BoundaryError:
+        raise InfeasibleStart("x0 is not strictly interior to the cone") from None
+    b_scale = 1.0 + (float(np.max(np.abs(affine.b))) if m else 0.0)
+    if m and float(np.max(np.abs(affine.A @ x0 - affine.b))) > FEAS_TOL * b_scale:
+        raise InfeasibleStart("x0 violates the equality constraints")
     ws = IterationWorkspace(affine, barrier_factor(cone, x, counters, reads), counters)
     lambda2, grad_b_prev = np.zeros(m), ws.factor.gradient
 
@@ -404,7 +403,7 @@ def _reproject(affine, cone, x: np.ndarray) -> tuple[np.ndarray, list]:
     correction = affine.A.T @ np.linalg.solve(affine.A @ affine.A.T, residual)
     x_new = x - correction
     try:
-        return x_new, barrier_reads(cone, x_new, INTERIOR_GUARD)[1]
+        return x_new, barrier_reads(cone, x_new)[1]
     except BoundaryError:
         raise DivergenceError(
             "feasibility cannot be maintained at the current iterate scale; the "

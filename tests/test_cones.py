@@ -205,9 +205,16 @@ class TestMembership:
         x = np.array([1e-9, 1.0])
         assert is_interior(orthant(2), x)
         barrier_reads(orthant(2), x)
-        barrier_reads(orthant(2), x, margin=1e-12)
-        with pytest.raises(BoundaryError):
-            barrier_reads(orthant(2), x, margin=1e-9)
+
+    def test_subnormal_orthant_entry_is_rejected_without_warning(self):
+        # 1/x overflows below the smallest normal double, so the walk stops there with a
+        # typed error rather than an overflow in the factor; RuntimeWarnings are errors here
+        x = np.array([1e-310, 0.5])
+        for entry_point in (barrier_reads, barrier_factor):
+            with pytest.raises(BoundaryError):
+                entry_point(orthant(2), x)
+        x[0] = 2.0**-1022
+        assert barrier_factor(orthant(2), x).blocks[0][0] == 2.0**1022
 
     def test_interior_boundary(self):
         assert not is_interior(orthant(2), np.array([0.0, 1.0]))
@@ -231,8 +238,6 @@ class TestMembership:
         for entry_point in (barrier_reads, barrier_factor):
             with pytest.raises(BoundaryError):
                 entry_point(cone, x)
-        with pytest.raises(BoundaryError):
-            barrier_reads(cone, x, margin=1e-12)
         assert not is_interior(cone, x)
 
     @pytest.mark.parametrize("cone, x", [
@@ -249,8 +254,6 @@ class TestMembership:
         for entry_point in (barrier_reads, barrier_factor):
             with pytest.raises(BoundaryError):
                 entry_point(cone, x)
-        with pytest.raises(BoundaryError):
-            barrier_reads(cone, x, margin=1e-12)
         assert not is_interior(cone, x)
 
     @pytest.mark.parametrize("cone, n", [
@@ -284,10 +287,6 @@ class TestMembership:
             assert abs(barrier_reads(cone, inside)[0] - expected) <= 1e-14 * abs(expected), k
             with pytest.raises(BoundaryError):
                 barrier_factor(cone, outside)
-        x = np.array([1e155, 0.5e155, 0.0])
-        barrier_reads(cone, x, margin=4e154)
-        with pytest.raises(BoundaryError):
-            barrier_reads(cone, x, margin=6e154)
 
     def test_far_outside_soc_rejected_without_warning(self):
         # ||u||^2 overflows at x's own scale, but the membership test and every barrier

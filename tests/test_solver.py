@@ -623,10 +623,10 @@ class TestSolveBasics:
 
 class TestOneWalkPerPoint:
     """The solver walks the cone blocks of each point it evaluates once, for the
-    barrier value, and builds the accepted point's factor from those reads.  A
-    re-projected point is walked once, at the interiority margin, and its factor
-    is built from those reads; the check of x0 at that margin is one more walk.
-    The certificate does not walk: it has its own interiority test."""
+    barrier value, and builds the accepted point's factor from those reads; x0 is
+    checked by the walk that values it.  A re-projected point is walked once, by
+    the same strict test, and its factor is built from those reads.  The
+    certificate does not walk: it has its own interiority test."""
 
     @staticmethod
     def count_walks(monkeypatch, problem, params):
@@ -647,7 +647,7 @@ class TestOneWalkPerPoint:
         monkeypatch.setattr(solver_mod, "_reproject", counted("reprojections", solver_mod._reproject))
         res = solve(problem, problem.x0, params)
         ops = res.trace.counters
-        assert calls["walks"] == ops["fun_eval"] + calls["reprojections"] + 1
+        assert calls["walks"] == ops["fun_eval"] + calls["reprojections"]
         assert ops["cholesky"] == res.iterations + 1
         return res, calls
 
