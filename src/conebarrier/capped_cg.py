@@ -98,7 +98,8 @@ def capped_cg(
         if j > hard_cap:
             raise HardCapExceeded(
                 f"capped CG exceeded the hard cap of {hard_cap} iterations; "
-                "the operator may not be symmetric"
+                "the operator may not be symmetric, or floating-point error on an "
+                "ill-conditioned operator may have stalled the recurrences"
             )
         ys.append(y)
         hys.append(hy)

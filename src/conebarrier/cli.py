@@ -67,9 +67,6 @@ def _summary_line(result) -> str:
 
 def cmd_solve(args) -> int:
     problem = load_problem(args.problem)
-    if problem.x0 is None:
-        print("error: problem file carries no starting point", file=sys.stderr)
-        return EXIT_USAGE
     params = _params_from_args(args)
     result = solve(problem, problem.x0, params)
     if args.out:
@@ -105,13 +102,7 @@ def fit_loglog_slope(eps_list, iterations) -> float:
 
 
 def cmd_sweep(args) -> int:
-    if not args.eps_list:
-        print("error: sweep needs at least one tolerance", file=sys.stderr)
-        return EXIT_USAGE
     problem = load_problem(args.problem)
-    if problem.x0 is None:
-        print("error: problem file carries no starting point", file=sys.stderr)
-        return EXIT_USAGE
     rows = []
     all_certified = True
     print("eps,iterations,cholesky,hess_vec,tri_solve,grad_eval,fun_eval,status")

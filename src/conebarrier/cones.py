@@ -37,7 +37,9 @@ the only one that knows that format:
 
 Everything else applies L through ``BarrierFactor.solve_lower`` and
 ``solve_upper``; the dual local norm ||v||_x* = ||L^{-1} v|| is one forward
-substitution.
+substitution.  This module counts nothing: the solver counts each
+``barrier_factor`` as one Cholesky and each ``local_norm_dual`` as one
+triangular solve.
 """
 from __future__ import annotations
 
@@ -47,7 +49,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .counters import OpCounters, bump
 from .errors import BoundaryError, FactorizationError
 from .vecnorm import norm2
 
@@ -308,14 +309,12 @@ class BarrierFactor:
         return self._blockwise(v, False)
 
 
-def barrier_factor(
-    cone: Cone, x: np.ndarray, counters: OpCounters | None = None, reads: list | None = None
-) -> BarrierFactor:
+def barrier_factor(cone: Cone, x: np.ndarray, reads: list | None = None) -> BarrierFactor:
     """Factor the barrier Hessian at an interior point, with the gradient from the same reads.
 
     ``reads`` is ``barrier_reads(cone, x)[1]`` when the caller has walked x
     already, as the solver's line search has at the point it accepts; without
-    it x is walked here.  Counts one Cholesky.
+    it x is walked here.  This is the cost model's one Cholesky; the solver counts it.
     """
     if reads is None:
         x = np.asarray(x, dtype=float)
@@ -328,12 +327,9 @@ def barrier_factor(
         else:
             f, gradient[sl] = _soc_factor(*b)
         blocks.append(f)
-    bump(counters, "cholesky")
     return BarrierFactor(cone=cone, point=x.copy(), blocks=tuple(blocks), gradient=gradient)
 
 
-def local_norm_dual(factor: BarrierFactor, v: np.ndarray, counters: OpCounters | None = None) -> float:
-    """||v||_x* = ||L^{-1} v||; one forward substitution."""
-    w = factor.solve_lower(v)
-    bump(counters, "tri_solve")
-    return norm2(w)
+def local_norm_dual(factor: BarrierFactor, v: np.ndarray) -> float:
+    """||v||_x* = ||L^{-1} v||; one forward substitution, which the solver counts."""
+    return norm2(factor.solve_lower(v))

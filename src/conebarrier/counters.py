@@ -5,9 +5,14 @@ the barrier Hessian, Hessian-vector products of the objective, triangular
 (forward/backward) substitutions, products of an m-by-n matrix with its own
 transpose, gradient evaluations, and objective-value evaluations.
 
-Only barrier-Hessian factorizations increment ``cholesky``; the small Schur
-factorization done once per workspace is folded into the workspace-build
-accounting (see README for the per-iteration decomposition).
+Two layers count, each what it runs: ``linops.IterationWorkspace`` counts the
+triangular solves of its own maps and its one ``matT_mat``, and ``solver``
+counts the rest -- one ``cholesky`` per barrier factor, the first-order
+gate's one ``tri_solve``, one ``fun_eval`` per merit value, and each
+gradient and Hessian-vector callback.  Only barrier-Hessian factorizations
+increment ``cholesky``; the small Schur factorization done once per
+workspace is folded into the workspace-build accounting (see README for the
+per-iteration decomposition).
 """
 from __future__ import annotations
 
@@ -23,15 +28,9 @@ class OpCounters:
             setattr(self, name, 0)
 
     def add(self, category: str, amount: int = 1) -> None:
-        if category not in CATEGORIES:
-            raise KeyError(f"unknown counter category: {category}")
+        """KeyError for a category not in ``CATEGORIES``."""
         self.__dict__[category] += amount
 
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in CATEGORIES}
 
-
-def bump(counters: OpCounters | None, category: str, amount: int = 1) -> None:
-    """Increment if a counter object was supplied; no-op otherwise."""
-    if counters is not None and amount:
-        counters.add(category, amount)

@@ -26,7 +26,12 @@ class ZeroDirection(ConeBarrierError):
 
 
 class HardCapExceeded(ConeBarrierError):
-    """The capped CG safety cap was hit; usually a broken symmetry contract."""
+    """The capped CG safety cap was hit.
+
+    Either the operator is not symmetric, or it is symmetric but so
+    ill-conditioned (a spectrum spanning about 1e-6 to 1e6, say) that
+    floating-point error stalls the CG recurrences.
+    """
 
 
 class LineSearchFailure(ConeBarrierError):

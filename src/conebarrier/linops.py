@@ -38,9 +38,11 @@ reads its first-order gate from the capped-CG right-hand side.
 
 ``reduced_hessian_apply`` composes these into one product of the damped,
 scaled and projected objective Hessian with a vector, the workhorse of the
-inner CG iteration.  Each public map counts its triangular solves with one
-counter bump of its documented total; the composed maps compute through
-uncounted private helpers.
+inner CG iteration.  The workspace counts its own work into the solve's
+``OpCounters``: the build's m forward substitutions and one ``matT_mat``, and
+for each public map one ``add`` of its documented ``tri_solve`` total; the
+composed maps compute through uncounted private helpers.  It does not count
+the barrier factor it is built on, or ``hess_vec`` products; the solver does.
 """
 from __future__ import annotations
 
@@ -95,24 +97,18 @@ def empty_affine(n: int) -> AffineData:
 class IterationWorkspace:
     """Per-iterate cache: barrier factor, scaled constraints, Schur factor.
 
-    Immutable after construction.  Without ``counters`` the workspace counts
-    into a private ``OpCounters``.
+    Immutable after construction; its work is counted into ``counters``.
     """
 
-    def __init__(
-        self,
-        affine: AffineData,
-        factor: BarrierFactor,
-        counters: OpCounters | None = None,
-    ) -> None:
+    def __init__(self, affine: AffineData, factor: BarrierFactor, counters: OpCounters) -> None:
         m, n = affine.A.shape
         if factor.point.shape[0] != n:
             raise ValueError("affine data and barrier factor disagree on dimension")
         self.affine = affine
         self.factor = factor
-        self.counters = counters = OpCounters() if counters is None else counters
+        self.counters = counters
         self.m = m
-        # tri_solve count of one projection; each composed op bumps once, this included
+        # tri_solve count of one projection; each composed op adds once, this included
         self._project_cost = 2 if m else 0
         if m > 0:
             self.scaled_AT = factor.solve_lower(affine.A).T

@@ -29,7 +29,7 @@ import numpy as np
 from . import certify as certify_mod
 from .capped_cg import DirectionKind, capped_cg, nc_curvature
 from .cones import barrier_factor, barrier_reads, local_norm_dual
-from .counters import OpCounters, bump
+from .counters import OpCounters
 from .errors import (
     BoundaryError,
     CallbackError,
@@ -113,13 +113,13 @@ def mu_from_epsilon(eps: float, beta: float, theta_barrier: float) -> float:
 
 
 def phi_value(problem: ConicProblem, x: np.ndarray, mu: float,
-              counters: OpCounters | None = None) -> tuple[float, list]:
+              counters: OpCounters) -> tuple[float, list]:
     """(f(x) + mu B(x), the cone reads of x); x is walked once, and its reads can build its factor.
 
     The walk comes first, so f is only called at an interior x (else BoundaryError);
     a NaN f raises CallbackError, while +inf is a value to backtrack from.
     """
-    bump(counters, "fun_eval")
+    counters.add("fun_eval")
     barrier, reads = barrier_reads(problem.cone, x)
     value = problem.value(x)
     if math.isnan(value):
@@ -144,13 +144,6 @@ def _checked_callback(
     return checked
 
 
-def _hessian_operator(
-    problem: ConicProblem, x: np.ndarray, counters: OpCounters
-) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> (Hessian of f at x) v, each product checked and counted as one hess_vec."""
-    return _checked_callback("hess_vec", problem.hess_vec_at(x), x.shape[0], counters, "hess_vec")
-
-
 def first_order_gate(
     ws: IterationWorkspace,
     mu: float,
@@ -159,7 +152,7 @@ def first_order_gate(
     grad_f: np.ndarray,
     lambda2: np.ndarray,
     grad_b_prev: np.ndarray,
-    counters: OpCounters | None = None,
+    counters: OpCounters,
 ) -> tuple[bool, str, float]:
     """Evaluate both dual-norm residuals against the threshold (1 - beta) mu.
 
@@ -172,11 +165,12 @@ def first_order_gate(
     L^{-1}(grad_phi + A^T lambda1) is exactly that projected, scaled gradient,
     so it is ||g|| and takes no solve of its own.  The second pairs the carried
     multiplier lambda2 with the barrier gradient at the previous point: one
-    forward substitution.
+    forward substitution, counted here.
     """
     vec2 = grad_f + (ws.affine.A.T.dot(lambda2) if ws.m else 0.0) + mu * grad_b_prev
     r1 = norm2(g)
-    r2 = local_norm_dual(ws.factor, vec2, counters)
+    r2 = local_norm_dual(ws.factor, vec2)
+    counters.add("tri_solve")
     if r1 <= r2:
         which, res = "lambda1", r1
     else:
@@ -217,7 +211,7 @@ def _backtrack(
     d: np.ndarray,
     decrease: float,
     params: SolverParams,
-    counters: OpCounters | None,
+    counters: OpCounters,
     step: np.ndarray,
     phi0: float,
 ) -> tuple[float, np.ndarray, float, list]:
@@ -245,7 +239,7 @@ def line_search_sol(
     mu: float,
     d: np.ndarray,
     params: SolverParams,
-    counters: OpCounters | None = None,
+    counters: OpCounters,
     *,
     step: np.ndarray,
     phi0: float,
@@ -261,7 +255,7 @@ def line_search_nc(
     mu: float,
     d: np.ndarray,
     params: SolverParams,
-    counters: OpCounters | None = None,
+    counters: OpCounters,
     *,
     step: np.ndarray,
     phi0: float,
@@ -296,7 +290,8 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     b_scale = 1.0 + (float(np.max(np.abs(affine.b))) if m else 0.0)
     if m and float(np.max(np.abs(affine.A @ x0 - affine.b))) > FEAS_TOL * b_scale:
         raise InfeasibleStart("x0 violates the equality constraints")
-    ws = IterationWorkspace(affine, barrier_factor(cone, x, counters, reads), counters)
+    ws = IterationWorkspace(affine, barrier_factor(cone, x, reads), counters)
+    counters.add("cholesky")
     lambda2, grad_b_prev = np.zeros(m), ws.factor.gradient
 
     def finish(status, k, lam, oracle=None):
@@ -329,7 +324,9 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
 
         # each branch yields d_hat, its projection q and the multiplier c of d = c d_hat
         if not triggered:
-            hess_vec = _hessian_operator(problem, x, counters)
+            hess_vec = _checked_callback(
+                "hess_vec", problem.hess_vec_at(x), n, counters, "hess_vec"
+            )
             phi_hessian_op = partial(ws.reduced_hessian_apply, hess_vec, mu)
             cg_out = capped_cg(phi_hessian_op, g, sqrt_eps, params.zeta)
             d_hat = cg_out.direction
@@ -345,7 +342,9 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         else:
             oracle = None
             if not params.fosp_only:
-                hess_vec = _hessian_operator(problem, x, counters)
+                hess_vec = _checked_callback(
+                    "hess_vec", problem.hess_vec_at(x), n, counters, "hess_vec"
+                )
                 oracle = min_eig_oracle(
                     partial(ws.reduced_hessian_apply, hess_vec, 0.0), n, sqrt_eps, params.delta, rng
                 )
@@ -388,7 +387,8 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
                 x, reads = _reproject(affine, cone, x)
         # the accepted point's reads, from the line search or the re-projection, so it
         # is not walked again
-        ws = IterationWorkspace(affine, barrier_factor(cone, x, counters, reads), counters)
+        ws = IterationWorkspace(affine, barrier_factor(cone, x, reads), counters)
+        counters.add("cholesky")
 
     # lambda1 at x_final itself, from its workspace and one more gradient
     lambda1 = np.zeros(0)

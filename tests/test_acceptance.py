@@ -33,6 +33,7 @@ from conebarrier.cones import (
     product,
     second_order,
 )
+from conebarrier.counters import OpCounters
 from conebarrier.lanczos import CERTIFIED, NC, lanczos_iteration_cap, min_eig_oracle
 from conebarrier.linops import AffineData, IterationWorkspace
 from conebarrier.problems import ConicProblem, builtin
@@ -183,7 +184,7 @@ def test_criterion_2_operator_calculus():
             factor = barrier_factor(cone, x)
             affine = AffineData(A=a_mat, b=np.zeros(m)) if m \
                 else AffineData(A=np.zeros((0, n)), b=np.zeros(0))
-            ws = IterationWorkspace(affine, factor)
+            ws = IterationWorkspace(affine, factor, OpCounters())
             m_d, q_d, p_d, r_d = dense_operators(a_mat if m else np.zeros((0, n)), dense_lower(factor))
             v = rng.standard_normal(n)
             u = rng.standard_normal(n)

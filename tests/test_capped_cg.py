@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conebarrier.capped_cg import DirectionKind, capped_cg, nc_curvature
-from conebarrier.errors import ZeroDirection, ZeroGradient
+from conebarrier.capped_cg import DirectionKind, _backtrack_nc, capped_cg, nc_curvature
+from conebarrier.errors import HardCapExceeded, ZeroDirection, ZeroGradient
 
 from conftest import iteration_bound
 
@@ -55,8 +55,6 @@ class TestHandExamples:
 
     def test_broken_symmetry_terminates(self):
         # caller contract violated: must still stop (any outcome or the cap error)
-        from conebarrier.errors import HardCapExceeded
-
         rng = np.random.default_rng(0)
         bad = rng.standard_normal((12, 12))
         try:
@@ -64,6 +62,51 @@ class TestHandExamples:
             assert out.iterations <= 10 * 12 + 100
         except HardCapExceeded:
             pass
+
+    def test_ill_conditioned_symmetric_operator_hits_the_cap(self):
+        # symmetric positive definite, but a spectrum from 1e-6 to 1e6 stalls the
+        # recurrences in floating point; the error names that cause besides asymmetry
+        h_mat = np.diag(np.geomspace(1e-6, 1e6, 40))
+        with pytest.raises(HardCapExceeded, match="ill-conditioned") as info:
+            capped_cg(matvec_of(h_mat), np.ones(40), 1e-4, 0.5)
+        assert "hard cap of 500 iterations" in str(info.value)
+
+
+class TestBacktrackNc:
+    """The residual-growth exit's scan of iterate differences y_next - y_i, i < j."""
+
+    YS = [np.zeros(2), np.array([0.0, 1.0]), np.array([0.5, 1.0])]
+    Y_NEXT = np.array([1.0, 1.0])
+
+    def run(self, h_mat, hys):
+        calls = []
+
+        def matvec(v):
+            calls.append(v)
+            return h_mat @ v
+
+        out = _backtrack_nc(self.YS, hys, self.Y_NEXT, h_mat @ self.Y_NEXT, 0.1, matvec)
+        return out, len(calls)
+
+    def test_tracked_products_find_the_first_difference(self):
+        # y_next - y_0 = (1, 1) has damped curvature 1.4 >= 0.2; y_next - y_1 = (1, 0) has -0.8
+        h_mat = np.diag([-1.0, 2.0])
+        out, matvecs = self.run(h_mat, [h_mat @ y for y in self.YS])
+        np.testing.assert_array_equal(out, [1.0, 0.0])
+        assert matvecs == 0
+
+    def test_drifted_product_is_rescanned_with_fresh_matvecs(self):
+        h_mat = np.diag([-1.0, 2.0])
+        hys = [h_mat @ y for y in self.YS]
+        hys[1] = np.array([-100.0, 2.0])  # hides the negative curvature of (1, 0)
+        out, matvecs = self.run(h_mat, hys)
+        np.testing.assert_array_equal(out, [1.0, 0.0])
+        assert matvecs == 2
+
+    def test_positive_definite_operator_raises(self):
+        h_mat = np.diag([1.0, 2.0])
+        with pytest.raises(HardCapExceeded):
+            self.run(h_mat, [h_mat @ y for y in self.YS])
 
 
 class TestNcCurvature:

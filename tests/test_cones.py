@@ -16,6 +16,9 @@ from conebarrier.cones import (
 )
 from conebarrier.counters import OpCounters
 from conebarrier.errors import BoundaryError, FactorizationError
+from conebarrier.linops import IterationWorkspace, empty_affine
+from conebarrier.problems import builtin
+from conebarrier.solver import SolverParams, first_order_gate, solve
 
 from conftest import CONE_FAMILIES, dense_lower, primal_local_norm, random_interior_point
 
@@ -159,10 +162,11 @@ class TestBarrierFactor:
             barrier_hessian(orthant(2), x)
 
     def test_counter_increment(self):
-        counters = OpCounters()
-        barrier_factor(orthant(3), np.ones(3), counters)
-        barrier_factor(orthant(3), np.ones(3), counters)
-        assert counters.cholesky == 2
+        # the cone layer counts nothing; the solver counts one Cholesky per factor it builds
+        p = builtin("soc_quadratic", 6, m=1, seed=0)
+        res = solve(p, p.x0, SolverParams(epsilon=0.1, seed=0))
+        assert res.iterations > 0
+        assert res.trace.counters["cholesky"] == res.iterations + 1
 
     @pytest.mark.parametrize("cone", CONE_FAMILIES, ids=lambda c: f"{len(c.blocks)}b{c.total_dim}")
     def test_factor_reproduces_hessian(self, cone, rng):
@@ -194,10 +198,12 @@ class TestLocalNorms:
         assert local_norm_dual(factor, np.array([2.0, 0.0])) == pytest.approx(1.0)
 
     def test_dual_counts_solve(self):
-        counters = OpCounters()
-        factor = barrier_factor(orthant(2), np.array([1.0, 2.0]), counters)
-        local_norm_dual(factor, np.array([1.0, 1.0]), counters)
-        assert counters.tri_solve == 1
+        # the first-order gate counts its one dual local norm as one triangular solve
+        factor = barrier_factor(orthant(2), np.array([1.0, 2.0]))
+        ws = IterationWorkspace(empty_affine(2), factor, OpCounters())
+        g, counters = np.array([1.0, 1.0]), OpCounters()
+        first_order_gate(ws, 1e-3, 0.5, g, g, np.zeros(0), factor.gradient, counters)
+        assert counters.snapshot() == {**OpCounters().snapshot(), "tri_solve": 1}
 
 
 class TestMembership:

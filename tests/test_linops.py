@@ -19,7 +19,7 @@ def make_ws(A, b, x, cone=None, counters=None):
     cone = cone if cone is not None else orthant(len(x))
     affine = AffineData(A=np.asarray(A, float), b=np.asarray(b, float))
     factor = barrier_factor(cone, np.asarray(x, float))
-    return IterationWorkspace(affine, factor, counters)
+    return IterationWorkspace(affine, factor, OpCounters() if counters is None else counters)
 
 
 class TestAffineData:
@@ -55,6 +55,12 @@ class TestWorkspaceConstruction:
         make_ws([[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0], [0.5, 0.5], counters=counters)
         assert counters.tri_solve == 2  # one per constraint row
         assert counters.matT_mat == 1
+
+    def test_unknown_category_raises(self):
+        counters = OpCounters()
+        with pytest.raises(KeyError):
+            counters.add("bogus")
+        assert counters.snapshot() == OpCounters().snapshot()
 
     def test_schur_factor_consistency(self, rng):
         n, m = 9, 3
@@ -214,7 +220,7 @@ class TestAgainstDenseAssembly:
             x = random_interior_point(cone, rng)
             factor = barrier_factor(cone, x)
             affine = AffineData(A=a_mat, b=np.zeros(m)) if m else empty_affine(n)
-            ws = IterationWorkspace(affine, factor)
+            ws = IterationWorkspace(affine, factor, OpCounters())
             m_d, q_d, p_d, r_d = dense_operators(a_mat, dense_lower(factor))
             for _ in range(3):
                 v = rng.standard_normal(n)
@@ -235,7 +241,7 @@ class TestAgainstDenseAssembly:
         a_mat = rng.standard_normal((m, n))
         x = random_interior_point(cone, rng)
         factor = barrier_factor(cone, x)
-        ws = IterationWorkspace(AffineData(A=a_mat, b=np.zeros(m)), factor)
+        ws = IterationWorkspace(AffineData(A=a_mat, b=np.zeros(m)), factor, OpCounters())
         m_d, _, p_d, r_d = dense_operators(a_mat, dense_lower(factor))
         np.testing.assert_allclose(
             (np.eye(n) + r_d.T @ a_mat) @ m_d, p_d, atol=1e-10

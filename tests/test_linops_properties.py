@@ -14,6 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conebarrier.cones import barrier_factor, local_norm_dual
+from conebarrier.counters import OpCounters
 from conebarrier.linops import AffineData, IterationWorkspace, empty_affine
 from conebarrier.vecnorm import norm2
 
@@ -29,7 +30,7 @@ def workspace(cone, seed, m):
     n = cone.total_dim
     a_mat = rng.standard_normal((m, n))
     affine = AffineData(A=a_mat, b=a_mat @ x) if m else empty_affine(n)
-    ws = IterationWorkspace(affine, barrier_factor(cone, x))
+    ws = IterationWorkspace(affine, barrier_factor(cone, x), OpCounters())
     m_norm = np.linalg.norm(np.linalg.inv(dense_lower(ws.factor)), 2)
     return rng, ws, a_mat, m_norm
 

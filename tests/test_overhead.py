@@ -11,8 +11,9 @@ none.
 
 The limits are the measured counts plus 5 %.  Before one walk per accepted
 point and the leaner solve and product paths, the same instances took 119.5
-and 156.4 frames per iteration, and 79.4 and 86.9 while the barrier value
-was summed in a second walk over the reads.
+and 156.4 frames per iteration, 79.4 and 86.9 while the barrier value
+was summed in a second walk over the reads, and 78.4 and 85.0 while the
+cone layer counted its own operations.
 """
 import os
 import sys
@@ -44,8 +45,8 @@ def frames_per_iteration(problem) -> float:
 
 
 @pytest.mark.parametrize("name, n, params, measured", [
-    ("nonconvex_qp_simplex", 30, {"seed": 0}, 78.4),
-    ("soc_quadratic", 20, {"m": 2, "seed": 0}, 85.0),
+    ("nonconvex_qp_simplex", 30, {"seed": 0}, 74.4),
+    ("soc_quadratic", 20, {"m": 2, "seed": 0}, 80.9),
 ])
 def test_frames_per_outer_iteration(name, n, params, measured):
     assert frames_per_iteration(builtin(name, n, **params)) <= 1.05 * measured

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conebarrier.certify import is_interior
 from conebarrier.cones import barrier_factor, orthant
+from conebarrier.counters import OpCounters
 from conebarrier.errors import (
     CallbackError,
     InfeasibleStart,
@@ -74,7 +75,7 @@ def ws_at(x, A=None, b=None):
     x = np.asarray(x, dtype=float)
     cone = orthant(x.size)
     affine = empty_affine(x.size) if A is None else AffineData(A=A, b=b)
-    return IterationWorkspace(affine, barrier_factor(cone, x))
+    return IterationWorkspace(affine, barrier_factor(cone, x), OpCounters())
 
 
 class TestMuFormula:
@@ -131,7 +132,9 @@ class TestFirstOrderGate:
         gphi = grad_f + mu * grad_b
         lambda2 = ws.multipliers(gphi) if lambda2 is None else lambda2
         grad_b_prev = grad_b if grad_b_prev is None else grad_b_prev
-        return first_order_gate(ws, mu, beta, ws.null_step_t(gphi), grad_f, lambda2, grad_b_prev)
+        return first_order_gate(
+            ws, mu, beta, ws.null_step_t(gphi), grad_f, lambda2, grad_b_prev, ws.counters
+        )
 
     def test_barrier_path_point(self):
         # unconstrained orthant: at x_i = sqrt(mu) the merit gradient vanishes
@@ -170,7 +173,7 @@ class TestFirstOrderGate:
         grad_b_prev = grad_b - 0.1 * e1  # makes the second residual 0.8 mu
         g = ws.null_step_t(grad_f + mu * grad_b)
         triggered, which, res = first_order_gate(
-            ws, mu, beta, g, grad_f, np.zeros(0), grad_b_prev
+            ws, mu, beta, g, grad_f, np.zeros(0), grad_b_prev, ws.counters
         )
         assert not triggered
         assert res == pytest.approx(0.8 * mu)
@@ -300,12 +303,14 @@ class TestLineSearches:
         mu = mu_from_epsilon(eps, params.beta, 4.0)
         ws = ws_at(p.x0, A=p.affine.A, b=p.affine.b)
         d = np.array([1.0, -1.0, 0.5, -0.5]) * 0.05
-        phi0, _ = phi_value(p, ws.point, mu)
+        phi0, _ = phi_value(p, ws.point, mu, ws.counters)
         step = ws.null_step(d)
         # direct-evaluation oracle: the unit step already decreases enough
         target = params.eta * math.sqrt(eps) * float(d @ d)
-        assert phi_value(p, ws.point + step, mu)[0] < phi0 - target
-        alpha, x_new, phi_new, _ = line_search_sol(p, ws, mu, d, params, step=step, phi0=phi0)
+        assert phi_value(p, ws.point + step, mu, ws.counters)[0] < phi0 - target
+        alpha, x_new, phi_new, _ = line_search_sol(
+            p, ws, mu, d, params, ws.counters, step=step, phi0=phi0
+        )
         assert alpha == 1.0
         np.testing.assert_allclose(x_new, ws.point + step)
 
@@ -316,8 +321,8 @@ class TestLineSearches:
         mu = mu_from_epsilon(0.01, params.beta, 3.0)
         d = np.zeros(3)
         with pytest.raises(ZeroDirection):
-            line_search_sol(p, ws, mu, d, params,
-                            step=ws.null_step(d), phi0=phi_value(p, ws.point, mu)[0])
+            line_search_sol(p, ws, mu, d, params, ws.counters,
+                            step=ws.null_step(d), phi0=phi_value(p, ws.point, mu, ws.counters)[0])
 
     def test_backtrack_depth_two(self):
         # crafted so j = 0, 1 fail and j = 2 is the first acceptance
@@ -327,15 +332,15 @@ class TestLineSearches:
         p = quadratic_problem(np.eye(1), [-1.075], orthant(1), empty_affine(1))
         ws = ws_at([1.0])
         d = np.array([0.3])
-        phi0, _ = phi_value(p, ws.point, mu)
+        phi0, _ = phi_value(p, ws.point, mu, ws.counters)
         step = ws.null_step(d)
         accepts = []
         for j in range(3):
             t = params.theta**j
-            lhs, _ = phi_value(p, ws.point + t * step, mu)
+            lhs, _ = phi_value(p, ws.point + t * step, mu, ws.counters)
             accepts.append(lhs < phi0 - params.eta * math.sqrt(eps) * t * t * float(d @ d))
         assert accepts == [False, False, True]
-        alpha, _, _, _ = line_search_sol(p, ws, mu, d, params, step=step, phi0=phi0)
+        alpha, _, _, _ = line_search_sol(p, ws, mu, d, params, ws.counters, step=step, phi0=phi0)
         assert alpha == pytest.approx(0.25)
 
     def test_nc_unit_step_on_concave_quadratic(self):
@@ -349,8 +354,8 @@ class TestLineSearches:
         v = np.array([1.0, 0.0])
         curvature_phi = float(v @ ws.reduced_hessian_apply(lambda w: -w, mu, v))
         d = _curvature_scale(v, qnorm(ws, v), abs(curvature_phi), g, beta=0.5) * v
-        phi0, _ = phi_value(p, ws.point, mu)
-        alpha, x_new, phi_new, _ = line_search_nc(p, ws, mu, d, params,
+        phi0, _ = phi_value(p, ws.point, mu, ws.counters)
+        alpha, x_new, phi_new, _ = line_search_nc(p, ws, mu, d, params, ws.counters,
                                                step=ws.null_step(d), phi0=phi0)
         assert alpha == 1.0
         assert phi_new < phi0 - params.eta * np.linalg.norm(d) ** 3 / 2
@@ -371,8 +376,8 @@ class TestLineSearches:
         ws = ws_at([1.0])
         d = np.array([-0.5])
         with pytest.raises(LineSearchFailure):
-            line_search_sol(p, ws, mu, d, params,
-                            step=ws.null_step(d), phi0=phi_value(p, ws.point, mu)[0])
+            line_search_sol(p, ws, mu, d, params, ws.counters,
+                            step=ws.null_step(d), phi0=phi_value(p, ws.point, mu, ws.counters)[0])
 
 
 class TestSolverParams:
@@ -415,7 +420,7 @@ class TestSolveBasics:
         p = builtin("nonconvex_qp_simplex", 30)
         res = solve(p, p.x0, SolverParams(epsilon=1e-3, max_outer_iters=50))
         assert res.status is SolveStatus.MAX_ITERS_EXCEEDED
-        ws = IterationWorkspace(p.affine, barrier_factor(p.cone, res.x_final))
+        ws = IterationWorkspace(p.affine, barrier_factor(p.cone, res.x_final), OpCounters())
         expected = ws.multipliers(p.gradient(res.x_final) + res.mu * ws.factor.gradient)
         assert np.array_equal(res.lambda_final, expected)
         assert res.trace.counters["grad_eval"] == res.iterations + 1
@@ -434,7 +439,7 @@ class TestSolveBasics:
         assert res.iterations == 0
         [record] = res.trace.records
         assert record.branch == BRANCH_CG_SOL and record.alpha == 0.0
-        ws = IterationWorkspace(p.affine, barrier_factor(p.cone, x0))
+        ws = IterationWorkspace(p.affine, barrier_factor(p.cone, x0), OpCounters())
         expected = ws.multipliers(p.gradient(x0) + res.mu * ws.factor.gradient)
         assert np.array_equal(res.lambda_final, expected)
         assert res.trace.counters["fun_eval"] == 4
