@@ -50,7 +50,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundaryError, FactorizationError
-from .vecnorm import norm2
 
 ORTHANT = "orthant"
 SOC = "soc"
@@ -139,7 +138,8 @@ def _soc_read(xb: np.ndarray) -> tuple[np.ndarray, int, float, float]:
     """
     e = math.frexp(np.maximum.reduce(np.abs(xb)))[1]
     y = np.ldexp(xb, -e)
-    t, r = float(y[0]), norm2(y[1:])
+    u = y[1:]
+    t, r = float(y[0]), math.sqrt(u.dot(u))
     return y, e, t - r, (t - r) * (t + r)
 
 
@@ -319,17 +319,16 @@ def barrier_factor(cone: Cone, x: np.ndarray, reads: list | None = None) -> Barr
     if reads is None:
         x = np.asarray(x, dtype=float)
         reads = barrier_reads(cone, x)[1]
-    blocks, gradient = [], np.empty_like(x)
-    for (block, sl), b in zip(cone.slices, reads):
-        if block.kind == ORTHANT:
-            f = 1.0 / b
-            gradient[sl] = -f
-        else:
-            f, gradient[sl] = _soc_factor(*b)
+    blocks, grads = [], []
+    for block, b in zip(cone.blocks, reads):
+        f, grad = (1.0 / b, -1.0 / b) if block.kind == ORTHANT else _soc_factor(*b)
         blocks.append(f)
+        grads.append(grad)
+    gradient = grads[0] if len(grads) == 1 else np.concatenate(grads)
     return BarrierFactor(cone=cone, point=x.copy(), blocks=tuple(blocks), gradient=gradient)
 
 
 def local_norm_dual(factor: BarrierFactor, v: np.ndarray) -> float:
     """||v||_x* = ||L^{-1} v||; one forward substitution, which the solver counts."""
-    return norm2(factor.solve_lower(v))
+    z = factor.solve_lower(v)
+    return math.sqrt(z.dot(z))

@@ -47,7 +47,10 @@ class InfeasibleStart(ConeBarrierError):
 
 
 class DivergenceError(ConeBarrierError):
-    """Iterates diverged; the objective may be unbounded below on the feasible set."""
+    """The least-squares re-projection onto Ax = b left the cone.
+
+    Likely causes: an ill-conditioned A, a badly scaled objective, or unbounded iterates.
+    """
 
 
 class UnknownProblem(ConeBarrierError):

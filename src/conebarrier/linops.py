@@ -9,11 +9,10 @@ build forms C^{-T} C^{-1} = (N^T N)^{-1} once, from numpy's inverse of C,
 and each pair of Schur solves is one m x m product with it, still counted
 as the two substitutions it replaces.  When m = 1 the Schur factor is the
 scalar c00 = sqrt(N^T N), so its solves are one division and the projector
-is v - a (a^T v) / c00^2 with the single column a of N.  The workspace
-precomputes
+is v - a (a^T v) / c00^2 with the single column a of N.  C itself is not
+kept.  The workspace precomputes
 
 * ``scaled_AT``  N = L^{-1} A^T            (m forward substitutions)
-* ``schur_lower`` C with C C^T = N^T N     (Schur complement A M M^T A^T)
 
 ``solve_lower`` and ``solve_upper`` take a vector or a k x n stack of rows,
 so N is built as ``solve_lower(A).T``: one forward substitution along each
@@ -95,7 +94,7 @@ def empty_affine(n: int) -> AffineData:
 
 
 class IterationWorkspace:
-    """Per-iterate cache: barrier factor, scaled constraints, Schur factor.
+    """Per-iterate cache: barrier factor, scaled constraints, Schur inverse.
 
     Immutable after construction; its work is counted into ``counters``.
     """
@@ -121,12 +120,10 @@ class IterationWorkspace:
                 if not s > 0.0:
                     raise FactorizationError(_SINGULAR_SCHUR)
                 c00 = math.sqrt(s)
-                self.schur_lower = np.array([[c00]])
                 self._a, self._schur_sq = self.scaled_AT[:, 0], c00**2
             else:
                 try:
-                    self.schur_lower = np.linalg.cholesky(schur)
-                    c_inv = np.linalg.inv(self.schur_lower)
+                    c_inv = np.linalg.inv(np.linalg.cholesky(schur))
                 except np.linalg.LinAlgError as exc:
                     raise FactorizationError(_SINGULAR_SCHUR) from exc
                 # (N^T N)^{-1} = C^{-T} C^{-1}, so each pair of Schur solves is one product
@@ -137,7 +134,6 @@ class IterationWorkspace:
                     raise FactorizationError(_SINGULAR_SCHUR)
         else:
             self.scaled_AT = np.zeros((n, 0))
-            self.schur_lower = np.zeros((0, 0))
 
     @property
     def point(self) -> np.ndarray:

@@ -43,7 +43,6 @@ from .lanczos import min_eig_oracle
 from .linops import IterationWorkspace
 from .problems import ConicProblem
 from .trace import BRANCH_CG_NC, BRANCH_CG_SOL, BRANCH_MEO_NC, BRANCH_TERMINATE, SolveTrace
-from .vecnorm import norm2
 
 FEAS_TOL = 1e-9  # relative residual of Ax = b accepted at x0; a tenth of it triggers re-projection
 
@@ -151,7 +150,7 @@ def first_order_gate(
     g: np.ndarray,
     grad_f: np.ndarray,
     lambda2: np.ndarray,
-    grad_b_prev: np.ndarray,
+    mu_grad_b_prev: np.ndarray,
     counters: OpCounters,
 ) -> tuple[bool, str, float]:
     """Evaluate both dual-norm residuals against the threshold (1 - beta) mu.
@@ -164,11 +163,11 @@ def first_order_gate(
     multiplier lambda1 with the current barrier gradient, and
     L^{-1}(grad_phi + A^T lambda1) is exactly that projected, scaled gradient,
     so it is ||g|| and takes no solve of its own.  The second pairs the carried
-    multiplier lambda2 with the barrier gradient at the previous point: one
-    forward substitution, counted here.
+    multiplier lambda2 with ``mu_grad_b_prev``, mu nabla B as formed at the
+    previous point: one forward substitution, counted here.
     """
-    vec2 = grad_f + (ws.affine.A.T.dot(lambda2) if ws.m else 0.0) + mu * grad_b_prev
-    r1 = norm2(g)
+    vec2 = grad_f + (ws.affine.A.T.dot(lambda2) if ws.m else 0.0) + mu_grad_b_prev
+    r1 = math.sqrt(g.dot(g))
     r2 = local_norm_dual(ws.factor, vec2)
     counters.add("tri_solve")
     if r1 <= r2:
@@ -243,9 +242,10 @@ def line_search_sol(
     *,
     step: np.ndarray,
     phi0: float,
+    dd: float,
 ) -> tuple[float, np.ndarray, float, list]:
-    """Quadratic decrease target eta sqrt(eps) theta^{2j} ||d||^2."""
-    decrease = params.eta * math.sqrt(params.epsilon) * float(d.dot(d))
+    """Quadratic decrease target eta sqrt(eps) theta^{2j} ||d||^2; ``dd`` is d^T d."""
+    decrease = params.eta * math.sqrt(params.epsilon) * dd
     return _backtrack(problem, ws, mu, d, decrease, params, counters, step, phi0)
 
 
@@ -259,9 +259,10 @@ def line_search_nc(
     *,
     step: np.ndarray,
     phi0: float,
+    dd: float,
 ) -> tuple[float, np.ndarray, float, list]:
-    """Cubic decrease target eta theta^{2j} ||d||^3 / 2."""
-    decrease = params.eta * norm2(d) ** 3 / 2.0
+    """Cubic decrease target eta theta^{2j} ||d||^3 / 2; ``dd`` is d^T d."""
+    decrease = params.eta * math.sqrt(dd) ** 3 / 2.0
     return _backtrack(problem, ws, mu, d, decrease, params, counters, step, phi0)
 
 
@@ -292,7 +293,9 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         raise InfeasibleStart("x0 violates the equality constraints")
     ws = IterationWorkspace(affine, barrier_factor(cone, x, reads), counters)
     counters.add("cholesky")
-    lambda2, grad_b_prev = np.zeros(m), ws.factor.gradient
+    # mu nabla B at x, formed once per point; the gate reads the previous point's
+    lambda2, mu_grad_b = np.zeros(m), mu * ws.factor.gradient
+    mu_grad_b_prev = mu_grad_b
 
     def finish(status, k, lam, oracle=None):
         trace.counters = counters.snapshot()
@@ -315,11 +318,10 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
 
     for k in range(params.max_outer_iters):
         grad_f = gradient(x)
-        grad_b = ws.factor.gradient
-        gphi = grad_f + mu * grad_b
+        gphi = grad_f + mu_grad_b
         g = ws.null_step_t(gphi)
         triggered, which, res_min = first_order_gate(
-            ws, mu, beta, g, grad_f, lambda2, grad_b_prev, counters
+            ws, mu, beta, g, grad_f, lambda2, mu_grad_b_prev, counters
         )
 
         # each branch yields d_hat, its projection q and the multiplier c of d = c d_hat
@@ -332,11 +334,11 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             d_hat = cg_out.direction
             q = ws.project(d_hat)
             if cg_out.kind is DirectionKind.NC:
-                rate = abs(nc_curvature(phi_hessian_op, d_hat)) / norm2(d_hat)
-                c = _curvature_scale(d_hat, norm2(q), rate, g, beta)
+                rate = abs(nc_curvature(phi_hessian_op, d_hat)) / math.sqrt(d_hat.dot(d_hat))
+                c = _curvature_scale(d_hat, math.sqrt(q.dot(q)), rate, g, beta)
                 branch, searcher = BRANCH_CG_NC, line_search_nc
             else:
-                c = _sol_scale(d_hat, norm2(q), beta)
+                c = _sol_scale(d_hat, math.sqrt(q.dot(q)), beta)
                 branch, searcher = BRANCH_CG_SOL, line_search_sol
             cg_iters, lanczos_iters = cg_out.iterations, 0
         else:
@@ -356,18 +358,19 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
                 return finish(status, k, lam, oracle)
             d_hat = oracle.direction
             q = ws.project(d_hat)
-            qnorm = norm2(q)
+            qnorm = math.sqrt(q.dot(q))
             c = _curvature_scale(d_hat, qnorm, abs(oracle.curvature + mu * qnorm**2), g, beta)
             branch, searcher = BRANCH_MEO_NC, line_search_nc
 
         # the step is null_step(d): from the projection at hand when d = d_hat, and
         # projected afresh when d is scaled, so that it is exactly null_step(d) either way
-        d = c * d_hat
+        d = d_hat if c == 1.0 else c * d_hat  # a product with 1.0 is exact
         step = ws.unscale(q) if c == 1.0 else ws.null_step(d)
-        dir_norm = norm2(d)
+        dd = float(d.dot(d))
+        dir_norm = math.sqrt(dd)
         try:
             alpha, x_next, phi_next, reads = searcher(
-                problem, ws, mu, d, params, counters, step=step, phi0=phi
+                problem, ws, mu, d, params, counters, step=step, phi0=phi, dd=dd
             )
         except LineSearchFailure:
             # the failed step's row, with alpha = 0.0
@@ -380,7 +383,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         # otherwise the previous lambda2 carries over
         if m and branch == BRANCH_CG_SOL and alpha == 1.0:
             lambda2 = ws.multipliers(hess_vec(step) + gphi)
-        grad_b_prev = grad_b
+        mu_grad_b_prev = mu_grad_b
         if m:
             drift = float(np.maximum.reduce(np.abs(affine.A.dot(x) - affine.b)))
             if drift > FEAS_TOL * b_scale / 10.0:
@@ -389,11 +392,12 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         # is not walked again
         ws = IterationWorkspace(affine, barrier_factor(cone, x, reads), counters)
         counters.add("cholesky")
+        mu_grad_b = mu * ws.factor.gradient
 
     # lambda1 at x_final itself, from its workspace and one more gradient
     lambda1 = np.zeros(0)
     if m:
-        lambda1 = ws.multipliers(gradient(x) + mu * ws.factor.gradient)
+        lambda1 = ws.multipliers(gradient(x) + mu_grad_b)
     return finish(SolveStatus.MAX_ITERS_EXCEEDED, params.max_outer_iters, lambda1)
 
 
@@ -406,7 +410,7 @@ def _reproject(affine, cone, x: np.ndarray) -> tuple[np.ndarray, list]:
         return x_new, barrier_reads(cone, x_new)[1]
     except BoundaryError:
         raise DivergenceError(
-            "feasibility cannot be maintained at the current iterate scale; the "
-            "objective may be unbounded below on the feasible set (consider the "
-            "quadratic perturbation wrapper)"
+            "the least-squares re-projection onto Ax = b left the cone; likely causes "
+            "are an ill-conditioned A, a badly scaled objective, or iterates that grow "
+            "without bound (an objective unbounded below on the feasible set)"
         ) from None

@@ -202,7 +202,7 @@ class TestLocalNorms:
         factor = barrier_factor(orthant(2), np.array([1.0, 2.0]))
         ws = IterationWorkspace(empty_affine(2), factor, OpCounters())
         g, counters = np.array([1.0, 1.0]), OpCounters()
-        first_order_gate(ws, 1e-3, 0.5, g, g, np.zeros(0), factor.gradient, counters)
+        first_order_gate(ws, 1e-3, 0.5, g, g, np.zeros(0), 1e-3 * factor.gradient, counters)
         assert counters.snapshot() == {**OpCounters().snapshot(), "tri_solve": 1}
 
 

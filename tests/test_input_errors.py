@@ -1,0 +1,143 @@
+"""Each input check that rejects a bad argument raises its documented type.
+
+One ``pytest.raises`` per check, grouped by the module that raises.
+"""
+import json
+
+import numpy as np
+import pytest
+
+from conebarrier import SolverParams, builtin, solve
+from conebarrier.certify import check_fosp, reduced_min_eig
+from conebarrier.cli import main
+from conebarrier.cones import Cone, barrier_factor, orthant
+from conebarrier.counters import OpCounters
+from conebarrier.errors import InfeasibleStart, ParamError, SchemaError, SizeError, UnknownProblem
+from conebarrier.lanczos import min_eig_oracle, tridiagonal_min_ritz
+from conebarrier.linops import IterationWorkspace, empty_affine
+from conebarrier.problems import ConicProblem, problem_from_dict, save_problem
+
+
+class TestSolver:
+    def test_wrong_shape_x0(self):
+        p = builtin("nonconvex_qp_simplex", 5)
+        with pytest.raises(InfeasibleStart, match="shape"):
+            solve(p, np.full(4, 0.25), SolverParams(epsilon=1e-2))
+
+    @pytest.mark.parametrize("budget", ["max_outer_iters", "max_backtracks"])
+    def test_budget_below_one(self, budget):
+        with pytest.raises(ParamError, match="budgets"):
+            SolverParams(epsilon=1e-2, **{budget: 0})
+
+
+class TestLinops:
+    def test_factor_and_affine_disagree_on_n(self):
+        factor = barrier_factor(orthant(3), np.ones(3))
+        with pytest.raises(ValueError, match="disagree"):
+            IterationWorkspace(empty_affine(4), factor, OpCounters())
+
+
+class TestCertify:
+    def test_lambda_of_wrong_length(self):
+        p = builtin("nonconvex_qp_simplex", 5)
+        with pytest.raises(ValueError, match="lambda"):
+            check_fosp(p, p.x0, np.zeros(2), eps_g=1e-2)
+
+    def test_hess_vec_only_problem(self):
+        base = builtin("nonconvex_qp_simplex", 5)
+        q_mat = base.hessian(base.x0)
+        p = ConicProblem(name="hv-only", cone=base.cone, affine=base.affine, value=base.value,
+                         gradient=base.gradient, hess_vec_fn=lambda x, v: q_mat.dot(v), x0=base.x0)
+        with pytest.raises(SizeError, match="dense Hessian"):
+            reduced_min_eig(p, p.x0)
+
+
+class TestLanczos:
+    def test_empty_tridiagonal(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            tridiagonal_min_ritz(np.zeros(0), np.zeros(0))
+
+    def test_nonpositive_eps(self):
+        with pytest.raises(ValueError, match="eps"):
+            min_eig_oracle(lambda v: v, 3, 0.0, 0.01)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_delta_outside_unit_interval(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            min_eig_oracle(lambda v: v, 3, 0.1, delta)
+
+
+class TestCones:
+    def test_cone_without_blocks(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            Cone(())
+
+
+def explicit_qp(n=3):
+    return {"n": n, "cone": [{"type": "orthant", "dim": n}],
+            "objective": {"quadratic": {"Q": np.eye(n).tolist(), "c": np.zeros(n).tolist()}},
+            "x0": np.ones(n).tolist()}
+
+
+class TestProblems:
+    def test_no_hessian_of_either_form(self):
+        base = builtin("nonconvex_qp_simplex", 4)
+        with pytest.raises(ValueError, match="Hessian"):
+            ConicProblem(name="none", cone=base.cone, affine=base.affine,
+                         value=base.value, gradient=base.gradient)
+
+    def test_affine_and_cone_disagree(self):
+        base = builtin("nonconvex_qp_simplex", 4)
+        with pytest.raises(ValueError, match="disagree"):
+            ConicProblem(name="bad", cone=orthant(5), affine=base.affine,
+                         value=base.value, gradient=base.gradient, hessian=base.hessian)
+
+    def test_pnorm_exponent_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="p must"):
+            builtin("pnorm_simplex", 4, p=2.0)
+
+    def test_nonpositive_n(self):
+        with pytest.raises(ValueError, match="n must"):
+            builtin("negnorm_simplex", 0)
+
+    def test_soc_quadratic_needs_two_coordinates(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            builtin("soc_quadratic", 1)
+
+    def test_soc_quadratic_row_count(self):
+        with pytest.raises(ValueError, match="m <= n - 1"):
+            builtin("soc_quadratic", 4, m=4)
+
+    def test_file_not_an_object(self):
+        with pytest.raises(SchemaError, match="JSON object"):
+            problem_from_dict([1, 2])
+
+    def test_unknown_builtin_in_file(self):
+        with pytest.raises(UnknownProblem):
+            problem_from_dict({"builtin": "no_such_problem", "n": 3})
+
+    def test_bad_builtin_parameters_in_file(self):
+        with pytest.raises(SchemaError, match="bad builtin parameters"):
+            problem_from_dict({"builtin": "soc_quadratic", "n": 1})
+
+    def test_affine_data_rejected_in_file(self):
+        data = {**explicit_qp(), "A": [[1.0, 1.0, 1.0]], "b": [1.0, 2.0]}
+        with pytest.raises(SchemaError, match="b has length"):
+            problem_from_dict(data)
+
+    def test_save_callback_problem(self, tmp_path):
+        base = builtin("nonconvex_qp_simplex", 4)
+        p = ConicProblem(name="callbacks", cone=base.cone, affine=base.affine,
+                         value=base.value, gradient=base.gradient, hessian=base.hessian)
+        with pytest.raises(SchemaError, match="no serializable form"):
+            save_problem(p, tmp_path / "p.json")
+
+
+class TestCli:
+    @pytest.mark.parametrize("key", ["x", "values"])
+    def test_certify_vector_of_wrong_length(self, tmp_path, capsys, key):
+        problem, point = tmp_path / "p.json", tmp_path / "x.json"
+        problem.write_text(json.dumps(explicit_qp()))
+        point.write_text(json.dumps({key: [1.0, 1.0]}))
+        assert main(["certify", str(problem), str(point), str(point)]) == 2
+        assert "x has length 2, expected 3" in capsys.readouterr().err

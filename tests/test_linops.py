@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +23,18 @@ def make_ws(A, b, x, cone=None, counters=None):
     return IterationWorkspace(affine, factor, OpCounters() if counters is None else counters)
 
 
+def schur_factor(ws):
+    """Lower Cholesky factor C of N^T N, from the workspace's N and its own ``.dot``.
+
+    The workspace keeps only (N^T N)^{-1} (m >= 2) or C^2 (m = 1), so the
+    checks on C form it here: a 1 x 1 Schur complement's factor is its root.
+    """
+    schur = ws.scaled_AT.T.dot(ws.scaled_AT)
+    if ws.m == 1:
+        return np.array([[math.sqrt(float(schur[0, 0]))]])
+    return np.linalg.cholesky(schur)
+
+
 class TestAffineData:
     def test_rank_check(self):
         with pytest.raises(FactorizationError):
@@ -38,17 +51,17 @@ class TestWorkspaceConstruction:
     def test_example_half(self):
         ws = make_ws([[1.0, 1.0]], [1.0], [0.5, 0.5])
         np.testing.assert_allclose(ws.scaled_AT, [[0.5], [0.5]])
-        np.testing.assert_allclose(ws.schur_lower @ ws.schur_lower.T, [[0.5]])
+        np.testing.assert_allclose(schur_factor(ws) @ schur_factor(ws).T, [[0.5]])
 
     def test_example_identity(self):
         ws = make_ws([[1.0, 0.0]], [1.0], [1.0, 1.0])
         np.testing.assert_allclose(ws.scaled_AT, [[1.0], [0.0]])
-        np.testing.assert_allclose(ws.schur_lower @ ws.schur_lower.T, [[1.0]])
+        np.testing.assert_allclose(schur_factor(ws) @ schur_factor(ws).T, [[1.0]])
 
     def test_all_ones_row(self):
         n = 7
         ws = make_ws(np.ones((1, n)), [float(n)], np.ones(n))
-        np.testing.assert_allclose(ws.schur_lower @ ws.schur_lower.T, [[float(n)]])
+        np.testing.assert_allclose(schur_factor(ws) @ schur_factor(ws).T, [[float(n)]])
 
     def test_counters(self):
         counters = OpCounters()
@@ -69,9 +82,8 @@ class TestWorkspaceConstruction:
         x = random_interior_point(cone, rng)
         ws = make_ws(a_mat, np.zeros(m), x)
         nt = ws.scaled_AT
-        np.testing.assert_allclose(
-            ws.schur_lower @ ws.schur_lower.T, nt.T @ nt, rtol=1e-10, atol=1e-14
-        )
+        c = schur_factor(ws)
+        np.testing.assert_allclose(c @ c.T, nt.T @ nt, rtol=1e-10, atol=1e-14)
 
 
 class TestScaling:
@@ -254,8 +266,9 @@ class TestAgainstDenseAssembly:
 
 def scipy_schur_solve(ws, w):
     """(N^T N)^{-1} w through scipy's solve_triangular pair on the Schur factor."""
-    z = solve_triangular(ws.schur_lower, w, lower=True, check_finite=False)
-    return solve_triangular(ws.schur_lower.T, z, lower=False, check_finite=False)
+    c = schur_factor(ws)
+    z = solve_triangular(c, w, lower=True, check_finite=False)
+    return solve_triangular(c.T, z, lower=False, check_finite=False)
 
 
 # The one-product Schur solve against scipy's triangular pair, per unit of the
@@ -275,7 +288,7 @@ class TestLapackSchurSolve:
         for _ in range(5):
             a_mat = rng.standard_normal((m, n))
             ws = make_ws(a_mat, np.zeros(m), random_interior_point(cone, rng), cone)
-            c_inv = np.linalg.inv(ws.schur_lower)
+            c_inv = np.linalg.inv(schur_factor(ws))
             assert np.array_equal(ws._schur_inv, c_inv.T @ c_inv)
             for _ in range(5):
                 v = rng.standard_normal(n)
@@ -345,8 +358,9 @@ class TestScalarSchurPath:
             a_mat = rng.standard_normal((1, n))
             ws = make_ws(a_mat, np.zeros(1), random_interior_point(cone, rng), cone)
             big_n, factor = ws.scaled_AT, ws.factor
-            assert np.array_equal(ws.schur_lower, np.linalg.cholesky(big_n.T @ big_n))
-            c00_sq = ws.schur_lower[0, 0] ** 2
+            c = schur_factor(ws)
+            assert np.array_equal(c, np.linalg.cholesky(big_n.T @ big_n))
+            c00_sq = c[0, 0] ** 2
 
             def general_project(u):
                 return u - big_n @ (big_n.T @ u / c00_sq)

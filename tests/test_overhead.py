@@ -12,8 +12,10 @@ none.
 The limits are the measured counts plus 5 %.  Before one walk per accepted
 point and the leaner solve and product paths, the same instances took 119.5
 and 156.4 frames per iteration, 79.4 and 86.9 while the barrier value
-was summed in a second walk over the reads, and 78.4 and 85.0 while the
-cone layer counted its own operations.
+was summed in a second walk over the reads, 78.4 and 85.0 while the
+cone layer counted its own operations, and 74.4 and 80.9 while the outer
+iteration took its norms through ``norm2``, built the barrier gradient by
+slice writes and formed mu nabla B of the previous point a second time.
 """
 import os
 import sys
@@ -45,8 +47,8 @@ def frames_per_iteration(problem) -> float:
 
 
 @pytest.mark.parametrize("name, n, params, measured", [
-    ("nonconvex_qp_simplex", 30, {"seed": 0}, 74.4),
-    ("soc_quadratic", 20, {"m": 2, "seed": 0}, 80.9),
+    ("nonconvex_qp_simplex", 30, {"seed": 0}, 70.4),
+    ("soc_quadratic", 20, {"m": 2, "seed": 0}, 75.6),
 ])
 def test_frames_per_outer_iteration(name, n, params, measured):
     assert frames_per_iteration(builtin(name, n, **params)) <= 1.05 * measured

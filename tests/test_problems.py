@@ -214,6 +214,33 @@ class TestFileFormat:
         x = np.array([0.4, 1.1, 0.3])
         assert q.value(x) == p.value(x)
 
+    def test_explicit_file_without_constraints(self, tmp_path):
+        # no "A" and no "b": m = 0, and the file solves, certifies and round-trips
+        from conebarrier.solver import SolverParams, solve
+
+        q_mat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.2], [0.0, 0.2, 1.0]])
+        data = {
+            "n": 3,
+            "cone": [{"type": "orthant", "dim": 1}, {"type": "soc", "dim": 2}],
+            "objective": {"quadratic": {"Q": q_mat.tolist(),
+                                        "c": (-q_mat @ [1.0, 2.0, 0.5]).tolist()}},
+            "x0": [1.0, 1.0, 0.0],
+        }
+        p = problem_from_dict(data)
+        assert p.m == 0 and p.affine.A.shape == (0, 3)
+        params = SolverParams(epsilon=1e-2, seed=7)
+        res = solve(p, p.x0, params)
+        assert res.certified and res.lambda_final.shape == (0,)
+        assert res.trace.certificate.fosp_ok and res.trace.certificate.sosp_ok
+        path = tmp_path / "free.json"
+        save_problem(p, path)
+        assert "A" not in json.loads(path.read_text())
+        q = load_problem(path)
+        assert q.m == 0 and q.serial == p.serial
+        again = solve(q, q.x0, params)
+        assert again.iterations == res.iterations
+        assert np.array_equal(again.x_final, res.x_final)
+
     def test_soc_dim_one_rejected(self):
         data = {
             "n": 1,

@@ -133,7 +133,7 @@ class TestFirstOrderGate:
         lambda2 = ws.multipliers(gphi) if lambda2 is None else lambda2
         grad_b_prev = grad_b if grad_b_prev is None else grad_b_prev
         return first_order_gate(
-            ws, mu, beta, ws.null_step_t(gphi), grad_f, lambda2, grad_b_prev, ws.counters
+            ws, mu, beta, ws.null_step_t(gphi), grad_f, lambda2, mu * grad_b_prev, ws.counters
         )
 
     def test_barrier_path_point(self):
@@ -173,7 +173,7 @@ class TestFirstOrderGate:
         grad_b_prev = grad_b - 0.1 * e1  # makes the second residual 0.8 mu
         g = ws.null_step_t(grad_f + mu * grad_b)
         triggered, which, res = first_order_gate(
-            ws, mu, beta, g, grad_f, np.zeros(0), grad_b_prev, ws.counters
+            ws, mu, beta, g, grad_f, np.zeros(0), mu * grad_b_prev, ws.counters
         )
         assert not triggered
         assert res == pytest.approx(0.8 * mu)
@@ -309,7 +309,7 @@ class TestLineSearches:
         target = params.eta * math.sqrt(eps) * float(d @ d)
         assert phi_value(p, ws.point + step, mu, ws.counters)[0] < phi0 - target
         alpha, x_new, phi_new, _ = line_search_sol(
-            p, ws, mu, d, params, ws.counters, step=step, phi0=phi0
+            p, ws, mu, d, params, ws.counters, step=step, phi0=phi0, dd=float(d.dot(d))
         )
         assert alpha == 1.0
         np.testing.assert_allclose(x_new, ws.point + step)
@@ -321,8 +321,8 @@ class TestLineSearches:
         mu = mu_from_epsilon(0.01, params.beta, 3.0)
         d = np.zeros(3)
         with pytest.raises(ZeroDirection):
-            line_search_sol(p, ws, mu, d, params, ws.counters,
-                            step=ws.null_step(d), phi0=phi_value(p, ws.point, mu, ws.counters)[0])
+            line_search_sol(p, ws, mu, d, params, ws.counters, step=ws.null_step(d),
+                            phi0=phi_value(p, ws.point, mu, ws.counters)[0], dd=float(d.dot(d)))
 
     def test_backtrack_depth_two(self):
         # crafted so j = 0, 1 fail and j = 2 is the first acceptance
@@ -340,7 +340,9 @@ class TestLineSearches:
             lhs, _ = phi_value(p, ws.point + t * step, mu, ws.counters)
             accepts.append(lhs < phi0 - params.eta * math.sqrt(eps) * t * t * float(d @ d))
         assert accepts == [False, False, True]
-        alpha, _, _, _ = line_search_sol(p, ws, mu, d, params, ws.counters, step=step, phi0=phi0)
+        alpha, _, _, _ = line_search_sol(
+            p, ws, mu, d, params, ws.counters, step=step, phi0=phi0, dd=float(d.dot(d))
+        )
         assert alpha == pytest.approx(0.25)
 
     def test_nc_unit_step_on_concave_quadratic(self):
@@ -356,7 +358,7 @@ class TestLineSearches:
         d = _curvature_scale(v, qnorm(ws, v), abs(curvature_phi), g, beta=0.5) * v
         phi0, _ = phi_value(p, ws.point, mu, ws.counters)
         alpha, x_new, phi_new, _ = line_search_nc(p, ws, mu, d, params, ws.counters,
-                                               step=ws.null_step(d), phi0=phi0)
+                                               step=ws.null_step(d), phi0=phi0, dd=float(d.dot(d)))
         assert alpha == 1.0
         assert phi_new < phi0 - params.eta * np.linalg.norm(d) ** 3 / 2
 
@@ -376,8 +378,8 @@ class TestLineSearches:
         ws = ws_at([1.0])
         d = np.array([-0.5])
         with pytest.raises(LineSearchFailure):
-            line_search_sol(p, ws, mu, d, params, ws.counters,
-                            step=ws.null_step(d), phi0=phi_value(p, ws.point, mu, ws.counters)[0])
+            line_search_sol(p, ws, mu, d, params, ws.counters, step=ws.null_step(d),
+                            phi0=phi_value(p, ws.point, mu, ws.counters)[0], dd=float(d.dot(d)))
 
 
 class TestSolverParams:
@@ -536,6 +538,19 @@ class TestSolveBasics:
         p = mixed_cone_quadratic()
         with pytest.raises(DivergenceError):
             solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7, max_outer_iters=200000))
+
+    def test_badly_scaled_compact_slice_blames_reprojection(self):
+        # soc_quadratic's first row pins t, so its slice is compact and the objective
+        # bounded; scaled by 1e4 it still leaves the cone at its one re-projection
+        # (ROADMAP item 9), and the error says so rather than blaming unboundedness
+        from conebarrier.errors import DivergenceError
+
+        base = builtin("soc_quadratic", 30, m=2, seed=0)
+        q_mat, c = base.hessian(base.x0), base.gradient(np.zeros(30))
+        p = quadratic_problem(1e4 * q_mat, 1e4 * c, base.cone, base.affine, x0=base.x0)
+        with pytest.raises(DivergenceError, match="re-projection onto Ax = b left the cone") as info:
+            solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7))
+        assert "ill-conditioned A" in str(info.value) and "badly scaled objective" in str(info.value)
 
     def test_unconstrained_solve(self):
         p = builtin("regularized_loss", 5, seed=1)
