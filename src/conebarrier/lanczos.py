@@ -1,23 +1,20 @@
-"""Randomized Lanczos minimum-eigenvalue oracle.
+"""Randomized Lanczos minimum-eigenvalue oracle, run as a CG recurrence.
 
-Given a symmetric operator H, either returns a unit direction v with
-v^T H v <= -eps/2 (negative curvature, verified with an independent matvec
-before returning) or certifies lambda_min(H) >= -eps with probability at
-least 1 - sqrt(2.75 n) * delta^(1 / sqrt(||H||)), where ||H|| is estimated
-by a short power iteration and reported as an estimate.  The bound is
-reported clipped at 0: it reads 0, and says nothing, once ||H|| is large
-enough that the subtracted term exceeds 1.
-
-The Lanczos recursion runs with full reorthogonalization for at most
-
-    N(eps, delta) = min{n, 1 + ceil(eps^{-1/2} ln(1/delta))}
-
-expansion steps, checking the smallest Ritz pair after every step so a
-negative-curvature direction is returned as early as possible.  That pair
-comes from numpy's dense symmetric eigensolver on the k x k tridiagonal
-matrix.  k is at most the cap, 27 for the solver's epsilon = 1e-3 (the
-oracle runs at eps = sqrt(epsilon), delta = 0.01), a size at which a dense
-eigensolve costs microseconds.
+Either returns a unit v with v^T H v <= -eps/2, or certifies lambda_min(H)
+>= -eps with probability at least 1 - sqrt(2.75 n) delta^(1 / sqrt(||H||)),
+||H|| from a short power iteration; clipped at 0, it says nothing.  Lanczos
+from a random unit start runs N(eps, delta) = min{n, 1 + ceil(eps^{-1/2}
+ln(1/delta))} steps at most, asking after step k: theta_min(T_k) <= -eps/2?
+CG on H + (eps/2) I from the same start has the LDL^T pivots of
+T_k + (eps/2) I as its pivots p^T (H + (eps/2) I) p / r^T r (Golub & Van
+Loan, 10.2), so its first non-positive pivot comes at that same step.  The
+oracle runs CG on three vectors, with no basis, reorthogonalization or
+eigensolve, and returns p / ||p||, whose curvature comes from that step's own
+product: no further matvec verifies it.  The breakdown rule reads alpha_k and
+beta_k off the CG scalars; r and p are rescaled by 1/||r|| each step, so a
+fast-shrinking residual cannot underflow.  ``capped_cg`` is not reused: its
+small-residual exit would certify before N(eps, delta) steps, and the bound
+needs them all, or a breakdown (an invariant Krylov space).
 """
 from __future__ import annotations
 
@@ -42,7 +39,7 @@ class MeoOutcome:
     kind: str  # NC or CERTIFIED
     iterations: int
     direction: np.ndarray | None = None
-    curvature: float | None = None  # verified v^T H v for NC outcomes
+    curvature: float | None = None  # v^T H v for NC outcomes, from the detecting step's product
     probability_bound: float | None = None  # in [0, 1]; 0 means the bound is vacuous
     estimated_norm: float | None = None
 
@@ -54,18 +51,6 @@ class MeoOutcome:
 def lanczos_iteration_cap(n: int, eps: float, delta: float) -> int:
     """min{n, 1 + ceil(eps^{-1/2} ln(1/delta))}."""
     return min(n, 1 + math.ceil(eps**-0.5 * math.log(1.0 / delta)))
-
-
-def tridiagonal_min_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of the symmetric tridiagonal matrix (unit eigenvector)."""
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    if alphas.size == 0:
-        raise ValueError("need at least one diagonal entry")
-    tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-    vals, vecs = np.linalg.eigh(tri)
-    coeffs = vecs[:, 0]
-    return float(vals[0]), coeffs / norm2(coeffs)
 
 
 def estimate_operator_norm(
@@ -106,43 +91,31 @@ def min_eig_oracle(
         raise ValueError("delta must lie in (0, 1)")
     rng = np.random.default_rng(seed)  # a Generator passes through unaltered
     cap = lanczos_iteration_cap(n, eps, delta)
+    shift = eps / 2.0
 
-    basis = np.zeros((n, cap))
-    alphas = np.zeros(cap)
-    betas = np.zeros(max(cap - 1, 0))
-
-    q = rng.standard_normal(n)
-    q /= norm2(q)
-    basis[:, 0] = q
-    beta_prev = 0.0
+    r = rng.standard_normal(n)
+    r /= norm2(r)
+    p = r
+    alpha_scale = 1.0  # max(1, max_k |alpha_k|), the breakdown rule's scale
+    ratio_prev = pivot_prev = 0.0  # ||r_k||^2 / ||r_{k-1}||^2 and pivot_{k-1}
     iterations = 0
-    for k in range(cap):
-        w = matvec(basis[:, k])
-        iterations = k + 1
-        alphas[k] = float(basis[:, k] @ w)
-        w = w - alphas[k] * basis[:, k]
-        if k > 0:
-            w = w - beta_prev * basis[:, k - 1]
-        # full reorthogonalization keeps the Ritz extraction trustworthy
-        w = w - basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
-
-        theta, coeffs = tridiagonal_min_ritz(alphas[: k + 1], betas[:k])
-        if theta <= -eps / 2.0:
-            v = basis[:, : k + 1] @ coeffs
-            v_norm = norm2(v)
-            if v_norm > 0.0:
-                v = v / v_norm
-                curvature = float(v @ matvec(v))
-                if curvature <= -eps / 2.0:
-                    return MeoOutcome(
-                        kind=NC, iterations=iterations, direction=v, curvature=curvature
-                    )
-
-        beta_prev = norm2(w)
-        if k + 1 >= cap or beta_prev <= _BREAKDOWN_TOL * max(1.0, np.max(np.abs(alphas[: k + 1]))):
+    for iterations in range(1, cap + 1):
+        hp = matvec(p)
+        pp = float(p.dot(p))
+        curvature = float(p.dot(hp)) / pp
+        if curvature <= -shift:  # the pivot p^T (H + shift I) p is not positive
+            v = p / math.sqrt(pp)
+            return MeoOutcome(kind=NC, iterations=iterations, direction=v, curvature=curvature)
+        pivot = (curvature + shift) * pp  # > 0 here; with ||r|| = 1, a pivot of T_k + shift I
+        # Lanczos alpha_k = pivot_k + ratio_k pivot_{k-1} - shift; beta_{k+1} = ||w|| pivot_k
+        alpha_scale = max(alpha_scale, abs(pivot + ratio_prev * pivot_prev - shift))
+        w = r - (hp + shift * p) / pivot
+        w_norm = norm2(w)
+        if iterations >= cap or w_norm * pivot <= _BREAKDOWN_TOL * alpha_scale:
             break
-        betas[k] = beta_prev
-        basis[:, k + 1] = w / beta_prev
+        r = w / w_norm
+        p = r + w_norm * p  # (w + ||w||^2 p) / ||w||: CG's update, rescaled by 1/||w||
+        ratio_prev, pivot_prev = w_norm * w_norm, pivot
 
     estimate = estimate_operator_norm(matvec, n, rng)
     if estimate > _BREAKDOWN_TOL:

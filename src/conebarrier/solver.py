@@ -356,10 +356,12 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
                 trace.append(k, phi, res_min, BRANCH_TERMINATE, 0.0, 0.0, 0, lanczos_iters)
                 lam = ws.multipliers(gphi) if which == "lambda1" else lambda2
                 return finish(status, k, lam, oracle)
-            d_hat = oracle.direction
-            q = ws.project(d_hat)
-            qnorm = math.sqrt(q.dot(q))
-            c = _curvature_scale(d_hat, qnorm, abs(oracle.curvature + mu * qnorm**2), g, beta)
+            # the step runs along q = P v / ||P v||, the part of v that the oracle's
+            # operator P H P sees: q^T (P H P + mu P) q = v^T (P H P) v / ||P v||^2 + mu
+            pv = ws.project(oracle.direction)
+            pv_sq = float(pv.dot(pv))
+            d_hat = q = pv / math.sqrt(pv_sq)
+            c = _curvature_scale(d_hat, 1.0, abs(oracle.curvature / pv_sq + mu), g, beta)
             branch, searcher = BRANCH_MEO_NC, line_search_nc
 
         # the step is null_step(d): from the projection at hand when d = d_hat, and

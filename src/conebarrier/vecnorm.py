@@ -4,11 +4,11 @@ For a 1-D float vector ``np.linalg.norm(v)`` flattens ``v`` in memory order
 and returns ``sqrt(v.dot(v))``.  ``norm2`` makes exactly those two calls and
 skips the wrapper's argument handling, so its result is bit-equal to numpy's.
 
-The norm rule of the package: ``norm2`` where a vector may be a strided view
-(the Lanczos oracle's Ritz column ``vecs[:, 0]``), and ``math.sqrt(v.dot(v))``
-on the contiguous vectors a layer forms itself (the solver, the cone layer
-and capped CG).  For a contiguous vector the flattening is a view, so the two
-forms give the same float, and the second saves one call per norm.
+The Lanczos oracle takes its norms through ``norm2``; the solver, the cone
+layer and capped CG take ``math.sqrt(v.dot(v))`` of the contiguous vectors
+they form themselves, once per outer iteration or more.  For a contiguous
+vector the flattening is a view, so the two forms give the same float, and
+the second saves one call per norm.
 """
 from __future__ import annotations
 

@@ -3,6 +3,7 @@ import pytest
 
 from conebarrier.certify import barrier_hessian, dual_norm
 from conebarrier.cones import ORTHANT, BarrierFactor, Cone, ConeBlock, orthant, product, second_order
+from conebarrier.lanczos import CERTIFIED, NC, MeoOutcome, lanczos_iteration_cap
 
 
 CONE_FAMILIES = [
@@ -74,6 +75,58 @@ def iteration_bound(result, n: int) -> int:
     else:
         j = int(np.ceil(2.0 * np.log(ratio) / np.log(1.0 / result.tau)))
     return min(n, j)
+
+
+def tridiagonal_min_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair of the symmetric tridiagonal matrix (unit eigenvector)."""
+    alphas = np.asarray(alphas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    if alphas.size == 0:
+        raise ValueError("need at least one diagonal entry")
+    tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    vals, vecs = np.linalg.eigh(tri)
+    coeffs = vecs[:, 0]
+    return float(vals[0]), coeffs / np.linalg.norm(coeffs)
+
+
+def reference_lanczos(matvec, n: int, eps: float, delta: float, seed=0) -> MeoOutcome:
+    """The Lanczos half of the oracle as randomized Lanczos states it, for comparison.
+
+    Full reorthogonalization, the smallest Ritz pair of T_k after every step
+    and a verifying matvec on the Ritz vector; same random start, cap and
+    breakdown rule as ``lanczos.min_eig_oracle``.  Returns NC with the
+    direction, or CERTIFIED with no bound (the power iteration is not run).
+    """
+    rng = np.random.default_rng(seed)
+    cap = lanczos_iteration_cap(n, eps, delta)
+    basis = np.zeros((n, cap))
+    alphas = np.zeros(cap)
+    betas = np.zeros(max(cap - 1, 0))
+    q = rng.standard_normal(n)
+    basis[:, 0] = q / np.linalg.norm(q)
+    beta_prev = 0.0
+    iterations = 0
+    for k in range(cap):
+        w = matvec(basis[:, k])
+        iterations = k + 1
+        alphas[k] = float(basis[:, k] @ w)
+        w = w - alphas[k] * basis[:, k]
+        if k > 0:
+            w = w - beta_prev * basis[:, k - 1]
+        w = w - basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
+        theta, coeffs = tridiagonal_min_ritz(alphas[: k + 1], betas[:k])
+        if theta <= -eps / 2.0:
+            v = basis[:, : k + 1] @ coeffs
+            v = v / np.linalg.norm(v)
+            curvature = float(v @ matvec(v))
+            if curvature <= -eps / 2.0:
+                return MeoOutcome(kind=NC, iterations=iterations, direction=v, curvature=curvature)
+        beta_prev = np.linalg.norm(w)
+        if k + 1 >= cap or beta_prev <= 1e-12 * max(1.0, np.max(np.abs(alphas[: k + 1]))):
+            break
+        betas[k] = beta_prev
+        basis[:, k + 1] = w / beta_prev
+    return MeoOutcome(kind=CERTIFIED, iterations=iterations)
 
 
 def dense_operators(A: np.ndarray, lower: np.ndarray):

@@ -13,9 +13,10 @@ from conebarrier.cli import main
 from conebarrier.cones import Cone, barrier_factor, orthant
 from conebarrier.counters import OpCounters
 from conebarrier.errors import InfeasibleStart, ParamError, SchemaError, SizeError, UnknownProblem
-from conebarrier.lanczos import min_eig_oracle, tridiagonal_min_ritz
+from conebarrier.lanczos import min_eig_oracle
 from conebarrier.linops import IterationWorkspace, empty_affine
 from conebarrier.problems import ConicProblem, problem_from_dict, save_problem
+from conftest import tridiagonal_min_ritz
 
 
 class TestSolver:

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from conebarrier.lanczos import (
-    CERTIFIED,
-    NC,
-    lanczos_iteration_cap,
-    min_eig_oracle,
-    tridiagonal_min_ritz,
-)
+from conebarrier.lanczos import CERTIFIED, NC, lanczos_iteration_cap, min_eig_oracle
+from conftest import reference_lanczos, tridiagonal_min_ritz
 
 
 def matvec_of(h_mat):
@@ -75,8 +70,9 @@ class TestOracle:
         assert out.kind == NC
         v = out.direction
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
-        assert abs(abs(v[0]) - 1.0) <= 1e-6
         assert v @ h_mat @ v <= -0.05
+        ref = reference_lanczos(matvec_of(h_mat), 2, eps=0.1, delta=0.01, seed=3)
+        assert ref.kind == NC and out.iterations == ref.iterations
 
     def test_soundness_and_bound(self, rng):
         eps = 0.05
@@ -155,3 +151,52 @@ class TestOracle:
             if out.kind == NC:
                 hits += 1
         assert hits >= 99
+
+
+class TestReferenceEquivalence:
+    """The CG recurrence against full-reorthogonalization Lanczos from the same start.
+
+    In exact arithmetic CG's first non-positive pivot on H + (eps/2) I comes at
+    the step at which theta_min(T_k) first reaches -eps/2, so the two agree on
+    the kind and the step.  The one exception is a breakdown before the cap:
+    the reference's reorthogonalized beta_k can fall below the breakdown
+    tolerance where CG's, which keeps no basis, does not, and the oracle runs
+    on, up to the cap.  It was seen only at n = cap with a spectrum topping at
+    1e-8, a Krylov space exhausted at the scale of roundoff in H + (eps/2) I.
+    """
+
+    EPS = 1e-3**0.5  # the oracle's eps in a solve at epsilon = 1e-3
+    DELTA = 0.01
+
+    def compare(self, n, top, min_eig, rng):
+        spectrum = top * rng.random(n)
+        spectrum[0], spectrum[-1] = top, min_eig * self.EPS
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        h_mat = (q * spectrum) @ q.T
+        seed = int(rng.integers(0, 2**32))
+        out = min_eig_oracle(matvec_of(h_mat), n, self.EPS, self.DELTA, seed)
+        ref = reference_lanczos(matvec_of(h_mat), n, self.EPS, self.DELTA, seed)
+        cap = lanczos_iteration_cap(n, self.EPS, self.DELTA)
+        assert out.kind == ref.kind
+        if ref.kind == CERTIFIED and ref.iterations < cap:
+            assert ref.iterations <= out.iterations <= cap
+        else:
+            assert out.iterations == ref.iterations
+        if out.kind == NC:
+            v = out.direction
+            assert float(v @ (h_mat @ v)) <= -self.EPS / 2.0
+
+    def test_same_kind_and_iterations(self):
+        rng = np.random.default_rng(7200)
+        for n in (20, 40, 60, 150, 200):
+            for top in (1.0, 20.0, 1e3, 1e-8):
+                for min_eig in (-2.0, -1.0, -0.7, -0.3, 0.0, 0.5):
+                    for _ in range(2):
+                        self.compare(n, top, min_eig, rng)
+
+    def test_breakdown_regime(self):
+        # n = 20 is below the cap of 27, so the Krylov space can be exhausted
+        rng = np.random.default_rng(1919)
+        for min_eig in (0.0, 0.5):
+            for _ in range(100):
+                self.compare(20, 1e-8, min_eig, rng)
