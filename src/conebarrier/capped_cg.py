@@ -8,9 +8,12 @@ either an approximate solution (kind SOL) with
 or a negative-curvature direction (kind NC) with d^T H d < -eps ||d||^2.
 The operator-norm estimate U starts at 0 and is refreshed on the fly from every computed
 matrix-vector product; the derived quantities kappa, zeta_hat, tau and T are
-recomputed once in each iteration that raised U.  One fresh matvec is spent
+formed once per refresh of U: in the first iteration, where the tests first
+read them, and in each later one that raised U.  One fresh matvec is spent
 per iteration (on the new residual); products with the direction and
-solution iterates are maintained by the CG recurrences.
+solution iterates are maintained by the CG recurrences.  The first iterate
+y^1 = alpha_0 p_0 is formed directly from y^0 = 0, and p^T (H + 2 eps I) p is
+formed only once the tests on y have passed, for the two tests that read it.
 """
 from __future__ import annotations
 
@@ -75,18 +78,17 @@ def capped_cg(
     if quad_p < eps * rr:
         return CappedCgResult(DirectionKind.NC, p, 0, *_monitors(0.0, eps, zeta))
     u = math.sqrt(hp.dot(hp)) / g_norm  # U starts at 0, and ||p|| = ||g||
-    zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
+    u_formed = -1.0  # the U that zeta_hat, tau and T were formed from; none yet
 
-    y = np.zeros(n)
-    hy = np.zeros(n)
+    # the first step from y^0 = 0 is alpha p, and y^0 enters the scan lists as 0.0
+    alpha = rr / quad_p
+    y = alpha * p
+    hy = alpha * hp
     r = g
-    ys = [y]
-    hys = [hy]
+    ys = [0.0]
+    hys = [0.0]
     j = 0
     while True:
-        alpha = rr / quad_p
-        y = y + alpha * p
-        hy = hy + alpha * hp
         r_new = r + alpha * (hp + 2.0 * eps * p)
         rr_new = float(r_new.dot(r_new))
         beta = rr_new / rr
@@ -108,32 +110,33 @@ def capped_cg(
         y_norm = math.sqrt(y.dot(y))
         r_norm = math.sqrt(rr)
         # refresh U from every product at hand, then its derived quantities once
-        u_prev = u
         for hv, v_norm in ((hp, p_norm), (hy, y_norm), (hr, r_norm)):
             if v_norm > 0.0:
                 hv_norm = math.sqrt(hv.dot(hv))
                 if hv_norm > u * v_norm:
                     u = hv_norm / v_norm
-        if u != u_prev:
+        if u != u_formed:
             zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
+            u_formed = u
 
         quad_y = float(y.dot(hy)) + 2.0 * eps * y_norm**2
-        quad_p = float(p.dot(hp)) + 2.0 * eps * p_norm**2
         if quad_y < eps * y_norm**2:
             kind, direction = DirectionKind.NC, y
             break
         if r_norm <= zeta_hat * g_norm:
             kind, direction = DirectionKind.SOL, y
             break
+        quad_p = float(p.dot(hp)) + 2.0 * eps * p_norm**2
         if quad_p < eps * p_norm**2:
             kind, direction = DirectionKind.NC, p
             break
-        if r_norm > math.sqrt(cap_t) * tau ** (j / 2.0) * g_norm:
-            alpha = rr / quad_p
-            y_next = y + alpha * p
-            hy_next = hy + alpha * hp
+        grown = r_norm > math.sqrt(cap_t) * tau ** (j / 2.0) * g_norm
+        alpha = rr / quad_p
+        y = y + alpha * p
+        hy = hy + alpha * hp
+        if grown:  # scan back from the next iterate
             kind = DirectionKind.NC
-            direction = _backtrack_nc(ys, hys, y_next, hy_next, eps, matvec)
+            direction = _backtrack_nc(ys, hys, y, hy, eps, matvec)
             break
     return CappedCgResult(kind, direction, j, zeta_hat, tau, cap_t)
 
@@ -147,7 +150,7 @@ def _backtrack_nc(
     matvec: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Scan iterate differences y_next - y_i for the first with curvature < -eps."""
-    # ys holds y^0 .. y^j; the search range is i in {0, ..., j-1}
+    # ys holds y^0 .. y^j, y^0 = 0 as the scalar 0.0; the search range is i in {0, ..., j-1}
     for i in range(len(ys) - 1):
         dy = y_next - ys[i]
         dy_sq = float(dy.dot(dy))

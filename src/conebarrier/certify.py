@@ -103,15 +103,18 @@ def is_interior(cone: Cone, x: np.ndarray) -> bool:
 
 
 def in_dual_cone(cone: Cone, s: np.ndarray, tol: float = 0.0) -> bool:
-    """Dual-cone membership up to tol per block; an SOC block is compared at y, with tol / 2^e."""
+    """Dual-cone membership up to tol per block; an SOC block is compared at y, with tol / 2^e.
+
+    Each test is stated so that it holds, and a NaN entry, which compares false, fails it.
+    """
     for block, sl in _slices(cone, s):
         if block.kind == ORTHANT:
-            if np.any(s[sl] < -tol):
+            if not np.all(s[sl] >= -tol):
                 return False
             continue
         _, e, t, r = _soc_read(s[sl])
         try:
-            if t + math.ldexp(tol, -e) < r:
+            if not t + math.ldexp(tol, -e) >= r:
                 return False
         except OverflowError:  # tol / 2^e exceeds any ||u|| - t at y
             pass

@@ -86,7 +86,7 @@ def cmd_solve(args) -> int:
 
 
 def fit_loglog_slope(eps_list, iterations) -> float:
-    """Least-squares slope of ln(iterations) against ln(1/eps).
+    """Least-squares slope of ln(iterations) against ln(1/eps); 0.0 for one distinct eps.
 
     Counts below 1 enter as 1, so a run that certifies its start (0
     iterations) contributes ln 1 = 0.  A sweep that mixes such runs with runs
@@ -95,7 +95,7 @@ def fit_loglog_slope(eps_list, iterations) -> float:
     """
     xs = np.log(1.0 / np.asarray(eps_list, dtype=float))
     ys = np.log(np.maximum(np.asarray(iterations, dtype=float), 1.0))
-    if xs.size == 1:
+    if np.unique(xs).size < 2:
         return 0.0
     xc = xs - xs.mean()
     return float(xc @ (ys - ys.mean()) / (xc @ xc))
@@ -127,6 +127,8 @@ def _load_vector(path: str, expected: int, what: str) -> np.ndarray:
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
         data = data.get(what, data.get("values"))
+        if data is None:
+            raise ValueError(f"{path}: the JSON object has no {what!r} or 'values' key")
     vec = np.asarray(data, dtype=float).reshape(-1)
     if vec.shape != (expected,):
         raise ValueError(f"{what} has length {vec.shape[0]}, expected {expected}")

@@ -223,7 +223,7 @@ def _backtrack(
     x = ws.point
     for j in range(params.max_backtracks + 1):
         t = params.theta**j
-        x_trial = x + t * step
+        x_trial = x + t * step if j else x + step  # a product with 1.0 is exact
         phi_trial, reads = phi_value(problem, x_trial, mu, counters)
         if phi_trial < phi0 - decrease * t * t:
             return t, x_trial, phi_trial, reads
@@ -289,6 +289,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     except BoundaryError:
         raise InfeasibleStart("x0 is not strictly interior to the cone") from None
     b_scale = 1.0 + (float(np.max(np.abs(affine.b))) if m else 0.0)
+    b0 = float(affine.b[0]) if m == 1 else None
     if m and float(np.max(np.abs(affine.A @ x0 - affine.b))) > FEAS_TOL * b_scale:
         raise InfeasibleStart("x0 violates the equality constraints")
     ws = IterationWorkspace(affine, barrier_factor(cone, x, reads), counters)
@@ -387,7 +388,10 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             lambda2 = ws.multipliers(hess_vec(step) + gphi)
         mu_grad_b_prev = mu_grad_b
         if m:
-            drift = float(np.maximum.reduce(np.abs(affine.A.dot(x) - affine.b)))
+            if m == 1:  # the same 1 x n product, read as a scalar
+                drift = abs(float(affine.A.dot(x)[0]) - b0)
+            else:
+                drift = float(np.maximum.reduce(np.abs(affine.A.dot(x) - affine.b)))
             if drift > FEAS_TOL * b_scale / 10.0:
                 x, reads = _reproject(affine, cone, x)
         # the accepted point's reads, from the line search or the re-projection, so it

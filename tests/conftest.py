@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from conebarrier.capped_cg import CappedCgResult, DirectionKind, _monitors
 from conebarrier.certify import barrier_hessian, dual_norm
 from conebarrier.cones import ORTHANT, BarrierFactor, Cone, ConeBlock, orthant, product, second_order
+from conebarrier.errors import HardCapExceeded, ZeroGradient
 from conebarrier.lanczos import CERTIFIED, NC, MeoOutcome, lanczos_iteration_cap
 
 
@@ -75,6 +79,107 @@ def iteration_bound(result, n: int) -> int:
     else:
         j = int(np.ceil(2.0 * np.log(ratio) / np.log(1.0 / result.tau)))
     return min(n, j)
+
+
+REFERENCE_CG_EXITS = ("preloop_nc", "y_nc", "sol", "p_nc", "growth", "growth_rescan")
+
+
+def reference_capped_cg(matvec, g: np.ndarray, eps: float, zeta: float) -> tuple[CappedCgResult, str]:
+    """Capped CG as first written, for comparison with ``capped_cg.capped_cg``, and its exit.
+
+    It starts from explicit zero vectors y^0 = H y^0 = 0, forms zeta_hat, tau
+    and T at entry and again after every raise of U, and forms p^T (H + 2 eps I) p
+    before the y-NC and SOL tests.  Same exits, in the same order; the exit is one
+    of ``REFERENCE_CG_EXITS``, and a failed residual-growth scan or the hard cap
+    raises HardCapExceeded.
+    """
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0]
+    rr = float(g.dot(g))
+    g_norm = math.sqrt(rr)
+    if g_norm == 0.0:
+        raise ZeroGradient("capped CG requires a nonzero right-hand side")
+    hard_cap = 10 * n + 100
+
+    p = -g
+    hp = matvec(p)
+    quad_p = float(p.dot(hp)) + 2.0 * eps * rr
+    if quad_p < eps * rr:
+        return CappedCgResult(DirectionKind.NC, p, 0, *_monitors(0.0, eps, zeta)), "preloop_nc"
+    u = math.sqrt(hp.dot(hp)) / g_norm
+    zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
+
+    y = np.zeros(n)
+    hy = np.zeros(n)
+    r = g
+    ys = [y]
+    hys = [hy]
+    j = 0
+    while True:
+        alpha = rr / quad_p
+        y = y + alpha * p
+        hy = hy + alpha * hp
+        r_new = r + alpha * (hp + 2.0 * eps * p)
+        rr_new = float(r_new.dot(r_new))
+        beta = rr_new / rr
+        hr = matvec(r_new)
+        p = beta * p - r_new
+        hp = beta * hp - hr
+        r, rr = r_new, rr_new
+        j += 1
+        if j > hard_cap:
+            raise HardCapExceeded(f"capped CG exceeded the hard cap of {hard_cap} iterations")
+        ys.append(y)
+        hys.append(hy)
+
+        p_norm = math.sqrt(p.dot(p))
+        y_norm = math.sqrt(y.dot(y))
+        r_norm = math.sqrt(rr)
+        u_prev = u
+        for hv, v_norm in ((hp, p_norm), (hy, y_norm), (hr, r_norm)):
+            if v_norm > 0.0:
+                hv_norm = math.sqrt(hv.dot(hv))
+                if hv_norm > u * v_norm:
+                    u = hv_norm / v_norm
+        if u != u_prev:
+            zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
+
+        quad_y = float(y.dot(hy)) + 2.0 * eps * y_norm**2
+        quad_p = float(p.dot(hp)) + 2.0 * eps * p_norm**2
+        if quad_y < eps * y_norm**2:
+            kind, direction, exit_ = DirectionKind.NC, y, "y_nc"
+            break
+        if r_norm <= zeta_hat * g_norm:
+            kind, direction, exit_ = DirectionKind.SOL, y, "sol"
+            break
+        if quad_p < eps * p_norm**2:
+            kind, direction, exit_ = DirectionKind.NC, p, "p_nc"
+            break
+        if r_norm > math.sqrt(cap_t) * tau ** (j / 2.0) * g_norm:
+            alpha = rr / quad_p
+            y_next = y + alpha * p
+            hy_next = hy + alpha * hp
+            kind = DirectionKind.NC
+            direction, exit_ = _reference_backtrack_nc(ys, hys, y_next, hy_next, eps, matvec)
+            break
+    return CappedCgResult(kind, direction, j, zeta_hat, tau, cap_t), exit_
+
+
+def _reference_backtrack_nc(ys, hys, y_next, hy_next, eps, matvec) -> tuple[np.ndarray, str]:
+    """The residual-growth scan of y_next - y_i, i < j: tracked products, then fresh ones."""
+    for i in range(len(ys) - 1):
+        dy = y_next - ys[i]
+        dy_sq = float(dy.dot(dy))
+        quad = float(dy.dot(hy_next - hys[i])) + 2.0 * eps * dy_sq
+        if quad < eps * dy_sq:
+            return dy, "growth"
+    for i in range(len(ys) - 1):
+        dy = y_next - ys[i]
+        dy_sq = float(dy.dot(dy))
+        quad = float(dy.dot(matvec(dy))) + 2.0 * eps * dy_sq
+        if quad < eps * dy_sq:
+            return dy, "growth_rescan"
+    raise HardCapExceeded("residual-growth exit found no negative-curvature difference")
 
 
 def tridiagonal_min_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray]:

@@ -4,7 +4,7 @@ import pytest
 from conebarrier.capped_cg import DirectionKind, _backtrack_nc, capped_cg, nc_curvature
 from conebarrier.errors import HardCapExceeded, ZeroDirection, ZeroGradient
 
-from conftest import iteration_bound
+from conftest import REFERENCE_CG_EXITS, iteration_bound, reference_capped_cg
 
 
 def matvec_of(h_mat):
@@ -186,3 +186,91 @@ class TestContractFuzz:
         assert np.sqrt(out.cap_t) * out.tau ** (j / 2.0) <= out.zeta_hat
         if j > 0:
             assert np.sqrt(out.cap_t) * out.tau ** ((j - 1) / 2.0) > out.zeta_hat
+
+
+class TestReferenceEquivalence:
+    """capped_cg against the first-written CG loop in conftest, on the same operators.
+
+    The two differ only in which numpy work they do: the first step formed
+    directly from y^0 = 0, the monitors formed once per refresh of U, and
+    p^T (H + 2 eps I) p formed after the tests on y.  So on every draw they must
+    agree in every float; the direction may differ only in the sign of an exact
+    zero, which np.array_equal ignores.  The families between them reach every
+    exit: an asymmetric operator (a symmetric part with some curvature below
+    -eps plus a skew part) stalls CG into the residual-growth exit, and an
+    operator whose products drift with each call, so that the products the
+    recurrences carry no longer match fresh ones, sends that exit's scan on
+    to its rescan with fresh matvecs.
+    """
+
+    DRAWS = 40  # per family
+
+    @staticmethod
+    def symmetric(n, rng, lo, hi):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (q * rng.uniform(lo, hi, n)) @ q.T
+
+    def operator(self, family, n, eps, rng):
+        """A matvec factory: a fresh callable per run, so each run sees the same products."""
+        if family == "positive_definite":
+            h_mat = self.symmetric(n, rng, 0.05, 1.05)
+        elif family == "indefinite":
+            h_mat = self.symmetric(n, rng, -1.0, 1.0)
+        elif family == "negative_tail":
+            h_mat = self.symmetric(n, rng, -0.2 * eps, 1.0)
+            h_mat[0, 0] -= 1.0 + rng.random()
+        elif family == "asymmetric":
+            b = rng.standard_normal((n, n))
+            skew = (b - b.T) / np.sqrt(2 * n)
+            h_mat = eps * (self.symmetric(n, rng, rng.uniform(-1.9, -1.3), 1.0)
+                           + rng.uniform(0.35, 0.65) * skew)
+        elif family == "drifting":
+            b = rng.standard_normal((n, n))
+            h_mat = eps * (self.symmetric(n, rng, 0.0, 1.0) + (b - b.T) / np.sqrt(2 * n))
+
+            def drifting():
+                calls = [0]
+
+                def matvec(v):
+                    calls[0] += 1
+                    return h_mat @ v - 0.1 * eps * calls[0] * v
+
+                return matvec
+
+            return drifting
+        else:  # ill_conditioned: a spectrum from 1e-6 to 1e12 stalls into the hard cap
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            h_mat = (q * np.geomspace(1e-6, 1e12, n)) @ q.T
+        return lambda: matvec_of(h_mat)
+
+    @staticmethod
+    def run(fn, *args):
+        try:
+            return fn(*args), None
+        except HardCapExceeded as exc:
+            return None, "hard cap" if "hard cap" in str(exc) else "failed scan"
+
+    def test_same_floats_on_every_exit(self):
+        rng = np.random.default_rng(2500)
+        exits = set()
+        families = ("positive_definite", "indefinite", "negative_tail", "asymmetric",
+                    "drifting", "ill_conditioned")
+        for family in families:
+            for trial in range(self.DRAWS):
+                n = int(rng.integers(3, 25))
+                eps = (0.1, 0.03, 0.01)[trial % 3]
+                make = self.operator(family, n, eps, rng)
+                g = rng.standard_normal(n)
+                out, err = self.run(capped_cg, make(), g, eps, 0.5)
+                ref, ref_err = self.run(reference_capped_cg, make(), g, eps, 0.5)
+                assert err == ref_err
+                if ref is None:
+                    exits.add(ref_err)
+                    continue
+                ref, exit_ = ref
+                exits.add(exit_)
+                assert out.kind is ref.kind
+                assert out.iterations == ref.iterations
+                assert (out.zeta_hat, out.tau, out.cap_t) == (ref.zeta_hat, ref.tau, ref.cap_t)
+                assert np.array_equal(out.direction, ref.direction)
+        assert exits == set(REFERENCE_CG_EXITS) | {"hard cap", "failed scan"}

@@ -76,6 +76,13 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "loglog_slope=0.0000" in out
 
+    def test_repeated_eps_degenerates(self, qp_file, capsys):
+        # one distinct tolerance fixes no slope: 0.0, with no 0/0 (RuntimeWarnings are errors here)
+        code = main(["sweep", str(qp_file), "--eps", "1e-2", "1e-2"])
+        assert code == 0
+        assert "loglog_slope=0.0000" in capsys.readouterr().out
+        assert fit_loglog_slope([1e-3, 1e-3, 1e-3], [10, 12, 11]) == 0.0
+
     def test_empty_eps_usage_error(self, qp_file, capsys):
         assert main(["sweep", str(qp_file), "--eps"]) == 2
 
@@ -123,3 +130,17 @@ class TestCertifyCommand:
         lam_path.write_text(json.dumps([1.0, 2.0]))
         code = main(["certify", str(negnorm_file), str(x_path), str(lam_path)])
         assert code == 2
+
+    def test_vector_file_without_a_usable_key(self, tmp_path, capsys):
+        # an object with neither "lambda" nor "values" is a usage error, not a NaN multiplier
+        problem = tmp_path / "qp3.json"
+        problem.write_text(json.dumps({"builtin": "nonconvex_qp_simplex", "n": 3}))
+        x_path = tmp_path / "x.json"
+        lam_path = tmp_path / "lam.json"
+        x_path.write_text(json.dumps({"x": [1 / 3, 1 / 3, 1 / 3]}))
+        lam_path.write_text(json.dumps({"mult": [1.0]}))
+        code = main(["certify", str(problem), str(x_path), str(lam_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'lambda'" in captured.err and "'values'" in captured.err

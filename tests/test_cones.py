@@ -307,6 +307,12 @@ class TestMembership:
         assert in_dual_cone(orthant(2), np.array([0.0, 3.0]), 0.0)
         assert not in_dual_cone(orthant(2), np.array([-1e-3, 3.0]), 1e-6)
 
+    def test_dual_cone_rejects_nan(self):
+        # NaN compares false, so each membership test must be one that NaN fails
+        assert not in_dual_cone(orthant(2), np.array([np.nan, 3.0]), 1e-6)
+        for s in ([np.nan, 0.0, 0.0], [1.0, np.nan, 0.0], [np.nan] * 3):
+            assert not in_dual_cone(second_order(3), np.array(s), 1e-6)
+
     def test_dual_soc_boundary(self):
         assert in_dual_cone(second_order(2), np.array([1.0, -1.0]), 0.0)
 

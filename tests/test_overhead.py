@@ -15,7 +15,9 @@ and 156.4 frames per iteration, 79.4 and 86.9 while the barrier value
 was summed in a second walk over the reads, 78.4 and 85.0 while the
 cone layer counted its own operations, and 74.4 and 80.9 while the outer
 iteration took its norms through ``norm2``, built the barrier gradient by
-slice writes and formed mu nabla B of the previous point a second time.
+slice writes and formed mu nabla B of the previous point a second time, and
+70.4 and 75.6 while capped CG formed its monitors at entry and again at the
+first refresh of U.
 """
 import os
 import sys
@@ -47,8 +49,8 @@ def frames_per_iteration(problem) -> float:
 
 
 @pytest.mark.parametrize("name, n, params, measured", [
-    ("nonconvex_qp_simplex", 30, {"seed": 0}, 70.4),
-    ("soc_quadratic", 20, {"m": 2, "seed": 0}, 75.6),
+    ("nonconvex_qp_simplex", 30, {"seed": 0}, 69.3),
+    ("soc_quadratic", 20, {"m": 2, "seed": 0}, 74.7),
 ])
 def test_frames_per_outer_iteration(name, n, params, measured):
     assert frames_per_iteration(builtin(name, n, **params)) <= 1.05 * measured
