@@ -14,13 +14,20 @@ per iteration (on the new residual); products with the direction and
 solution iterates are maintained by the CG recurrences.  The first iterate
 y^1 = alpha_0 p_0 is formed directly from y^0 = 0, and p^T (H + 2 eps I) p is
 formed only once the tests on y have passed, for the two tests that read it.
+
+The operator returns a pair (H v, c(v)): the product and a coefficient that
+is linear in v, a float or a small vector (``linops`` returns the range
+coefficient of its reduced product; an operator with none returns 0.0).
+The coefficients of p and y are carried by the recurrences that carry their
+products, c_p <- beta c_p - c_r and c_y <- c_y + alpha c_p, and a SOL result
+reports c_y, the coefficient of its direction, with no further matvec.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -40,6 +47,7 @@ class CappedCgResult:
     zeta_hat: float
     tau: float
     cap_t: float
+    coef: Any = None  # the operator's coefficient of a SOL direction; None for NC
 
     @property
     def is_solution(self) -> bool:
@@ -55,12 +63,12 @@ def _monitors(u: float, eps: float, zeta: float) -> tuple[float, float, float]:
 
 
 def capped_cg(
-    matvec: Callable[[np.ndarray], np.ndarray],
+    matvec: Callable[[np.ndarray], tuple[np.ndarray, Any]],
     g: np.ndarray,
     eps: float,
     zeta: float,
 ) -> CappedCgResult:
-    """Run capped CG on (H + 2 eps I) d = -g for a symmetric operator H.
+    """Run capped CG on (H + 2 eps I) d = -g for a symmetric operator v -> (H v, c(v)).
 
     eps and zeta lie in (0, 1); ``SolverParams`` checks them for the solver.
     """
@@ -73,7 +81,7 @@ def capped_cg(
     hard_cap = 10 * n + 100
 
     p = -g
-    hp = matvec(p)
+    hp, cp = matvec(p)
     quad_p = float(p.dot(hp)) + 2.0 * eps * rr
     if quad_p < eps * rr:
         return CappedCgResult(DirectionKind.NC, p, 0, *_monitors(0.0, eps, zeta))
@@ -84,6 +92,7 @@ def capped_cg(
     alpha = rr / quad_p
     y = alpha * p
     hy = alpha * hp
+    cy = alpha * cp
     r = g
     ys = [0.0]
     hys = [0.0]
@@ -92,9 +101,10 @@ def capped_cg(
         r_new = r + alpha * (hp + 2.0 * eps * p)
         rr_new = float(r_new.dot(r_new))
         beta = rr_new / rr
-        hr = matvec(r_new)
+        hr, cr = matvec(r_new)
         p = beta * p - r_new
         hp = beta * hp - hr
+        cp = beta * cp - cr
         r, rr = r_new, rr_new
         j += 1
         if j > hard_cap:
@@ -121,24 +131,23 @@ def capped_cg(
 
         quad_y = float(y.dot(hy)) + 2.0 * eps * y_norm**2
         if quad_y < eps * y_norm**2:
-            kind, direction = DirectionKind.NC, y
+            direction = y
             break
         if r_norm <= zeta_hat * g_norm:
-            kind, direction = DirectionKind.SOL, y
-            break
+            return CappedCgResult(DirectionKind.SOL, y, j, zeta_hat, tau, cap_t, cy)
         quad_p = float(p.dot(hp)) + 2.0 * eps * p_norm**2
         if quad_p < eps * p_norm**2:
-            kind, direction = DirectionKind.NC, p
+            direction = p
             break
         grown = r_norm > math.sqrt(cap_t) * tau ** (j / 2.0) * g_norm
         alpha = rr / quad_p
         y = y + alpha * p
         hy = hy + alpha * hp
+        cy = cy + alpha * cp
         if grown:  # scan back from the next iterate
-            kind = DirectionKind.NC
             direction = _backtrack_nc(ys, hys, y, hy, eps, matvec)
             break
-    return CappedCgResult(kind, direction, j, zeta_hat, tau, cap_t)
+    return CappedCgResult(DirectionKind.NC, direction, j, zeta_hat, tau, cap_t)
 
 
 def _backtrack_nc(
@@ -147,7 +156,7 @@ def _backtrack_nc(
     y_next: np.ndarray,
     hy_next: np.ndarray,
     eps: float,
-    matvec: Callable[[np.ndarray], np.ndarray],
+    matvec: Callable[[np.ndarray], tuple[np.ndarray, Any]],
 ) -> np.ndarray:
     """Scan iterate differences y_next - y_i for the first with curvature < -eps."""
     # ys holds y^0 .. y^j, y^0 = 0 as the scalar 0.0; the search range is i in {0, ..., j-1}
@@ -161,16 +170,16 @@ def _backtrack_nc(
     for i in range(len(ys) - 1):
         dy = y_next - ys[i]
         dy_sq = float(dy.dot(dy))
-        quad = float(dy.dot(matvec(dy))) + 2.0 * eps * dy_sq
+        quad = float(dy.dot(matvec(dy)[0])) + 2.0 * eps * dy_sq
         if quad < eps * dy_sq:
             return dy
     raise HardCapExceeded("residual-growth exit found no negative-curvature difference")
 
 
-def nc_curvature(matvec: Callable[[np.ndarray], np.ndarray], d: np.ndarray) -> float:
+def nc_curvature(matvec: Callable[[np.ndarray], tuple[np.ndarray, Any]], d: np.ndarray) -> float:
     """Rayleigh quotient d^T H d / ||d||^2; one matvec."""
     d = np.asarray(d, dtype=float)
     dd = float(d.dot(d))
     if dd == 0.0:
         raise ZeroDirection("curvature of the zero direction is undefined")
-    return float(d.dot(matvec(d))) / dd
+    return float(d.dot(matvec(d)[0])) / dd

@@ -1,7 +1,9 @@
 """Operation counters for the solver's cost accounting.
 
 One counter per fundamental-operation category: Cholesky factorizations of
-the barrier Hessian, Hessian-vector products of the objective, triangular
+the barrier Hessian, Hessian-vector products of the objective (all of them
+inside capped CG and the eigenvalue oracle; the multiplier lambda2 is formed
+from capped CG's recurrences and takes none of its own), triangular
 (forward/backward) substitutions, products of an m-by-n matrix with its own
 transpose, gradient evaluations, and objective-value evaluations.
 

@@ -14,13 +14,14 @@ product: no further matvec verifies it.  The breakdown rule reads alpha_k and
 beta_k off the CG scalars; r and p are rescaled by 1/||r|| each step, so a
 fast-shrinking residual cannot underflow.  ``capped_cg`` is not reused: its
 small-residual exit would certify before N(eps, delta) steps, and the bound
-needs them all, or a breakdown (an invariant Krylov space).
+needs them all, or a breakdown (an invariant Krylov space).  The operator
+has capped CG's contract, v -> (H v, c(v)), and the oracle reads H v only.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -54,7 +55,7 @@ def lanczos_iteration_cap(n: int, eps: float, delta: float) -> int:
 
 
 def estimate_operator_norm(
-    matvec: Callable[[np.ndarray], np.ndarray],
+    matvec: Callable[[np.ndarray], tuple[np.ndarray, Any]],
     n: int,
     rng: np.random.Generator,
 ) -> float:
@@ -66,7 +67,7 @@ def estimate_operator_norm(
     z /= z_norm
     estimate = 0.0
     for _ in range(_POWER_ITERS):
-        w = matvec(z)
+        w = matvec(z)[0]
         estimate = norm2(w)
         if estimate <= _BREAKDOWN_TOL:
             return 0.0
@@ -75,7 +76,7 @@ def estimate_operator_norm(
 
 
 def min_eig_oracle(
-    matvec: Callable[[np.ndarray], np.ndarray],
+    matvec: Callable[[np.ndarray], tuple[np.ndarray, Any]],
     n: int,
     eps: float,
     delta: float,
@@ -100,7 +101,7 @@ def min_eig_oracle(
     ratio_prev = pivot_prev = 0.0  # ||r_k||^2 / ||r_{k-1}||^2 and pivot_{k-1}
     iterations = 0
     for iterations in range(1, cap + 1):
-        hp = matvec(p)
+        hp = matvec(p)[0]
         pp = float(p.dot(p))
         curvature = float(p.dot(hp)) / pp
         if curvature <= -shift:  # the pivot p^T (H + shift I) p is not positive

@@ -25,7 +25,8 @@ and exposes the derived linear maps, each applied through triangular solves:
 * ``project(v)``      v - N (N^T N)^{-1} N^T v, the orthogonal projector
                       onto the null space of A L^{-T}
 * ``null_step(v)``    unscale(project(v)); always satisfies A * result = 0
-* ``null_step_t(v)``  project(scale_dual(v)), the transpose of null_step
+* ``null_step_t(v)``  project(scale_dual(v)), the transpose of null_step,
+                      with the range coefficient of scale_dual(v)
 * ``multipliers(v)``  -(A M M^T A^T)^{-1} A M M^T v, least-squares
                       multiplier estimate for the gradient v, applied as
                       -(N^T N)^{-1} N^T (L^{-1} v) since N^T = A M
@@ -34,6 +35,14 @@ The multipliers solve that least-squares problem, so in exact arithmetic
 L^{-1}(v + A^T multipliers(v)) = null_step_t(v): the dual local norm of the
 multiplier residual is the norm of the transposed null step, and the solver
 reads its first-order gate from the capped-CG right-hand side.
+
+A projection subtracts N c(w) from w, with c(w) = (N^T N)^{-1} N^T w the
+range coefficient of w, so multipliers(v) = -c(L^{-1} v).  ``null_step_t``
+and ``reduced_hessian_apply`` return the coefficient of the vector they
+project last next to their result, at no extra cost: a float when m = 1, an
+m-vector when m >= 2, and 0.0 when m = 0.  Capped CG carries the reduced
+product's coefficient through its recurrences, and the solver forms the
+multiplier lambda2 of a Newton step from the two, with no product of its own.
 
 ``reduced_hessian_apply`` composes these into one product of the damped,
 scaled and projected objective Hessian with a vector, the workhorse of the
@@ -139,19 +148,22 @@ class IterationWorkspace:
     def point(self) -> np.ndarray:
         return self.factor.point
 
-    def _project(self, v: np.ndarray) -> np.ndarray:
-        """project(v) without the count or the m = 0 copy; v itself when m = 0.
+    def _split(self, v: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+        """(project(v), c(v)) with v = project(v) + N c(v), uncounted; (v, 0.0) when m = 0.
 
-        N (N^T N)^{-1} N^T v is a division by c00^2 when m = 1, with the column
-        a of N, and a product with the Schur inverse otherwise.
+        c(v) = (N^T N)^{-1} N^T v is v's range coefficient: a float when m = 1,
+        where N (N^T N)^{-1} N^T v is a division by c00^2 with the column a of N,
+        and an m-vector from the Schur inverse otherwise.
         """
         if self.m == 1:
             a = self._a
-            return v - a * (a.dot(v) / self._schur_sq)
+            c = a.dot(v) / self._schur_sq
+            return v - a * c, c
         if self.m == 0:
-            return v
+            return v, 0.0
         n_mat = self.scaled_AT
-        return v - n_mat.dot(self._schur_inv.dot(n_mat.T.dot(v)))
+        c = self._schur_inv.dot(n_mat.T.dot(v))
+        return v - n_mat.dot(c), c
 
     def unscale(self, v: np.ndarray) -> np.ndarray:
         """M v = L^{-T} v; one backward substitution."""
@@ -171,7 +183,7 @@ class IterationWorkspace:
         if self.m == 0:
             return np.array(v, dtype=float, copy=True)
         self.counters.add("tri_solve", 2)
-        return self._project(v)
+        return self._split(v)[0]
 
     def null_step(self, v: np.ndarray) -> np.ndarray:
         """Ambient-space step unscale(project(v)); lies in the null space of A.
@@ -179,12 +191,16 @@ class IterationWorkspace:
         Three triangular solves (one when m = 0).
         """
         self.counters.add("tri_solve", 1 + self._project_cost)
-        return self.factor.solve_upper(self._project(v))
+        return self.factor.solve_upper(self._split(v)[0])
 
-    def null_step_t(self, v: np.ndarray) -> np.ndarray:
-        """Transpose map project(scale_dual(v)); three triangular solves (one when m = 0)."""
+    def null_step_t(self, v: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+        """Transpose map project(scale_dual(v)) and the range coefficient of scale_dual(v).
+
+        Returns the pair ``_split(scale_dual(v))``, so multipliers(v) is minus the
+        coefficient in exact arithmetic; three triangular solves (one when m = 0).
+        """
         self.counters.add("tri_solve", 1 + self._project_cost)
-        return self._project(self.factor.solve_lower(v))
+        return self._split(self.factor.solve_lower(v))
 
     def multipliers(self, v: np.ndarray) -> np.ndarray:
         """Least-squares multiplier estimate -(A M M^T A^T)^{-1} A M M^T v.
@@ -203,15 +219,18 @@ class IterationWorkspace:
         hess_vec: Callable[[np.ndarray], np.ndarray],
         mu: float,
         v: np.ndarray,
-    ) -> np.ndarray:
-        """Product of the scaled, projected and barrier-damped Hessian with v.
+    ) -> tuple[np.ndarray, float | np.ndarray]:
+        """Product of the scaled, projected and barrier-damped Hessian with v, and its coefficient.
 
-        Returns project(scale_dual(hess_vec(unscale(project(v))))) + mu * project(v),
-        costing one call of ``hess_vec`` and six triangular solves (two of size
-        n, four of size m; two in all when m = 0); only the solves are counted here.
+        Returns the pair (project(w) + mu * project(v), c(w)) with
+        w = scale_dual(hess_vec(unscale(project(v)))) and c(w) the range
+        coefficient that the second projection subtracts: c(w) = -multipliers(H s)
+        for the ambient step s = unscale(project(v)).  Costs one call of
+        ``hess_vec`` and six triangular solves (two of size n, four of size m; two
+        in all when m = 0); only the solves are counted here.
         """
         self.counters.add("tri_solve", 2 + 2 * self._project_cost)
         factor = self.factor
-        v1 = self._project(v)
-        v4 = factor.solve_lower(hess_vec(factor.solve_upper(v1)))
-        return self._project(v4) + mu * v1
+        v1 = self._split(v)[0]
+        w, c = self._split(factor.solve_lower(hess_vec(factor.solve_upper(v1))))
+        return w + mu * v1, c

@@ -320,7 +320,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     for k in range(params.max_outer_iters):
         grad_f = gradient(x)
         gphi = grad_f + mu_grad_b
-        g = ws.null_step_t(gphi)
+        g, c_g = ws.null_step_t(gphi)
         triggered, which, res_min = first_order_gate(
             ws, mu, beta, g, grad_f, lambda2, mu_grad_b_prev, counters
         )
@@ -382,10 +382,13 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         trace.append(k, phi, res_min, branch, alpha, dir_norm, cg_iters, lanczos_iters)
         x, phi = x_next, phi_next
 
-        # lambda2 from the Newton-step residual holds only after a unit SOL step;
-        # otherwise the previous lambda2 carries over
+        # lambda2 = multipliers(H step + grad phi) from the Newton-step residual holds
+        # only after a unit SOL step; otherwise the previous lambda2 carries over.  Both
+        # range coefficients are at hand: c c_y of L^{-1} H step, carried by capped CG,
+        # and c_g of L^{-1} grad phi, from null_step_t
         if m and branch == BRANCH_CG_SOL and alpha == 1.0:
-            lambda2 = ws.multipliers(hess_vec(step) + gphi)
+            lam = -(c * cg_out.coef + c_g)
+            lambda2 = np.array([lam]) if m == 1 else lam
         mu_grad_b_prev = mu_grad_b
         if m:
             if m == 1:  # the same 1 x n product, read as a scalar

@@ -7,7 +7,10 @@ from conebarrier.capped_cg import CappedCgResult, DirectionKind, _monitors
 from conebarrier.certify import barrier_hessian, dual_norm
 from conebarrier.cones import ORTHANT, BarrierFactor, Cone, ConeBlock, orthant, product, second_order
 from conebarrier.errors import HardCapExceeded, ZeroGradient
-from conebarrier.lanczos import CERTIFIED, NC, MeoOutcome, lanczos_iteration_cap
+from conebarrier.counters import CATEGORIES
+from conebarrier.lanczos import _POWER_ITERS, CERTIFIED, NC, MeoOutcome, lanczos_iteration_cap
+from conebarrier.solver import SolveStatus
+from conebarrier.trace import BRANCH_CG_NC, BRANCH_CG_SOL, BRANCH_TERMINATE, BRANCHES
 
 
 CONE_FAMILIES = [
@@ -79,6 +82,12 @@ def iteration_bound(result, n: int) -> int:
     else:
         j = int(np.ceil(2.0 * np.log(ratio) / np.log(1.0 / result.tau)))
     return min(n, j)
+
+
+def paired(matvec):
+    """The operator v -> (matvec(v), 0.0): the product-and-coefficient contract of
+    ``capped_cg``, ``nc_curvature`` and ``min_eig_oracle``, with no coefficient."""
+    return lambda v: (matvec(v), 0.0)
 
 
 REFERENCE_CG_EXITS = ("preloop_nc", "y_nc", "sol", "p_nc", "growth", "growth_rescan")
@@ -251,6 +260,116 @@ def dense_operators(A: np.ndarray, lower: np.ndarray):
     p_mat = m_mat @ q_mat
     r_mat = -schur_inv @ A @ m_mat @ m_mat.T
     return m_mat, q_mat, p_mat, r_mat
+
+
+class SolveSpy:
+    """What a solve's counters depend on that its trace does not record.
+
+    Installed with ``monkeypatch`` around ``solve``: ``unit_steps`` counts the
+    direction scalings that returned exactly 1.0 (a step taken from the
+    projection at hand; any other scale projects afresh), ``which`` is the
+    residual that decided the last gate, and ``rescan_products`` counts the
+    fresh products of capped CG's residual-growth rescan.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        from conebarrier import capped_cg as cg_module
+        from conebarrier import solver
+
+        self.unit_steps = 0
+        self.which = None
+        self.rescan_products = 0
+        first_order_gate, backtrack_nc = solver.first_order_gate, cg_module._backtrack_nc
+
+        def scaled(fn):
+            def spy(*args):
+                c = fn(*args)
+                self.unit_steps += c == 1.0
+                return c
+            return spy
+
+        def gate(*args):
+            out = first_order_gate(*args)
+            self.which = out[1]
+            return out
+
+        def backtrack(ys, hys, y_next, hy_next, eps, matvec):
+            def counted(v):
+                self.rescan_products += 1
+                return matvec(v)
+            return backtrack_nc(ys, hys, y_next, hy_next, eps, counted)
+
+        monkeypatch.setattr(solver, "_sol_scale", scaled(solver._sol_scale))
+        monkeypatch.setattr(solver, "_curvature_scale", scaled(solver._curvature_scale))
+        monkeypatch.setattr(solver, "first_order_gate", gate)
+        monkeypatch.setattr(cg_module, "_backtrack_nc", backtrack)
+
+
+def rebuilt_counters(result, m: int, params, spy: SolveSpy) -> dict[str, int]:
+    """The six counters of a solve, rebuilt from its trace, m and README's per-item costs.
+
+    Reads the trace columns ``branch``, ``alpha``, ``cg_iters`` and
+    ``lanczos_iters`` and, from ``spy``, which steps were unit-scaled and which
+    residual decided the stop.  Per iteration: a gradient; ``null_step_t`` of the
+    merit gradient, 3 substitutions (1 when m = 0); the gate's second residual,
+    1; per reduced product 6 substitutions (2); ``project`` of the direction, 2
+    (0); the step, 1 from that projection when the scale is 1.0 and 3 (1) from a
+    fresh ``null_step`` otherwise; and a multiplier estimate, 3, only where lambda1
+    is returned.  lambda2 costs nothing.  Each accepted step with
+    ``alpha = theta^j`` takes j + 1 merit values and builds one workspace: one
+    ``cholesky``, and with m >= 1 one ``matT_mat`` and m substitutions.  Raises
+    ValueError for a run that takes the residual-growth rescan, whose fresh
+    products do not show in the trace, and for a certifying oracle whose norm
+    estimate stopped its power iteration early.
+    """
+    if spy.rescan_products:
+        raise ValueError("the residual-growth rescan spent products that the trace does not show")
+    if result.status is SolveStatus.SOSP_CERTIFIED and not result.estimated_hess_norm:
+        raise ValueError("the norm estimate stopped its power iteration early")
+    trace = result.trace
+    proj = 2 if m else 0  # substitutions of one projection
+    product = 2 + 2 * proj  # of one reduced product
+    lambda1 = 3 if m else 0  # of one multiplier estimate
+    counts = dict.fromkeys(CATEGORIES, 0)
+    counts["fun_eval"] = builds = 1
+    steps = 0
+    rows = zip(trace.branch, trace.alpha, trace.cg_iters, trace.lanczos_iters)
+    for code, alpha, cg_iters, lanczos_iters in rows:
+        branch = BRANCHES[code]
+        counts["grad_eval"] += 1
+        counts["tri_solve"] += 1 + proj + 1
+        if branch == BRANCH_TERMINATE:
+            products = lanczos_iters
+            if result.status is SolveStatus.SOSP_CERTIFIED:
+                products += _POWER_ITERS
+            counts["hess_vec"] += products
+            counts["tri_solve"] += product * products + (lambda1 if spy.which == "lambda1" else 0)
+            continue
+        if branch in (BRANCH_CG_SOL, BRANCH_CG_NC):
+            products = 1 + cg_iters + (branch == BRANCH_CG_NC)  # nc_curvature's product
+        else:
+            products = lanczos_iters
+        counts["hess_vec"] += products
+        counts["tri_solve"] += product * products + proj + 1
+        steps += 1
+        if alpha == 0.0:  # the line search failed; lambda1 is returned
+            counts["fun_eval"] += params.max_backtracks + 1
+            counts["tri_solve"] += lambda1
+        else:
+            counts["fun_eval"] += round(math.log(alpha) / math.log(params.theta)) + 1
+            builds += 1
+    counts["tri_solve"] += proj * (steps - spy.unit_steps) + m * builds
+    if result.status is SolveStatus.MAX_ITERS_EXCEEDED and m:
+        counts["grad_eval"] += 1  # lambda1 at x_final
+        counts["tri_solve"] += lambda1
+    counts["cholesky"] = builds
+    counts["matT_mat"] = builds if m else 0
+    return counts
+
+
+@pytest.fixture
+def solve_spy(monkeypatch):
+    return SolveSpy(monkeypatch)
 
 
 @pytest.fixture

@@ -190,7 +190,7 @@ def test_criterion_2_operator_calculus():
             u = rng.standard_normal(n)
             np.testing.assert_allclose(ws.project(v), q_d @ v, atol=1e-9, rtol=1e-9)
             np.testing.assert_allclose(ws.null_step(v), p_d @ v, atol=1e-9, rtol=1e-9)
-            np.testing.assert_allclose(ws.null_step_t(v), p_d.T @ v, atol=1e-9, rtol=1e-9)
+            np.testing.assert_allclose(ws.null_step_t(v)[0], p_d.T @ v, atol=1e-9, rtol=1e-9)
             if m:
                 np.testing.assert_allclose(ws.multipliers(v), r_d @ v, atol=1e-9, rtol=1e-9)
             qv = ws.project(v)
@@ -221,7 +221,7 @@ def test_criterion_3_capped_cg_fuzz():
         q_mat, _ = np.linalg.qr(g_mat)
         h_mat = (q_mat * spectrum) @ q_mat.T
         g = rng.standard_normal(n)
-        out = capped_cg(lambda v: h_mat @ v, g, eps, 0.5)
+        out = capped_cg(lambda v: (h_mat @ v, 0.0), g, eps, 0.5)
         d = out.direction
         d_sq = float(d @ d)
         assert d_sq > 0.0
@@ -248,7 +248,7 @@ def test_criterion_4_meo_suite():
         g_mat = rng.standard_normal((n, n))
         q_mat, _ = np.linalg.qr(g_mat)
         h_mat = (q_mat * spectrum) @ q_mat.T
-        out = min_eig_oracle(lambda v: h_mat @ v, n, eps=eps, delta=delta, seed=4000 + t)
+        out = min_eig_oracle(lambda v: (h_mat @ v, 0.0), n, eps=eps, delta=delta, seed=4000 + t)
         assert out.iterations <= lanczos_iteration_cap(n, eps, delta)
         if out.kind == NC:
             hits += 1
@@ -262,7 +262,7 @@ def test_criterion_4_meo_suite():
         g_mat = rng.standard_normal((n, n))
         q_mat, _ = np.linalg.qr(g_mat)
         h_mat = (q_mat * spectrum) @ q_mat.T
-        out = min_eig_oracle(lambda v: h_mat @ v, n, eps=eps, delta=delta, seed=5000 + t)
+        out = min_eig_oracle(lambda v: (h_mat @ v, 0.0), n, eps=eps, delta=delta, seed=5000 + t)
         assert out.kind == CERTIFIED
         assert out.iterations <= lanczos_iteration_cap(n, eps, delta)
 

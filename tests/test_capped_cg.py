@@ -4,11 +4,12 @@ import pytest
 from conebarrier.capped_cg import DirectionKind, _backtrack_nc, capped_cg, nc_curvature
 from conebarrier.errors import HardCapExceeded, ZeroDirection, ZeroGradient
 
-from conftest import REFERENCE_CG_EXITS, iteration_bound, reference_capped_cg
+from conftest import REFERENCE_CG_EXITS, iteration_bound, paired, reference_capped_cg
 
 
 def matvec_of(h_mat):
-    return lambda v: h_mat @ v
+    """The operator v -> (H v, 0.0) of ``capped_cg``'s contract, with no coefficient."""
+    return paired(lambda v: h_mat @ v)
 
 
 def random_symmetric(n, rng, spectrum=None, scale=1.0):
@@ -83,7 +84,7 @@ class TestBacktrackNc:
 
         def matvec(v):
             calls.append(v)
-            return h_mat @ v
+            return h_mat @ v, 0.0
 
         out = _backtrack_nc(self.YS, hys, self.Y_NEXT, h_mat @ self.Y_NEXT, 0.1, matvec)
         return out, len(calls)
@@ -188,8 +189,43 @@ class TestContractFuzz:
             assert np.sqrt(out.cap_t) * out.tau ** ((j - 1) / 2.0) > out.zeta_hat
 
 
+class TestCoefficientChannel:
+    """The coefficient c(v) that the operator returns next to H v rides the CG recurrences."""
+
+    def test_sol_reports_the_coefficient_of_its_direction(self):
+        rng = np.random.default_rng(26)
+        sol = 0
+        for trial in range(60):
+            n = int(rng.integers(2, 30))
+            eps = (0.1, 0.01)[trial % 2]
+            # above the NC threshold, and a negative tail in every fourth draw
+            spectrum = -0.8 * eps + rng.random(n)
+            if trial % 4 == 0:
+                spectrum[0] = -1.0
+            h_mat = random_symmetric(n, rng, spectrum=spectrum)
+            rows = rng.standard_normal((trial % 3 + 1, n))
+            # a float coefficient when there is one row, as linops gives for m = 1
+            coef = (lambda v: float(rows[0] @ v)) if len(rows) == 1 else (lambda v: rows @ v)
+            g = rng.standard_normal(n)
+            out = capped_cg(lambda v: (h_mat @ v, coef(v)), g, eps, 0.5)
+            bare = capped_cg(matvec_of(h_mat), g, eps, 0.5)
+            # the channel changes no float of the iteration
+            assert (out.kind, out.iterations) == (bare.kind, bare.iterations)
+            assert np.array_equal(out.direction, bare.direction)
+            if out.kind is DirectionKind.NC:
+                assert out.coef is None
+                continue
+            sol += 1
+            scale = np.linalg.norm(rows) * np.linalg.norm(out.direction)
+            np.testing.assert_allclose(out.coef, coef(out.direction), rtol=0, atol=1e-12 * scale)
+        assert 20 < sol < 60
+
+
 class TestReferenceEquivalence:
     """capped_cg against the first-written CG loop in conftest, on the same operators.
+
+    capped_cg runs on v -> (H v, 0.0), the pair its contract asks for, and the
+    reference on v -> H v.
 
     The two differ only in which numpy work they do: the first step formed
     directly from y^0 = 0, the monitors formed once per refresh of U, and
@@ -211,7 +247,8 @@ class TestReferenceEquivalence:
         return (q * rng.uniform(lo, hi, n)) @ q.T
 
     def operator(self, family, n, eps, rng):
-        """A matvec factory: a fresh callable per run, so each run sees the same products."""
+        """A factory of plain matvecs v -> H v: a fresh callable per run, so each run sees
+        the same products."""
         if family == "positive_definite":
             h_mat = self.symmetric(n, rng, 0.05, 1.05)
         elif family == "indefinite":
@@ -241,7 +278,7 @@ class TestReferenceEquivalence:
         else:  # ill_conditioned: a spectrum from 1e-6 to 1e12 stalls into the hard cap
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             h_mat = (q * np.geomspace(1e-6, 1e12, n)) @ q.T
-        return lambda: matvec_of(h_mat)
+        return lambda: (lambda v: h_mat @ v)
 
     @staticmethod
     def run(fn, *args):
@@ -261,7 +298,7 @@ class TestReferenceEquivalence:
                 eps = (0.1, 0.03, 0.01)[trial % 3]
                 make = self.operator(family, n, eps, rng)
                 g = rng.standard_normal(n)
-                out, err = self.run(capped_cg, make(), g, eps, 0.5)
+                out, err = self.run(capped_cg, paired(make()), g, eps, 0.5)
                 ref, ref_err = self.run(reference_capped_cg, make(), g, eps, 0.5)
                 assert err == ref_err
                 if ref is None:

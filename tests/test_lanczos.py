@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from conebarrier.lanczos import CERTIFIED, NC, lanczos_iteration_cap, min_eig_oracle
-from conftest import reference_lanczos, tridiagonal_min_ritz
+from conftest import paired, reference_lanczos, tridiagonal_min_ritz
 
 
 def matvec_of(h_mat):
     return lambda v: h_mat @ v
+
+
+def operator_of(h_mat):
+    """The oracle's operator v -> (H v, 0.0); the reference takes ``matvec_of``."""
+    return paired(matvec_of(h_mat))
 
 
 def random_with_min_eig(n, min_eig, rng):
@@ -60,13 +65,13 @@ class TestTridiagonalRitz:
 
 class TestOracle:
     def test_identity_certifies(self):
-        out = min_eig_oracle(matvec_of(np.eye(5)), 5, eps=0.01, delta=0.01, seed=3)
+        out = min_eig_oracle(operator_of(np.eye(5)), 5, eps=0.01, delta=0.01, seed=3)
         assert out.kind == CERTIFIED
         assert out.estimated_norm == pytest.approx(1.0, rel=1e-8)
 
     def test_simple_negative_curvature(self):
         h_mat = np.diag([-1.0, 2.0])
-        out = min_eig_oracle(matvec_of(h_mat), 2, eps=0.1, delta=0.01, seed=3)
+        out = min_eig_oracle(operator_of(h_mat), 2, eps=0.1, delta=0.01, seed=3)
         assert out.kind == NC
         v = out.direction
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
@@ -79,7 +84,7 @@ class TestOracle:
         for _ in range(30):
             n = int(rng.integers(2, 40))
             h_mat = random_with_min_eig(n, -2.5 * eps, rng)
-            out = min_eig_oracle(matvec_of(h_mat), n, eps=eps, delta=0.01,
+            out = min_eig_oracle(operator_of(h_mat), n, eps=eps, delta=0.01,
                                  seed=int(rng.integers(0, 2**32)))
             assert out.iterations <= lanczos_iteration_cap(n, eps, 0.01)
             if out.kind == NC:
@@ -93,7 +98,7 @@ class TestOracle:
         rng = np.random.default_rng(11)
         h_mat = random_with_min_eig(30, -0.5, rng)
         outs = [
-            min_eig_oracle(matvec_of(h_mat), 30, eps=0.1, delta=0.01, seed=42)
+            min_eig_oracle(operator_of(h_mat), 30, eps=0.1, delta=0.01, seed=42)
             for _ in range(2)
         ]
         assert outs[0].kind == outs[1].kind == NC
@@ -103,8 +108,8 @@ class TestOracle:
     def test_generator_seed_draws_from_its_stream(self):
         h_mat = random_with_min_eig(30, -0.5, np.random.default_rng(11))
         gen = np.random.default_rng(42)
-        from_gen = min_eig_oracle(matvec_of(h_mat), 30, eps=0.1, delta=0.01, seed=gen)
-        from_int = min_eig_oracle(matvec_of(h_mat), 30, eps=0.1, delta=0.01, seed=42)
+        from_gen = min_eig_oracle(operator_of(h_mat), 30, eps=0.1, delta=0.01, seed=gen)
+        from_int = min_eig_oracle(operator_of(h_mat), 30, eps=0.1, delta=0.01, seed=42)
         assert from_gen.kind == from_int.kind == NC
         assert from_gen.iterations == from_int.iterations
         np.testing.assert_array_equal(from_gen.direction, from_int.direction)
@@ -120,20 +125,20 @@ class TestOracle:
             g = rng.standard_normal((n, n))
             q, _ = np.linalg.qr(g)
             h_mat = (q * spectrum) @ q.T
-            out = min_eig_oracle(matvec_of(h_mat), n, eps=0.01, delta=0.01,
+            out = min_eig_oracle(operator_of(h_mat), n, eps=0.01, delta=0.01,
                                  seed=int(rng.integers(0, 2**32)))
             assert out.kind == CERTIFIED
             assert out.probability_bound is not None
             assert out.estimated_norm >= 0.0
 
     def test_zero_operator(self):
-        out = min_eig_oracle(matvec_of(np.zeros((4, 4))), 4, eps=0.1, delta=0.1, seed=0)
+        out = min_eig_oracle(operator_of(np.zeros((4, 4))), 4, eps=0.1, delta=0.1, seed=0)
         assert out.kind == CERTIFIED
         assert out.probability_bound == 1.0
 
     def test_vacuous_bound_reads_zero(self):
         # ||H|| = 20, n = 40: sqrt(110) 0.01^(1 / sqrt(20)) ~ 3.7 > 1, so no bound is left
-        out = min_eig_oracle(matvec_of(20.0 * np.eye(40)), 40, eps=0.01, delta=0.01, seed=0)
+        out = min_eig_oracle(operator_of(20.0 * np.eye(40)), 40, eps=0.01, delta=0.01, seed=0)
         assert out.kind == CERTIFIED
         assert out.estimated_norm == pytest.approx(20.0)
         assert out.probability_bound == 0.0
@@ -147,7 +152,7 @@ class TestOracle:
         for t in range(trials):
             n = int(rng.integers(5, 61))
             h_mat = random_with_min_eig(n, -2.0 * eps * (1.0 + rng.random()), rng)
-            out = min_eig_oracle(matvec_of(h_mat), n, eps=eps, delta=0.01, seed=1000 + t)
+            out = min_eig_oracle(operator_of(h_mat), n, eps=eps, delta=0.01, seed=1000 + t)
             if out.kind == NC:
                 hits += 1
         assert hits >= 99
@@ -174,7 +179,7 @@ class TestReferenceEquivalence:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         h_mat = (q * spectrum) @ q.T
         seed = int(rng.integers(0, 2**32))
-        out = min_eig_oracle(matvec_of(h_mat), n, self.EPS, self.DELTA, seed)
+        out = min_eig_oracle(operator_of(h_mat), n, self.EPS, self.DELTA, seed)
         ref = reference_lanczos(matvec_of(h_mat), n, self.EPS, self.DELTA, seed)
         cap = lanczos_iteration_cap(n, self.EPS, self.DELTA)
         assert out.kind == ref.kind

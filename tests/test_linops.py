@@ -188,7 +188,7 @@ class TestMultipliers:
             for _ in range(10):
                 ws = make_ws(a_mat, np.zeros(m), random_interior_point(cone, rng), cone)
                 g = rng.standard_normal(n)
-                lhs = np.linalg.norm(ws.null_step_t(g))
+                lhs = np.linalg.norm(ws.null_step_t(g)[0])
                 rhs = local_norm_dual(ws.factor, g + a_mat.T @ ws.multipliers(g))
                 assert lhs == pytest.approx(rhs, rel=1e-8)
 
@@ -198,19 +198,21 @@ class TestReducedHessian:
         ws = make_ws([[1.0, 1.0]], [1.0], [0.5, 0.5])
         v = np.array([1.0, -1.0])
         qv = ws.project(v)
-        out = ws.reduced_hessian_apply(lambda w: np.zeros_like(w), 0.1, v)
+        out, coef = ws.reduced_hessian_apply(lambda w: np.zeros_like(w), 0.1, v)
         np.testing.assert_allclose(out, 0.1 * qv, atol=1e-14)
+        assert coef == 0.0
 
     def test_identity_hessian(self):
         ws = make_ws([[1.0, 1.0]], [2.0], [1.0, 1.0])
         v = np.array([1.0, -1.0])
-        out = ws.reduced_hessian_apply(lambda w: w, 0.0, v)
+        out, _ = ws.reduced_hessian_apply(lambda w: w, 0.0, v)
         np.testing.assert_allclose(out, v, atol=1e-14)
 
     def test_projected_out_direction(self):
         ws = make_ws([[1.0, 1.0]], [1.0], [0.5, 0.5])
-        out = ws.reduced_hessian_apply(lambda w: w, 0.3, np.array([1.0, 1.0]))
+        out, coef = ws.reduced_hessian_apply(lambda w: w, 0.3, np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-14)
+        assert abs(coef) <= 1e-14
 
     def test_counters(self):
         # the workspace counts its own solves; the Hessian operator counts its products
@@ -240,11 +242,22 @@ class TestAgainstDenseAssembly:
                 np.testing.assert_allclose(ws.scale_dual(v), m_d.T @ v, atol=1e-9, rtol=1e-9)
                 np.testing.assert_allclose(ws.project(v), q_d @ v, atol=1e-9, rtol=1e-9)
                 np.testing.assert_allclose(ws.null_step(v), p_d @ v, atol=1e-9, rtol=1e-9)
-                np.testing.assert_allclose(ws.null_step_t(v), p_d.T @ v, atol=1e-9, rtol=1e-9)
+                g_t, coef = ws.null_step_t(v)
+                np.testing.assert_allclose(g_t, p_d.T @ v, atol=1e-9, rtol=1e-9)
+                # the reduced product and its range coefficient c(L^{-1} H s), s = null_step(v),
+                # which is -multipliers(H s)
+                h_mat = rng.standard_normal((n, n))
+                h_mat += h_mat.T
+                hv, h_coef = ws.reduced_hessian_apply(lambda w: h_mat @ w, 0.1, v)
+                np.testing.assert_allclose(hv, p_d.T @ h_mat @ p_d @ v + 0.1 * q_d @ v,
+                                           atol=1e-9, rtol=1e-9)
                 if m:
                     np.testing.assert_allclose(ws.multipliers(v), r_d @ v, atol=1e-9, rtol=1e-9)
+                    np.testing.assert_allclose(-coef, r_d @ v, atol=1e-9, rtol=1e-9)
+                    np.testing.assert_allclose(-h_coef, r_d @ h_mat @ p_d @ v, atol=1e-9, rtol=1e-9)
                 else:
                     assert ws.multipliers(v).shape == (0,)
+                    assert coef == h_coef == 0.0
 
     def test_transpose_relation(self, rng):
         # null_step transpose identity: (I + R^T A) M == P columnwise
@@ -369,9 +382,12 @@ class TestScalarSchurPath:
                 v = rng.standard_normal(n)
                 assert np.array_equal(ws.project(v), general_project(v))
                 assert np.array_equal(ws.null_step(v), factor.solve_upper(general_project(v)))
-                assert np.array_equal(ws.null_step_t(v), general_project(factor.solve_lower(v)))
+                g_t, coef = ws.null_step_t(v)
+                assert np.array_equal(g_t, general_project(factor.solve_lower(v)))
                 lam = ws.multipliers(v)
                 assert np.array_equal(lam, -(big_n.T @ factor.solve_lower(v) / c00_sq))
+                # the coefficient is a scalar, and minus the multiplier bit for bit
+                assert np.ndim(coef) == 0 and coef == -lam[0]
                 w = factor.solve_upper(factor.solve_lower(v))
                 np.testing.assert_allclose(lam, -(a_mat @ w / c00_sq), rtol=1e-12, atol=0)
 

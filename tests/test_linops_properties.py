@@ -63,7 +63,7 @@ def test_transposed_null_step_norm_is_the_multiplier_residual(cone, seed, m):
     assume(m < cone.total_dim)
     rng, ws, a_mat, _ = workspace(cone, seed, m)
     v = rng.standard_normal(cone.total_dim)
-    lhs = norm2(ws.null_step_t(v))
+    lhs = norm2(ws.null_step_t(v)[0])
     rhs = local_norm_dual(ws.factor, v + a_mat.T @ ws.multipliers(v))
     assert abs(lhs - rhs) <= 1e-10 * rhs
 

@@ -33,7 +33,7 @@ from conebarrier.solver import (
 from conebarrier.trace import BRANCH_CG_SOL
 from conebarrier.vecnorm import norm2
 
-from conftest import primal_local_norm
+from conftest import dense_lower, dense_operators, primal_local_norm
 from test_cone_properties import CONES, PROPERTY_SETTINGS, SEEDS
 from test_linops_properties import M_ROWS, workspace
 
@@ -133,7 +133,7 @@ class TestFirstOrderGate:
         lambda2 = ws.multipliers(gphi) if lambda2 is None else lambda2
         grad_b_prev = grad_b if grad_b_prev is None else grad_b_prev
         return first_order_gate(
-            ws, mu, beta, ws.null_step_t(gphi), grad_f, lambda2, mu * grad_b_prev, ws.counters
+            ws, mu, beta, ws.null_step_t(gphi)[0], grad_f, lambda2, mu * grad_b_prev, ws.counters
         )
 
     def test_barrier_path_point(self):
@@ -171,7 +171,7 @@ class TestFirstOrderGate:
         e1 = np.array([1.0, 0.0])
         grad_f = -mu * grad_b + 0.9 * mu * e1
         grad_b_prev = grad_b - 0.1 * e1  # makes the second residual 0.8 mu
-        g = ws.null_step_t(grad_f + mu * grad_b)
+        g, _ = ws.null_step_t(grad_f + mu * grad_b)
         triggered, which, res = first_order_gate(
             ws, mu, beta, g, grad_f, np.zeros(0), mu * grad_b_prev, ws.counters
         )
@@ -261,7 +261,7 @@ def scaling_case(cone, seed, m, log_len):
     rng, ws, _, _ = workspace(cone, seed, m)
     n = cone.total_dim
     d_hat = 10.0**log_len * rng.standard_normal(n)
-    return ws, d_hat, ws.null_step_t(rng.standard_normal(n))
+    return ws, d_hat, ws.null_step_t(rng.standard_normal(n))[0]
 
 
 @PROPERTY_SETTINGS
@@ -352,9 +352,9 @@ class TestLineSearches:
         p = quadratic_problem(-np.eye(2), np.zeros(2), orthant(2), empty_affine(2))
         ws = ws_at([1.0, 1.0])
         gphi = p.gradient(ws.point) + mu * barrier_factor(p.cone, ws.point).gradient
-        g = ws.null_step_t(gphi)
+        g, _ = ws.null_step_t(gphi)
         v = np.array([1.0, 0.0])
-        curvature_phi = float(v @ ws.reduced_hessian_apply(lambda w: -w, mu, v))
+        curvature_phi = float(v @ ws.reduced_hessian_apply(lambda w: -w, mu, v)[0])
         d = _curvature_scale(v, qnorm(ws, v), abs(curvature_phi), g, beta=0.5) * v
         phi0, _ = phi_value(p, ws.point, mu, ws.counters)
         alpha, x_new, phi_new, _ = line_search_nc(p, ws, mu, d, params, ws.counters,
@@ -600,6 +600,45 @@ class TestSolveBasics:
         assert last.branch == BRANCH_TERMINATE
         expected = sum(1 + r.cg_iters for r in steps) + last.lanczos_iters + _POWER_ITERS
         assert res.trace.counters["hess_vec"] == expected
+
+    def test_constrained_run_forms_lambda2_without_a_product(self, monkeypatch):
+        # with m >= 1, lambda2 after a unit SOL step comes from the range coefficients
+        # that capped CG and null_step_t carry: the hess_vec count is the unconstrained
+        # one, and the lambda2 that the next gate reads is the Newton-step multiplier
+        # -(A M M^T A^T)^{-1} A M M^T (Q step + grad phi), assembled densely here
+        from conebarrier import solver as solver_mod
+        from conebarrier.lanczos import _POWER_ITERS
+        from conebarrier.trace import BRANCH_CG_SOL, BRANCH_TERMINATE
+
+        gates = []
+
+        def gate(ws, mu, beta, g, grad_f, lambda2, *rest):
+            gates.append((ws.point, ws.factor, grad_f + mu * ws.factor.gradient, lambda2))
+            return first_order_gate(ws, mu, beta, g, grad_f, lambda2, *rest)
+
+        monkeypatch.setattr(solver_mod, "first_order_gate", gate)
+        n = 6
+        q_mat = np.diag(np.arange(1.0, n + 1))
+        rows = np.array([[1.0] * n, [1.0, -1.0, 2.0, 0.0, 0.5, -1.0]])
+        for m in (1, 2):
+            a_mat = rows[:m]
+            p = quadratic_problem(q_mat, -np.ones(n), orthant(n),
+                                  AffineData(A=a_mat, b=a_mat @ np.full(n, 3.0)), x0=np.full(n, 3.0))
+            gates.clear()
+            res = solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7))
+            assert res.status is SolveStatus.SOSP_CERTIFIED
+            *steps, last = res.trace.records
+            assert {r.branch for r in steps} == {BRANCH_CG_SOL}
+            assert last.branch == BRANCH_TERMINATE
+            expected = sum(1 + r.cg_iters for r in steps) + last.lanczos_iters + _POWER_ITERS
+            assert res.trace.counters["hess_vec"] == expected
+            unit = [k for k, r in enumerate(steps) if r.alpha == 1.0]
+            assert unit
+            for k in unit:
+                x, factor, grad_phi, _ = gates[k]
+                r_d = dense_operators(a_mat, dense_lower(factor))[3]
+                fresh = r_d @ (q_mat @ (gates[k + 1][0] - x) + grad_phi)
+                np.testing.assert_allclose(gates[k + 1][3], fresh, rtol=1e-9, atol=0)
 
     def test_dense_hessian_formed_once_per_iterate(self):
         # every product at an iterate reuses one hessian(x); the certificate forms one more
