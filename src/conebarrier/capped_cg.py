@@ -20,7 +20,10 @@ is linear in v, a float or a small vector (``linops`` returns the range
 coefficient of its reduced product; an operator with none returns 0.0).
 The coefficients of p and y are carried by the recurrences that carry their
 products, c_p <- beta c_p - c_r and c_y <- c_y + alpha c_p, and a SOL result
-reports c_y, the coefficient of its direction, with no further matvec.
+reports c_y, the coefficient of its direction, with no further matvec.  An NC
+result reports d^T H d / d^T d from the product its exit test read: the
+pre-loop product, the recurrences' products with y or p, or the residual-growth
+scan's difference of carried products (a fresh product in its rescan).
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import HardCapExceeded, ZeroDirection, ZeroGradient
+from .errors import HardCapExceeded, ZeroGradient
 
 
 class DirectionKind(str, Enum):
@@ -48,6 +51,7 @@ class CappedCgResult:
     tau: float
     cap_t: float
     coef: Any = None  # the operator's coefficient of a SOL direction; None for NC
+    curvature: float | None = None  # d^T H d / d^T d of an NC direction; None for SOL
 
     @property
     def is_solution(self) -> bool:
@@ -82,9 +86,10 @@ def capped_cg(
 
     p = -g
     hp, cp = matvec(p)
-    quad_p = float(p.dot(hp)) + 2.0 * eps * rr
+    php = float(p.dot(hp))
+    quad_p = php + 2.0 * eps * rr
     if quad_p < eps * rr:
-        return CappedCgResult(DirectionKind.NC, p, 0, *_monitors(0.0, eps, zeta))
+        return CappedCgResult(DirectionKind.NC, p, 0, *_monitors(0.0, eps, zeta), curvature=php / rr)
     u = math.sqrt(hp.dot(hp)) / g_norm  # U starts at 0, and ||p|| = ||g||
     u_formed = -1.0  # the U that zeta_hat, tau and T were formed from; none yet
 
@@ -129,15 +134,16 @@ def capped_cg(
             zeta_hat, tau, cap_t = _monitors(u, eps, zeta)
             u_formed = u
 
-        quad_y = float(y.dot(hy)) + 2.0 * eps * y_norm**2
-        if quad_y < eps * y_norm**2:
-            direction = y
+        yhy = float(y.dot(hy))
+        if yhy + 2.0 * eps * y_norm**2 < eps * y_norm**2:
+            direction, curvature = y, yhy / float(y.dot(y))
             break
         if r_norm <= zeta_hat * g_norm:
             return CappedCgResult(DirectionKind.SOL, y, j, zeta_hat, tau, cap_t, cy)
-        quad_p = float(p.dot(hp)) + 2.0 * eps * p_norm**2
+        php = float(p.dot(hp))
+        quad_p = php + 2.0 * eps * p_norm**2
         if quad_p < eps * p_norm**2:
-            direction = p
+            direction, curvature = p, php / float(p.dot(p))
             break
         grown = r_norm > math.sqrt(cap_t) * tau ** (j / 2.0) * g_norm
         alpha = rr / quad_p
@@ -145,9 +151,9 @@ def capped_cg(
         hy = hy + alpha * hp
         cy = cy + alpha * cp
         if grown:  # scan back from the next iterate
-            direction = _backtrack_nc(ys, hys, y, hy, eps, matvec)
+            direction, curvature = _backtrack_nc(ys, hys, y, hy, eps, matvec)
             break
-    return CappedCgResult(DirectionKind.NC, direction, j, zeta_hat, tau, cap_t)
+    return CappedCgResult(DirectionKind.NC, direction, j, zeta_hat, tau, cap_t, curvature=curvature)
 
 
 def _backtrack_nc(
@@ -157,29 +163,20 @@ def _backtrack_nc(
     hy_next: np.ndarray,
     eps: float,
     matvec: Callable[[np.ndarray], tuple[np.ndarray, Any]],
-) -> np.ndarray:
-    """Scan iterate differences y_next - y_i for the first with curvature < -eps."""
+) -> tuple[np.ndarray, float]:
+    """The first iterate difference y_next - y_i with curvature < -eps, and its Rayleigh quotient."""
     # ys holds y^0 .. y^j, y^0 = 0 as the scalar 0.0; the search range is i in {0, ..., j-1}
     for i in range(len(ys) - 1):
         dy = y_next - ys[i]
         dy_sq = float(dy.dot(dy))
-        quad = float(dy.dot(hy_next - hys[i])) + 2.0 * eps * dy_sq
-        if quad < eps * dy_sq:
-            return dy
+        dhd = float(dy.dot(hy_next - hys[i]))
+        if dhd + 2.0 * eps * dy_sq < eps * dy_sq:
+            return dy, dhd / dy_sq
     # Recurrence-tracked products drifted; redo the scan with fresh matvecs.
     for i in range(len(ys) - 1):
         dy = y_next - ys[i]
         dy_sq = float(dy.dot(dy))
-        quad = float(dy.dot(matvec(dy)[0])) + 2.0 * eps * dy_sq
-        if quad < eps * dy_sq:
-            return dy
+        dhd = float(dy.dot(matvec(dy)[0]))
+        if dhd + 2.0 * eps * dy_sq < eps * dy_sq:
+            return dy, dhd / dy_sq
     raise HardCapExceeded("residual-growth exit found no negative-curvature difference")
-
-
-def nc_curvature(matvec: Callable[[np.ndarray], tuple[np.ndarray, Any]], d: np.ndarray) -> float:
-    """Rayleigh quotient d^T H d / ||d||^2; one matvec."""
-    d = np.asarray(d, dtype=float)
-    dd = float(d.dot(d))
-    if dd == 0.0:
-        raise ZeroDirection("curvature of the zero direction is undefined")
-    return float(d.dot(matvec(d)[0])) / dd

@@ -2,8 +2,9 @@
 
 One counter per fundamental-operation category: Cholesky factorizations of
 the barrier Hessian, Hessian-vector products of the objective (all of them
-inside capped CG and the eigenvalue oracle; the multiplier lambda2 is formed
-from capped CG's recurrences and takes none of its own), triangular
+inside capped CG and the eigenvalue oracle; the multiplier lambda2 and a
+negative-curvature direction's curvature come from capped CG's own products
+and take none of their own), triangular
 (forward/backward) substitutions, products of an m-by-n matrix with its own
 transpose, gradient evaluations, and objective-value evaluations.
 

@@ -47,9 +47,12 @@ class InfeasibleStart(ConeBarrierError):
 
 
 class DivergenceError(ConeBarrierError):
-    """The least-squares re-projection onto Ax = b left the cone.
+    """An iterate left the cone where exact arithmetic keeps it interior.
 
-    Likely causes: an ill-conditioned A, a badly scaled objective, or unbounded iterates.
+    A line-search trial point in the Dikin ellipsoid lost its interiority to roundoff,
+    or the least-squares re-projection onto Ax = b left the cone.  Likely causes:
+    iterates that grow without bound (an objective unbounded below on the feasible
+    set), an ill-conditioned A, or a badly scaled objective.
     """
 
 

@@ -25,8 +25,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .vecnorm import norm2
-
 
 NC = "negative_curvature"
 CERTIFIED = "certified"
@@ -61,14 +59,14 @@ def estimate_operator_norm(
 ) -> float:
     """Spectral-norm estimate via a short power iteration on H."""
     z = rng.standard_normal(n)
-    z_norm = norm2(z)
+    z_norm = math.sqrt(z.dot(z))
     if z_norm == 0.0:
         return 0.0
     z /= z_norm
     estimate = 0.0
     for _ in range(_POWER_ITERS):
         w = matvec(z)[0]
-        estimate = norm2(w)
+        estimate = math.sqrt(w.dot(w))
         if estimate <= _BREAKDOWN_TOL:
             return 0.0
         z = w / estimate
@@ -95,7 +93,7 @@ def min_eig_oracle(
     shift = eps / 2.0
 
     r = rng.standard_normal(n)
-    r /= norm2(r)
+    r /= math.sqrt(r.dot(r))
     p = r
     alpha_scale = 1.0  # max(1, max_k |alpha_k|), the breakdown rule's scale
     ratio_prev = pivot_prev = 0.0  # ||r_k||^2 / ||r_{k-1}||^2 and pivot_{k-1}
@@ -111,7 +109,7 @@ def min_eig_oracle(
         # Lanczos alpha_k = pivot_k + ratio_k pivot_{k-1} - shift; beta_{k+1} = ||w|| pivot_k
         alpha_scale = max(alpha_scale, abs(pivot + ratio_prev * pivot_prev - shift))
         w = r - (hp + shift * p) / pivot
-        w_norm = norm2(w)
+        w_norm = math.sqrt(w.dot(w))
         if iterations >= cap or w_norm * pivot <= _BREAKDOWN_TOL * alpha_scale:
             break
         r = w / w_norm

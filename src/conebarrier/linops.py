@@ -43,6 +43,9 @@ project last next to their result, at no extra cost: a float when m = 1, an
 m-vector when m >= 2, and 0.0 when m = 0.  Capped CG carries the reduced
 product's coefficient through its recurrences, and the solver forms the
 multiplier lambda2 of a Newton step from the two, with no product of its own.
+The solver's lambda1 at a stop is minus the coefficient of ``null_step_t``,
+which equals multipliers(v) bit for bit; ``multipliers`` itself runs only for
+the lambda1 at a new point, where no such coefficient is at hand.
 
 ``reduced_hessian_apply`` composes these into one product of the damped,
 scaled and projected objective Hessian with a vector, the workhorse of the

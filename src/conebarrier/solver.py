@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import certify as certify_mod
-from .capped_cg import DirectionKind, capped_cg, nc_curvature
+from .capped_cg import DirectionKind, capped_cg
 from .cones import barrier_factor, barrier_reads, local_norm_dual
 from .counters import OpCounters
 from .errors import (
@@ -217,6 +217,8 @@ def _backtrack(
     """Backtrack from phi0 along ``step`` = null_step(d); ``decrease`` multiplies theta^{2j}.
 
     Returns (t, x_trial, phi_trial, reads of x_trial) at the first trial with enough decrease.
+    Every trial lies in the Dikin ellipsoid, interior in exact arithmetic, so one that
+    leaves the cone has lost its interiority to roundoff and raises DivergenceError.
     """
     if not np.count_nonzero(d):
         raise ZeroDirection("line search requires a nonzero direction")
@@ -224,7 +226,13 @@ def _backtrack(
     for j in range(params.max_backtracks + 1):
         t = params.theta**j
         x_trial = x + t * step if j else x + step  # a product with 1.0 is exact
-        phi_trial, reads = phi_value(problem, x_trial, mu, counters)
+        try:
+            phi_trial, reads = phi_value(problem, x_trial, mu, counters)
+        except BoundaryError:
+            raise DivergenceError(
+                "a line-search trial point left the cone through roundoff; the iterates "
+                "likely grow without bound (an objective unbounded below on the feasible set)"
+            ) from None
         if phi_trial < phi0 - decrease * t * t:
             return t, x_trial, phi_trial, reads
     raise LineSearchFailure(
@@ -300,7 +308,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
 
     def finish(status, k, lam, oracle=None):
         trace.counters = counters.snapshot()
-        lam = np.asarray(lam, dtype=float).reshape(m)
+        lam = np.asarray(lam, dtype=float).reshape(m) if m else np.zeros(0)
         if status is SolveStatus.SOSP_CERTIFIED and problem.has_dense_hessian \
                 and n <= certify_mod.DESK_SCALE_LIMIT:
             trace.certificate = certify_mod.check_sosp_dense(problem, x, lam, eps_g=eps, eps_h=sqrt_eps)
@@ -330,12 +338,12 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             hess_vec = _checked_callback(
                 "hess_vec", problem.hess_vec_at(x), n, counters, "hess_vec"
             )
-            phi_hessian_op = partial(ws.reduced_hessian_apply, hess_vec, mu)
-            cg_out = capped_cg(phi_hessian_op, g, sqrt_eps, params.zeta)
+            cg_out = capped_cg(partial(ws.reduced_hessian_apply, hess_vec, mu), g, sqrt_eps,
+                               params.zeta)
             d_hat = cg_out.direction
             q = ws.project(d_hat)
             if cg_out.kind is DirectionKind.NC:
-                rate = abs(nc_curvature(phi_hessian_op, d_hat)) / math.sqrt(d_hat.dot(d_hat))
+                rate = abs(cg_out.curvature) / math.sqrt(d_hat.dot(d_hat))
                 c = _curvature_scale(d_hat, math.sqrt(q.dot(q)), rate, g, beta)
                 branch, searcher = BRANCH_CG_NC, line_search_nc
             else:
@@ -355,8 +363,8 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
             if oracle is None or not oracle.found_negative_curvature:
                 status = SolveStatus.FOSP_CERTIFIED if oracle is None else SolveStatus.SOSP_CERTIFIED
                 trace.append(k, phi, res_min, BRANCH_TERMINATE, 0.0, 0.0, 0, lanczos_iters)
-                lam = ws.multipliers(gphi) if which == "lambda1" else lambda2
-                return finish(status, k, lam, oracle)
+                # lambda1 = multipliers(grad phi) is minus the range coefficient c_g
+                return finish(status, k, -c_g if which == "lambda1" else lambda2, oracle)
             # the step runs along q = P v / ||P v||, the part of v that the oracle's
             # operator P H P sees: q^T (P H P + mu P) q = v^T (P H P) v / ||P v||^2 + mu
             pv = ws.project(oracle.direction)
@@ -378,7 +386,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         except LineSearchFailure:
             # the failed step's row, with alpha = 0.0
             trace.append(k, phi, res_min, branch, 0.0, dir_norm, cg_iters, lanczos_iters)
-            return finish(SolveStatus.LINE_SEARCH_FAILURE, k, ws.multipliers(gphi))
+            return finish(SolveStatus.LINE_SEARCH_FAILURE, k, -c_g)
         trace.append(k, phi, res_min, branch, alpha, dir_norm, cg_iters, lanczos_iters)
         x, phi = x_next, phi_next
 
@@ -404,9 +412,7 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
         mu_grad_b = mu * ws.factor.gradient
 
     # lambda1 at x_final itself, from its workspace and one more gradient
-    lambda1 = np.zeros(0)
-    if m:
-        lambda1 = ws.multipliers(gradient(x) + mu_grad_b)
+    lambda1 = ws.multipliers(gradient(x) + mu_grad_b) if m else None
     return finish(SolveStatus.MAX_ITERS_EXCEEDED, params.max_outer_iters, lambda1)
 
 

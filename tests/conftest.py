@@ -84,9 +84,16 @@ def iteration_bound(result, n: int) -> int:
     return min(n, j)
 
 
+def norm2(v: np.ndarray) -> float:
+    """||v||_2 of a 1-D float array; bit-equal to ``np.linalg.norm(v)``, which flattens v
+    in memory order (a copy only for a strided view) and returns sqrt(v . v)."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def paired(matvec):
     """The operator v -> (matvec(v), 0.0): the product-and-coefficient contract of
-    ``capped_cg``, ``nc_curvature`` and ``min_eig_oracle``, with no coefficient."""
+    ``capped_cg`` and ``min_eig_oracle``, with no coefficient."""
     return lambda v: (matvec(v), 0.0)
 
 
@@ -267,9 +274,8 @@ class SolveSpy:
 
     Installed with ``monkeypatch`` around ``solve``: ``unit_steps`` counts the
     direction scalings that returned exactly 1.0 (a step taken from the
-    projection at hand; any other scale projects afresh), ``which`` is the
-    residual that decided the last gate, and ``rescan_products`` counts the
-    fresh products of capped CG's residual-growth rescan.
+    projection at hand; any other scale projects afresh), and ``rescan_products``
+    counts the fresh products of capped CG's residual-growth rescan.
     """
 
     def __init__(self, monkeypatch) -> None:
@@ -277,9 +283,8 @@ class SolveSpy:
         from conebarrier import solver
 
         self.unit_steps = 0
-        self.which = None
         self.rescan_products = 0
-        first_order_gate, backtrack_nc = solver.first_order_gate, cg_module._backtrack_nc
+        backtrack_nc = cg_module._backtrack_nc
 
         def scaled(fn):
             def spy(*args):
@@ -287,11 +292,6 @@ class SolveSpy:
                 self.unit_steps += c == 1.0
                 return c
             return spy
-
-        def gate(*args):
-            out = first_order_gate(*args)
-            self.which = out[1]
-            return out
 
         def backtrack(ys, hys, y_next, hy_next, eps, matvec):
             def counted(v):
@@ -301,7 +301,6 @@ class SolveSpy:
 
         monkeypatch.setattr(solver, "_sol_scale", scaled(solver._sol_scale))
         monkeypatch.setattr(solver, "_curvature_scale", scaled(solver._curvature_scale))
-        monkeypatch.setattr(solver, "first_order_gate", gate)
         monkeypatch.setattr(cg_module, "_backtrack_nc", backtrack)
 
 
@@ -309,14 +308,16 @@ def rebuilt_counters(result, m: int, params, spy: SolveSpy) -> dict[str, int]:
     """The six counters of a solve, rebuilt from its trace, m and README's per-item costs.
 
     Reads the trace columns ``branch``, ``alpha``, ``cg_iters`` and
-    ``lanczos_iters`` and, from ``spy``, which steps were unit-scaled and which
-    residual decided the stop.  Per iteration: a gradient; ``null_step_t`` of the
-    merit gradient, 3 substitutions (1 when m = 0); the gate's second residual,
-    1; per reduced product 6 substitutions (2); ``project`` of the direction, 2
-    (0); the step, 1 from that projection when the scale is 1.0 and 3 (1) from a
-    fresh ``null_step`` otherwise; and a multiplier estimate, 3, only where lambda1
-    is returned.  lambda2 costs nothing.  Each accepted step with
-    ``alpha = theta^j`` takes j + 1 merit values and builds one workspace: one
+    ``lanczos_iters`` and, from ``spy``, which steps were unit-scaled.  Per
+    iteration: a gradient; ``null_step_t`` of the merit gradient, 3 substitutions
+    (1 when m = 0); the gate's second residual, 1; per reduced product 6
+    substitutions (2); ``project`` of the direction, 2 (0); and the step, 1 from
+    that projection when the scale is 1.0 and 3 (1) from a fresh ``null_step``
+    otherwise.  A CG step spends 1 + cg_iters products, its NC curvature none of
+    its own.  lambda2, and lambda1 at a stop or a line-search failure, are minus
+    range coefficients already formed and cost nothing; lambda1 at
+    ``max_outer_iters`` costs a gradient and 3 substitutions.  Each accepted step
+    with ``alpha = theta^j`` takes j + 1 merit values and builds one workspace: one
     ``cholesky``, and with m >= 1 one ``matT_mat`` and m substitutions.  Raises
     ValueError for a run that takes the residual-growth rescan, whose fresh
     products do not show in the trace, and for a certifying oracle whose norm
@@ -329,7 +330,7 @@ def rebuilt_counters(result, m: int, params, spy: SolveSpy) -> dict[str, int]:
     trace = result.trace
     proj = 2 if m else 0  # substitutions of one projection
     product = 2 + 2 * proj  # of one reduced product
-    lambda1 = 3 if m else 0  # of one multiplier estimate
+    lambda1 = 3 if m else 0  # of the multiplier estimate at max_outer_iters
     counts = dict.fromkeys(CATEGORIES, 0)
     counts["fun_eval"] = builds = 1
     steps = 0
@@ -343,18 +344,17 @@ def rebuilt_counters(result, m: int, params, spy: SolveSpy) -> dict[str, int]:
             if result.status is SolveStatus.SOSP_CERTIFIED:
                 products += _POWER_ITERS
             counts["hess_vec"] += products
-            counts["tri_solve"] += product * products + (lambda1 if spy.which == "lambda1" else 0)
+            counts["tri_solve"] += product * products
             continue
         if branch in (BRANCH_CG_SOL, BRANCH_CG_NC):
-            products = 1 + cg_iters + (branch == BRANCH_CG_NC)  # nc_curvature's product
+            products = 1 + cg_iters
         else:
             products = lanczos_iters
         counts["hess_vec"] += products
         counts["tri_solve"] += product * products + proj + 1
         steps += 1
-        if alpha == 0.0:  # the line search failed; lambda1 is returned
+        if alpha == 0.0:  # the line search failed
             counts["fun_eval"] += params.max_backtracks + 1
-            counts["tri_solve"] += lambda1
         else:
             counts["fun_eval"] += round(math.log(alpha) / math.log(params.theta)) + 1
             builds += 1

@@ -2,7 +2,7 @@
 
 ``conftest.rebuilt_counters`` rebuilds all six counters from the trace
 columns, m and README's per-item costs ("Cost model and counters"), with
-``conftest.SolveSpy`` supplying the three facts the trace does not record.
+``conftest.SolveSpy`` supplying the two facts the trace does not record.
 Equality is asserted on nine builtin and test solves, including both
 benchmark workloads at both seeds, and on random small instances.
 """

@@ -9,9 +9,15 @@ from conebarrier.cones import barrier_factor, local_norm_dual, orthant, second_o
 from conebarrier.counters import OpCounters
 from conebarrier.errors import FactorizationError
 from conebarrier.linops import AffineData, IterationWorkspace, empty_affine
-from conebarrier.vecnorm import norm2
 
-from conftest import CONE_FAMILIES, dense_lower, dense_operators, primal_local_norm, random_interior_point
+from conftest import (
+    CONE_FAMILIES,
+    dense_lower,
+    dense_operators,
+    norm2,
+    primal_local_norm,
+    random_interior_point,
+)
 
 MIXED = CONE_FAMILIES[-1]  # orthant x SOC x orthant x SOC
 
@@ -258,6 +264,20 @@ class TestAgainstDenseAssembly:
                 else:
                     assert ws.multipliers(v).shape == (0,)
                     assert coef == h_coef == 0.0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("cone", [orthant(12), second_order(12), MIXED],
+                             ids=["orthant", "soc", "mixed"])
+    def test_range_coefficient_is_minus_the_multipliers_bit_for_bit(self, cone, m, rng):
+        # the solver returns -null_step_t(grad phi)[1] as lambda1 at a stop, for
+        # multipliers(grad phi); TestScalarSchurPath checks the same at m = 1
+        n = cone.total_dim
+        for _ in range(5):
+            a_mat = rng.standard_normal((m, n))
+            ws = make_ws(a_mat, np.zeros(m), random_interior_point(cone, rng), cone)
+            for _ in range(5):
+                v = rng.standard_normal(n)
+                assert np.array_equal(-ws.null_step_t(v)[1], ws.multipliers(v))
 
     def test_transpose_relation(self, rng):
         # null_step transpose identity: (I + R^T A) M == P columnwise

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from conebarrier.cones import barrier_factor, local_norm_dual
 from conebarrier.counters import OpCounters
 from conebarrier.linops import AffineData, IterationWorkspace, empty_affine
-from conebarrier.vecnorm import norm2
 
-from conftest import dense_lower
+from conftest import dense_lower, norm2
 from test_cone_properties import CONES, PROPERTY_SETTINGS, SEEDS, sample
 
 M_ROWS = st.integers(0, 3)

@@ -17,8 +17,10 @@ cone layer counted its own operations, and 74.4 and 80.9 while the outer
 iteration took its norms through ``norm2``, built the barrier gradient by
 slice writes and formed mu nabla B of the previous point a second time, and
 70.4 and 75.6 while capped CG formed its monitors at entry and again at the
-first refresh of U, and 69.3 and 74.7 while the multiplier lambda2 took a
-Hessian-vector product and a multiplier solve of its own.
+first refresh of U, 69.3 and 74.7 while the multiplier lambda2 took a
+Hessian-vector product and a multiplier solve of its own, and 63.3 and 69.5
+while capped CG's negative-curvature directions took a product of their own
+for their curvature.
 """
 import os
 import sys
@@ -51,7 +53,7 @@ def frames_per_iteration(problem) -> float:
 
 @pytest.mark.parametrize("name, n, params, measured", [
     ("nonconvex_qp_simplex", 30, {"seed": 0}, 63.3),
-    ("soc_quadratic", 20, {"m": 2, "seed": 0}, 69.5),
+    ("soc_quadratic", 20, {"m": 2, "seed": 0}, 67.9),
 ])
 def test_frames_per_outer_iteration(name, n, params, measured):
     assert frames_per_iteration(builtin(name, n, **params)) <= 1.05 * measured

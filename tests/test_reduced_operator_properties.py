@@ -21,9 +21,8 @@ import numpy as np
 
 from conebarrier.capped_cg import capped_cg
 from conebarrier.lanczos import lanczos_iteration_cap, min_eig_oracle
-from conebarrier.vecnorm import norm2
 
-from conftest import iteration_bound
+from conftest import iteration_bound, norm2
 from test_capped_cg import random_symmetric
 from test_cone_properties import CONES, PROPERTY_SETTINGS, SEEDS
 from test_linops_properties import M_ROWS, workspace

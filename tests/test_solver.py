@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conebarrier.certify import is_interior
-from conebarrier.cones import barrier_factor, orthant
+from conebarrier.cones import barrier_factor, orthant, second_order
 from conebarrier.counters import OpCounters
 from conebarrier.errors import (
     CallbackError,
@@ -31,9 +31,8 @@ from conebarrier.solver import (
     solve,
 )
 from conebarrier.trace import BRANCH_CG_SOL
-from conebarrier.vecnorm import norm2
 
-from conftest import dense_lower, dense_operators, primal_local_norm
+from conftest import dense_lower, dense_operators, norm2, primal_local_norm
 from test_cone_properties import CONES, PROPERTY_SETTINGS, SEEDS
 from test_linops_properties import M_ROWS, workspace
 
@@ -538,6 +537,18 @@ class TestSolveBasics:
         p = mixed_cone_quadratic()
         with pytest.raises(DivergenceError):
             solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7, max_outer_iters=200000))
+
+    def test_unbounded_unconstrained_iterate_raises_divergence(self):
+        # f = -t on soc(3) with m = 0: the iterates grow about 1.5x per step until a
+        # trial point, interior in exact arithmetic, loses its gap t - ||u|| to roundoff;
+        # with no re-projection, the line search names the divergence itself
+        from conebarrier.errors import DivergenceError
+
+        p = quadratic_problem(np.zeros((3, 3)), [-1.0, 0.0, 0.0], second_order(3),
+                              empty_affine(3), x0=np.array([2.0, 0.5, 0.3]))
+        with pytest.raises(DivergenceError, match="grow without bound") as info:
+            solve(p, p.x0, SolverParams(epsilon=1e-2))
+        assert "re-projection" not in str(info.value)
 
     def test_badly_scaled_compact_slice_blames_reprojection(self):
         # soc_quadratic's first row pins t, so its slice is compact and the objective
