@@ -7,33 +7,43 @@ second-order (Lorentz) cones.  Each block carries its canonical barrier:
 * second-order cone (t,u): B(t,u) = -ln(t^2 - ||u||^2),   parameter 2
 
 Values, gradients, Hessians and the barrier parameter are additive across
-blocks.  Every barrier entry point reads the blocks in one walk,
-``barrier_reads``, which is also the one entry check (length, finiteness and
-strict interiority at any scale) and returns B(x) with the reads.
-The reads can be handed on: the solver walks each point it evaluates once,
-and builds the accepted point's factor from the same reads.  All local-norm
-computations go through the lower Cholesky factor L of the barrier Hessian,
-nabla^2 B(x) = L L^T, which is block diagonal; the reads that build it also
-yield the barrier gradient nabla B(x).
-``BarrierFactor`` stores the factor one block at a time, and this module is
-the only one that knows that format:
+blocks, so the barrier layer works one block *type* at a time.
+``Cone.groups``, formed once per cone, lays x out in groups: one group holds
+every orthant coordinate, and one group per distinct second-order cone
+dimension d holds that dimension's k blocks.  A group's coordinates are one
+slice of x where they are adjacent and an integer gather where they are not.
+The orthant group is read as one vector, a lone second-order cone block as
+one d-vector, and k >= 2 blocks of dimension d as the rows of a k x d stack,
+each row read, factored and solved exactly as a lone block is.  A walk over
+a point therefore makes O(number of block types) numpy calls, however many
+blocks the cone has.
 
-* orthant block: the diagonal 1/x_b of L_b;
-* second-order cone block (t, u) with gap gamma = (t - ||u||)(t + ||u||):
+Every barrier entry point reads the groups in one walk, ``barrier_reads``,
+which is also the one entry check (length, finiteness and strict
+interiority at any scale) and returns B(x) with the reads.  The reads can be
+handed on: the solver walks each point it evaluates once, and builds the
+accepted point's factor from the same reads.  All local-norm computations go
+through the lower Cholesky factor L of the barrier Hessian,
+nabla^2 B(x) = L L^T, which is block diagonal; the reads that build it also
+yield the barrier gradient nabla B(x).  ``BarrierFactor`` stores the factor
+one group at a time, and this module is the only one that knows that format:
+
+* the orthant group: the diagonal 1/x of L over all orthant coordinates;
+* a second-order cone block (t, u) with gap gamma = (t - ||u||)(t + ||u||):
   the Hessian is D + (4/gamma^2) w w^T with D = (2/gamma) diag(-1, 1, ..., 1)
   and w = (t, -u), so its exact Cholesky factor is semiseparable,
   L_b = (I + tril(w beta^T, -1)) diag(sqrt(dbar)), by the rank-one LDL^T
   update of Gill, Golub, Murray & Saunders (Math. Comp. 1974).  It is built
-  from suffix sums of u_k^2 in O(d) and stored as four d-vectors; both
-  triangular solves are O(d) cumulative sums (``np.add.accumulate``, the
-  ufunc behind ``np.cumsum``, without its wrapper), and no d x d array is
-  formed.
-  Each block is read once, at y = x_b / 2^e with its largest entry in
-  [1/2, 1) (``_soc_read``).  Interiority is 0 < t - ||u|| < inf at y, and
-  the value, factor and gradient are formed from y and its gap and rescaled
-  by logarithmic homogeneity, so no square under- or overflows at any scale
-  of x_b.  This is the solver's layer only; ``certify`` keeps closed forms
-  of its own.
+  from suffix sums of u_k^2 in O(d) and stored as d-vectors (k x d stacks
+  for a group of k blocks); both triangular solves are O(d) cumulative sums
+  along each row (``np.add.accumulate``, the ufunc behind ``np.cumsum``,
+  without its wrapper), and no d x d array is formed.
+  Each block is read at y = x_b / 2^e with its largest entry in [1/2, 1)
+  (``_soc_read``, ``_soc_rows_read``).  Interiority is 0 < t - ||u|| < inf
+  at y, and the value, factor and gradient are formed from y and its gap and
+  rescaled by logarithmic homogeneity, so no square under- or overflows at
+  any scale of x_b.  This is the solver's layer only; ``certify`` keeps
+  closed forms of its own.
 
 Everything else applies L through ``BarrierFactor.solve_lower`` and
 ``solve_upper``; the dual local norm ||v||_x* = ||L^{-1} v|| is one forward
@@ -45,7 +55,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -103,6 +114,29 @@ class Cone:
             start += block.dim
         return tuple(out)
 
+    @cached_property
+    def groups(self) -> tuple[tuple[str, slice | np.ndarray, tuple[int, int] | None], ...]:
+        """(kind, index, rows) per block type, in order of first appearance; formed once per cone.
+
+        One orthant group holds every orthant coordinate and one SOC group per
+        distinct dimension d its blocks, each in block order.  ``index`` is the
+        slice of x that holds the group's coordinates where they are adjacent,
+        else an integer gather.  ``rows`` is (k, d) for k >= 2 SOC blocks, read
+        as the rows of a k x d stack, and None for the orthant group and a lone
+        SOC block, read as a vector.
+        """
+        members: dict[tuple[str, int], list[slice]] = {}
+        for block, sl in self.slices:
+            members.setdefault((block.kind, block.dim if block.kind == SOC else 0), []).append(sl)
+        out = []
+        for (kind, dim), sls in members.items():
+            if all(a.stop == b.start for a, b in zip(sls, sls[1:])):
+                index = slice(sls[0].start, sls[-1].stop)
+            else:
+                index = np.concatenate([np.arange(sl.start, sl.stop) for sl in sls])
+            out.append((kind, index, (len(sls), dim) if kind == SOC and len(sls) > 1 else None))
+        return tuple(out)
+
     def describe(self) -> list[dict]:
         """JSON-ready block list, the wire format used in problem files."""
         return [{"type": b.kind, "dim": b.dim} for b in self.blocks]
@@ -125,43 +159,76 @@ def cone_from_description(desc: list[dict]) -> Cone:
 
 
 def _soc_read(xb: np.ndarray) -> tuple[np.ndarray, int, float, float]:
-    """(y, e, t - ||u||, (t - ||u||)(t + ||u||)) of an SOC block (t, u) = 2^e y, both read at y.
+    """(y, e, gap, -ln gap(x)) of an interior SOC block (t, u) = 2^e y, read at y.
 
     y has its largest |y_i| in [1/2, 1); this is the layer's one SOC scale
     rule.  The barrier is logarithmically homogeneous, so B(x) = B(y) - 2e ln 2,
     nabla B(x) = 2^-e nabla B(y) and nabla^2 B(x) = 4^-e nabla^2 B(y).  At y no
     square overflows, or underflows far enough to matter, and scaling by a
     power of two is exact, so where x's own squares are normal floats the
-    results are bit-equal to an evaluation at x itself.  The last entry is the
-    gap t^2 - ||u||^2 at y; the block is interior iff 0 < t - ||u|| < inf, and
-    then its largest entry is t.
+    results are bit-equal to an evaluation at x itself.  gap is
+    (t - ||u||)(t + ||u||) at y.  BoundaryError unless 0 < t - ||u|| < inf at
+    y: at y a finite block has t - ||u|| < 2, and an infinite entry gives NaN
+    or inf.  The block's barrier term is -log of its gap at x, 4^e gap, where
+    that is a normal float, and -log(gap) - 2e ln 2 elsewhere, so it stays
+    finite at every scale the factor handles.
     """
     e = math.frexp(np.maximum.reduce(np.abs(xb)))[1]
     y = np.ldexp(xb, -e)
     u = y[1:]
     t, r = float(y[0]), math.sqrt(u.dot(u))
-    return y, e, t - r, (t - r) * (t + r)
+    if not 0.0 < t - r < math.inf:
+        raise BoundaryError("point not interior to second-order cone block")
+    gap = (t - r) * (t + r)
+    if -1021 <= math.frexp(gap)[1] + 2 * e <= 1024:  # 4^e gap(y) >= 2^-1022 and finite
+        return y, e, gap, -float(np.log(math.ldexp(gap, 2 * e)))
+    return y, e, gap, -(float(np.log(gap)) + 2 * e * _LN2)
+
+
+def _soc_rows_read(xb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``_soc_read`` of each row of a k x d stack: (y, e, gap, sum of -ln gap(x)).
+
+    e and gap are k x 1 columns, and each row's y, e and gap are bit-equal to
+    its own ``_soc_read``: ||u||^2 is one dot product per row, from ``np.matmul``
+    of a 1 x (d-1) row by its (d-1) x 1 transpose.  BoundaryError unless every
+    row is interior.
+    """
+    e = np.frexp(np.maximum.reduce(np.abs(xb), axis=1, keepdims=True))[1]
+    y = np.ldexp(xb, -e)
+    u = y[:, 1:]
+    t = y[:, :1]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        r = np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0])
+        slack = t - r
+        if not (0.0 < np.minimum.reduce(slack, axis=None)
+                and np.maximum.reduce(slack, axis=None) < math.inf):
+            raise BoundaryError("point not interior to second-order cone block")
+        gap = slack * (t + r)
+        s = np.frexp(gap)[1] + 2 * e  # the rule of _soc_read, row by row
+        logs = np.where((-1021 <= s) & (s <= 1024), np.log(np.ldexp(gap, 2 * e)),
+                        np.log(gap) + 2 * e * _LN2)
+    return y, e, gap, -float(np.add.reduce(logs, axis=None))
 
 
 def barrier_reads(cone: Cone, x: np.ndarray) -> tuple[float, list]:
-    """(B(x), one read per block): the one walk and entry check behind every barrier entry point.
+    """(B(x), one read per group of ``cone.groups``): the one walk and entry check behind every
+    barrier entry point.
 
-    ValueError unless x has length ``cone.total_dim``.  A read is x_b for an
-    orthant block and (y, e, gap) of ``_soc_read`` for an SOC block.
-    BoundaryError unless every orthant entry is finite and normal (>= 2^-1022,
-    so 1/x_b is finite) and every SOC block is finite with t - ||u|| > 0 at y,
-    with no constant that ties the test to the scale of x: NaN, inf and points
-    far outside the cone are rejected without a warning.  An SOC block's term
-    is -log of its gap at x, 4^e gap(y), where that is a normal float, and
-    -log(gap(y)) - 2e ln 2 elsewhere, so B stays finite at every scale the
-    factor handles.  The solver hands the accepted point's reads to ``barrier_factor``.
+    ValueError unless x has length ``cone.total_dim``.  A read is the orthant
+    coordinates for the orthant group and (y, e, gap) of ``_soc_read`` or
+    ``_soc_rows_read`` for an SOC group.  BoundaryError unless every orthant
+    entry is finite and normal (>= 2^-1022, so 1/x_b is finite) and every SOC
+    block is finite with t - ||u|| > 0 at y, with no constant that ties the
+    test to the scale of x: NaN, inf and points far outside the cone are
+    rejected without a warning.  The solver hands the accepted point's reads to
+    ``barrier_factor``.
     """
     if x.shape != (cone.total_dim,):
         raise ValueError(f"expected vector of length {cone.total_dim}, got shape {x.shape}")
     total, reads = 0.0, []
-    for block, sl in cone.slices:
-        xb = x[sl]
-        if block.kind == ORTHANT:
+    for kind, index, rows in cone.groups:
+        xb = x[index]
+        if kind == ORTHANT:
             if np.count_nonzero(xb >= 2.0**-1022) < xb.shape[0]:
                 raise BoundaryError("orthant component not strictly interior (or subnormal)")
             logs = float(np.add.reduce(np.log(xb)))
@@ -170,44 +237,70 @@ def barrier_reads(cone: Cone, x: np.ndarray) -> tuple[float, list]:
             total -= logs
             reads.append(xb)
             continue
-        y, e, slack, gap = _soc_read(xb)
-        # at y a finite block has slack < 2, and an infinite entry gives NaN or inf
-        if not 0.0 < slack < math.inf:
-            raise BoundaryError("point not interior to second-order cone block")
-        if -1021 <= math.frexp(gap)[1] + 2 * e <= 1024:  # 4^e gap(y) >= 2^-1022 and finite
-            total -= float(np.log(math.ldexp(gap, 2 * e)))
-        else:
-            total -= float(np.log(gap)) + 2 * e * _LN2
+        y, e, gap, value = _soc_read(xb) if rows is None else _soc_rows_read(xb.reshape(rows))
+        total += value
         reads.append((y, e, gap))
     return total, reads
 
 
 @dataclass(frozen=True)
 class SocFactor:
-    """Exact lower Cholesky factor of one second-order cone block's barrier Hessian.
+    """Exact lower Cholesky factor of one second-order cone block's barrier Hessian,
+    or of each block of a group, one k x d row per block.
 
     Built at y = 2^-e x (see ``_soc_read``), so L = 2^-e L_y.  Here
     L_y = (I + tril(w beta^T, -1)) diag(root_y) with beta = q / root_y^2, and
     the unit lower part, the same for x as for y, has the inverse
     I - tril(q p^T, -1).  So w, p and q stay at y's scale and only the
     diagonal root = 2^-e root_y carries x's: L^{-1} v and L^{-T} v are one
-    shifted cumulative sum and one division each, for a vector or a k x d
-    stack of rows.
+    shifted cumulative sum and one division each, for a vector or a stack of
+    rows.
     """
 
     root: np.ndarray  # 2^-e sqrt(dbar), the diagonal of L
     w: np.ndarray  # (t, -u) of y
     p: np.ndarray  # w / D
     q: np.ndarray  # w / ia, with ia_j = 1 / alpha_j of the rank-one update
-    exponent: int  # e, with x = 2^e y
+    exponent: int | np.ndarray  # e, with x = 2^e y; a k x 1 column for a group
+    p_head: np.ndarray  # p without its last entry, the operand of the forward sum
+    q_tail: np.ndarray  # q without its first entry, reversed: the operand of the backward sum
+
+    def solve_lower(self, v: np.ndarray) -> np.ndarray:
+        """L_b^{-1} v along v's last axis: z_i = (v_i - q_i sum_{j<i} p_j v_j) / root_i.
+
+        v is one vector or a stack of rows, each solved alike; for a group's
+        factor its last two axes are k x d, one row per block.  The exclusive
+        prefix sums are accumulated straight into the result's shifted entries.
+        """
+        out = np.empty(v.shape)
+        out[..., 0] = 0.0
+        np.add.accumulate(self.p_head * v[..., :-1], axis=-1, out=out[..., 1:])
+        out *= self.q
+        np.subtract(v, out, out=out)
+        out /= self.root
+        return out
+
+    def solve_upper(self, v: np.ndarray) -> np.ndarray:
+        """L_b^{-T} v along v's last axis: z_j = y_j - p_j sum_{i>j} q_i y_i with y = v / root,
+        the exclusive suffix sums accumulated as in ``solve_lower``."""
+        y = v / self.root
+        out = np.empty(v.shape)
+        out[..., -1] = 0.0
+        np.add.accumulate(self.q_tail * y[..., :0:-1], axis=-1, out=out[..., -2::-1])
+        out *= self.p
+        np.subtract(y, out, out=out)
+        return out
 
 
-def _soc_factor(y: np.ndarray, e: int, gap: float) -> tuple[SocFactor, np.ndarray]:
+def _soc_factor(y: np.ndarray, e: int | np.ndarray, gap: float | np.ndarray) -> tuple[SocFactor, np.ndarray]:
     """O(d) factor of (2/gap) diag(-1, 1, ..., 1) + (4/gap^2) w w^T at an interior block 2^e y.
 
-    Returned with the block's barrier gradient -2 w / gap.  Both are formed at
-    y, with gap = gap(y), and rescaled, so neither fails at an extreme scale
-    where its entries are representable.
+    y is one block, with e an int and gap a float, or a k x d stack of rows,
+    with e and gap k x 1 columns; every step runs along the last axis, so each
+    row is factored exactly as a lone block.  Returned with the barrier
+    gradient -2 w / gap.  Both are formed at y, with gap = gap(y), and
+    rescaled, so neither fails at an extreme scale where its entries are
+    representable.
 
     The rank-one LDL^T update of Gill, Golub, Murray & Saunders runs through
     ia_j = 1/alpha_j = ia_{j-1} + w_{j-1}^2 / D_{j-1}.  In closed form
@@ -215,62 +308,56 @@ def _soc_factor(y: np.ndarray, e: int, gap: float) -> tuple[SocFactor, np.ndarra
     taken from suffix sums so that nothing cancels; then
     dbar_j = D_j ia_{j+1} / ia_j.
     """
-    d = y.shape[0]
+    d = y.shape[-1]
+    first = 0 if y.ndim == 1 else np.s_[:, :1]  # each row's first entry, as a k x 1 column
     w = -y
-    w[0] = y[0]
+    w[first] = y[first]
     c = 2.0 / gap  # D = c diag(-1, 1, ..., 1); the sign of D_0 is applied after each product
-    ia = np.empty(d + 1)
-    ia[0] = gap * gap / 4.0
-    ia[d] = 0.0
+    ia = np.empty(y.shape[:-1] + (d + 1,))
+    ia[first] = gap * gap / 4.0
+    ia[..., d] = 0.0
     # ia[j] = sum_{k>=j} u_k^2 for j = 1..d-1, accumulated from the end, then
     # -(gap/4)(gap + 2 ia[j]) in place
-    np.add.accumulate(y[:0:-1] ** 2, out=ia[-2:0:-1])
-    tail = ia[1:]
+    np.add.accumulate(y[..., :0:-1] ** 2, axis=-1, out=ia[..., -2:0:-1])
+    tail = ia[..., 1:]
     tail *= 2.0
     tail += gap
     tail *= -(gap / 4.0)
-    head = ia[:-1]
+    head = ia[..., :-1]
     dbar = c * tail
     dbar /= head
-    dbar[0] = -dbar[0]
+    dbar[first] = -dbar[first]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         root = np.ldexp(np.sqrt(dbar), -e)
         gradient = np.ldexp(-2.0 * w / gap, -e)
-    # |w_i| <= t, so the gradient's largest entry is its first; a NaN root fails the comparison
-    if not (0.0 < np.minimum.reduce(root) and np.maximum.reduce(root) < math.inf
-            and math.isfinite(gradient[0])):
+    # |w_i| <= t, so a row's gradient entry of largest size is its first, which is negative;
+    # a NaN fails the comparisons
+    if not (0.0 < np.minimum.reduce(root, axis=None)
+            and np.maximum.reduce(root, axis=None) < math.inf
+            and -math.inf < np.minimum.reduce(gradient[first], axis=None)):
         raise FactorizationError(
             "second-order cone barrier Hessian has a non-finite or non-positive pivot "
             "(point at an extreme scale)"
         )
     p = w / c
-    p[0] = -p[0]
-    return SocFactor(root=root, w=w, p=p, q=w / head, exponent=e), gradient
+    p[first] = -p[first]
+    q = w / head
+    return SocFactor(root, w, p, q, e, p[..., :-1], q[..., :0:-1]), gradient
 
 
-def _block_solve(f: np.ndarray | SocFactor, v: np.ndarray, lower: bool) -> np.ndarray:
-    """L_b^{-1} v (lower) or L_b^{-T} v (upper) for one block factor f, along v's last axis.
-
-    v is one vector or a k x d stack of rows, each solved alike.  The SOC sums
-    are exclusive prefix (suffix) sums along the last axis, accumulated
-    straight into the result's shifted entries.
-    """
-    if type(f) is np.ndarray:  # an orthant block, L_b = diag(f): both solves are one division
-        return v / f
-    root, p, q = f.root, f.p, f.q
-    out = np.empty_like(v, dtype=float)
-    if lower:  # z_i = (v_i - q_i sum_{j<i} p_j v_j) / root_i
-        out[..., 0] = 0.0
-        np.add.accumulate(p[:-1] * v[..., :-1], axis=-1, out=out[..., 1:])
-        out *= q
-        np.subtract(v, out, out=out)
-        out /= root
-        return out
-    y = v / root  # then z_j = y_j - p_j sum_{i>j} q_i y_i
-    out[..., -1] = 0.0
-    np.add.accumulate(q[:0:-1] * y[..., :0:-1], axis=-1, out=out[..., -2::-1])
-    out *= p
-    np.subtract(y, out, out=out)
+def _groupwise(groups: tuple, factors: tuple, lower: bool, v: np.ndarray) -> np.ndarray:
+    """L^{-1} v or L^{-T} v one group at a time, for a cone of several groups or a row stack."""
+    out = np.empty(v.shape)
+    for (kind, index, rows), f in zip(groups, factors):
+        vb = v[..., index]
+        if kind == ORTHANT:
+            out[..., index] = vb / f
+            continue
+        solve = f.solve_lower if lower else f.solve_upper
+        if rows is None:
+            out[..., index] = solve(vb)
+        else:
+            out[..., index] = solve(vb.reshape(vb.shape[:-1] + rows)).reshape(vb.shape)
     return out
 
 
@@ -278,35 +365,26 @@ def _block_solve(f: np.ndarray | SocFactor, v: np.ndarray, lower: bool) -> np.nd
 class BarrierFactor:
     """Point x with nabla B(x) and the block-diagonal lower Cholesky factor L of nabla^2 B(x).
 
-    ``blocks`` holds one factor per cone block, in block order: the vector
-    1/x_b (the diagonal of L_b) for an orthant block and a ``SocFactor`` for
-    a second-order cone block.  That format is known only to this module;
-    callers use ``solve_lower``/``solve_upper``.  Immutable after
+    ``factors`` holds one factor per group of ``cone.groups``: the vector 1/x
+    (the diagonal of L) over the orthant coordinates and a ``SocFactor`` per
+    SOC group.  That format is known only to this module; callers use the two
+    solves, each of a vector or of each row of a k x n stack:
+
+    * ``solve_lower(v)`` = L^{-1} v, forward substitution;
+    * ``solve_upper(v)`` = L^{-T} v, backward substitution.
+
+    Both are chosen once, when the factor is built: on a cone of one orthant
+    group each is the one division v / (1/x), on a lone SOC block its own
+    solve, and otherwise a walk over the groups.  Immutable after
     construction and safe to share between threads.
     """
 
     cone: Cone
     point: np.ndarray
-    blocks: tuple[np.ndarray | SocFactor, ...]
+    factors: tuple[np.ndarray | SocFactor, ...]
     gradient: np.ndarray  # nabla B(point)
-
-    def _blockwise(self, v: np.ndarray, lower: bool) -> np.ndarray:
-        out = np.empty_like(v, dtype=float)
-        for (_, sl), f in zip(self.cone.slices, self.blocks):
-            out[..., sl] = _block_solve(f, v[..., sl], lower)
-        return out
-
-    def solve_lower(self, v: np.ndarray) -> np.ndarray:
-        """L^{-1} v for a vector, or for each row of a k x n stack; forward substitution."""
-        if len(self.blocks) == 1:
-            return _block_solve(self.blocks[0], v, True)
-        return self._blockwise(v, True)
-
-    def solve_upper(self, v: np.ndarray) -> np.ndarray:
-        """L^{-T} v for a vector, or for each row of a k x n stack; backward substitution."""
-        if len(self.blocks) == 1:
-            return _block_solve(self.blocks[0], v, False)
-        return self._blockwise(v, False)
+    solve_lower: Callable[[np.ndarray], np.ndarray]
+    solve_upper: Callable[[np.ndarray], np.ndarray]
 
 
 def barrier_factor(cone: Cone, x: np.ndarray, reads: list | None = None) -> BarrierFactor:
@@ -319,13 +397,25 @@ def barrier_factor(cone: Cone, x: np.ndarray, reads: list | None = None) -> Barr
     if reads is None:
         x = np.asarray(x, dtype=float)
         reads = barrier_reads(cone, x)[1]
-    blocks, grads = [], []
-    for block, b in zip(cone.blocks, reads):
-        f, grad = (1.0 / b, -1.0 / b) if block.kind == ORTHANT else _soc_factor(*b)
-        blocks.append(f)
-        grads.append(grad)
-    gradient = grads[0] if len(grads) == 1 else np.concatenate(grads)
-    return BarrierFactor(cone=cone, point=x.copy(), blocks=tuple(blocks), gradient=gradient)
+    groups = cone.groups
+    if len(groups) == 1 and groups[0][2] is None:  # one group, read as a vector, spans x
+        if groups[0][0] == ORTHANT:  # L = diag(f), and the bound f.__rtruediv__(v) is v / f
+            f = 1.0 / reads[0]
+            return BarrierFactor(cone, x.copy(), (f,), -f, f.__rtruediv__, f.__rtruediv__)
+        f, gradient = _soc_factor(*reads[0])
+        return BarrierFactor(cone, x.copy(), (f,), gradient, f.solve_lower, f.solve_upper)
+    factors, gradient = [], np.empty(cone.total_dim)
+    for (kind, index, _), b in zip(groups, reads):
+        if kind == ORTHANT:
+            f = 1.0 / b
+            gradient[index] = -f
+        else:
+            f, grad = _soc_factor(*b)
+            gradient[index] = grad.reshape(-1)
+        factors.append(f)
+    factors = tuple(factors)
+    return BarrierFactor(cone, x.copy(), factors, gradient, partial(_groupwise, groups, factors, True),
+                         partial(_groupwise, groups, factors, False))
 
 
 def local_norm_dual(factor: BarrierFactor, v: np.ndarray) -> float:

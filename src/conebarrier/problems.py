@@ -187,30 +187,34 @@ def builtin(name: str, n: int, **params) -> ConicProblem:
             raise ValueError("soc_quadratic needs n >= 2")
         m = int(params.pop("m", 2))
         seed = int(params.pop("seed", 0))
+        blocks = int(params.pop("blocks", 1))
         _reject_extra(name, params)
         if not 1 <= m <= n - 1:
             raise ValueError("need 1 <= m <= n - 1")
+        if blocks < 1 or n % blocks or n // blocks < 2:
+            raise ValueError("blocks must divide n into second-order cones of dimension >= 2")
+        d = n // blocks
         rng = np.random.default_rng(seed)
         q_mat = _symmetric_indefinite(n, rng)
         c = rng.standard_normal(n)
-        # interior anchor (2, w) with ||w|| = 1; the first constraint row pins
-        # the cone's radial coordinate, keeping the feasible slice compact
-        w = rng.standard_normal(n - 1)
-        w /= np.linalg.norm(w)
-        x0 = np.concatenate(([2.0], w))
+        # each block is anchored at the interior point (2, w) with ||w|| = 1; the first
+        # constraint row sums the blocks' radial coordinates, keeping the feasible slice compact
+        w = rng.standard_normal((blocks, d - 1))
+        x0 = np.concatenate([np.concatenate(([2.0], wb / np.linalg.norm(wb))) for wb in w])
         a_mat = np.zeros((m, n))
-        a_mat[0, 0] = 1.0
+        a_mat[0, ::d] = 1.0
         if m > 1:
             a_mat[1:] = rng.standard_normal((m - 1, n))
         b = a_mat @ x0
+        serial = {"m": m, "seed": seed} if blocks == 1 else {"m": m, "seed": seed, "blocks": blocks}
         return _quadratic_problem(
             name,
             q_mat,
             c,
-            cone=cones.second_order(n),
+            cone=cones.Cone((cones.ConeBlock(cones.SOC, d),) * blocks),
             affine=AffineData(A=a_mat, b=b),
             x0=x0,
-            serial={"builtin": name, "n": n, "params": {"m": m, "seed": seed}},
+            serial={"builtin": name, "n": n, "params": serial},
         )
 
     raise UnknownProblem(f"no builtin problem named {name!r}")

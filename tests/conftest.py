@@ -1,11 +1,14 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conebarrier.capped_cg import CappedCgResult, DirectionKind, _monitors
 from conebarrier.certify import barrier_hessian, dual_norm
-from conebarrier.cones import ORTHANT, BarrierFactor, Cone, ConeBlock, orthant, product, second_order
+from conebarrier.cones import (
+    ORTHANT, BarrierFactor, Cone, ConeBlock, SocFactor, orthant, product, second_order,
+)
 from conebarrier.errors import HardCapExceeded, ZeroGradient
 from conebarrier.counters import CATEGORIES
 from conebarrier.lanczos import _POWER_ITERS, CERTIFIED, NC, MeoOutcome, lanczos_iteration_cap
@@ -38,6 +41,37 @@ def random_interior_point(cone: Cone, rng: np.random.Generator, scale: float = 1
     return x
 
 
+def block_factors(factor: BarrierFactor) -> list:
+    """(block, slice of x, f) per cone block, in block order, cut from the factor's groups.
+
+    f is the block's factor as a one-block cone stores it: the diagonal 1/x_b
+    of L_b for an orthant block, and for a second-order cone block a
+    ``SocFactor`` of d-vectors with an int exponent, row i of its group's
+    k x d stack when the cone has k >= 2 blocks of that dimension.
+    """
+    orthant_diag = np.empty(factor.point.shape[0])
+    soc = {}
+    for (kind, index, rows), f in zip(factor.cone.groups, factor.factors):
+        if kind == ORTHANT:
+            orthant_diag[index] = f
+        else:
+            soc[f.root.shape[-1]] = f
+    taken = dict.fromkeys(soc, 0)
+    out = []
+    for block, sl in factor.cone.slices:
+        if block.kind == ORTHANT:
+            out.append((block, sl, orthant_diag[sl]))
+            continue
+        f = soc[block.dim]
+        if f.root.ndim == 2:
+            i = taken[block.dim]
+            taken[block.dim] += 1
+            f = SocFactor(**{field.name: getattr(f, field.name)[i] for field in fields(SocFactor)
+                             if field.name != "exponent"}, exponent=int(f.exponent[i, 0]))
+        out.append((block, sl, f))
+    return out
+
+
 def dense_lower(factor: BarrierFactor) -> np.ndarray:
     """Dense L with L L^T = nabla^2 B(point), assembled from the factor's blocks.
 
@@ -47,7 +81,7 @@ def dense_lower(factor: BarrierFactor) -> np.ndarray:
     """
     n = factor.point.shape[0]
     lower = np.zeros((n, n))
-    for (block, sl), f in zip(factor.cone.slices, factor.blocks):
+    for block, sl, f in block_factors(factor):
         if block.kind == ORTHANT:
             lower[sl, sl] = np.diag(f)
         else:

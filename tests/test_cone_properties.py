@@ -34,7 +34,7 @@ from conebarrier.cones import (
 )
 from conebarrier.errors import BoundaryError, FactorizationError
 
-from conftest import CONE_FAMILIES, dense_lower, random_interior_point
+from conftest import CONE_FAMILIES, block_factors, dense_lower, random_interior_point
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -176,8 +176,8 @@ def test_factor_from_handed_over_reads_equals_a_fresh_factor(cone, seed, k):
     assert handed.cone == fresh.cone
     assert np.array_equal(handed.point, fresh.point)
     assert np.array_equal(handed.gradient, fresh.gradient)
-    assert len(handed.blocks) == len(fresh.blocks)
-    for (block, _), got, want in zip(cone.slices, handed.blocks, fresh.blocks):
+    assert len(handed.factors) == len(fresh.factors)
+    for (block, _, got), (_, _, want) in zip(block_factors(handed), block_factors(fresh)):
         if block.kind == ORTHANT:
             assert np.array_equal(got, want)
             continue
@@ -227,7 +227,7 @@ def test_soc_factor_and_solves_are_bit_equal_to_the_textbook_form(cone, seed, k,
     rng, x = sample(cone, seed)
     x = np.ldexp(x, k)
     factor = barrier_factor(cone, x)
-    for (block, sl), f in zip(cone.slices, factor.blocks):
+    for block, sl, f in block_factors(factor):
         if block.kind == ORTHANT:
             continue
         root, w, p, q = textbook_soc_factor(x[sl])
@@ -261,6 +261,80 @@ def test_every_barrier_entry_point_rejects_the_same_boundary_points(cone, seed, 
     for entry_point in (barrier_reads, barrier_factor):
         with pytest.raises(BoundaryError):
             entry_point(cone, x)
+
+
+def stacked_cone(dim, runs):
+    """A second-order cone block of dimension ``dim`` after each run of blocks but the last."""
+    blocks = [b for run in runs[:-1] for b in (*run, ConeBlock(SOC, dim))]
+    return Cone(tuple(blocks + runs[-1]))
+
+
+# k >= 2 second-order cone blocks of one dimension, each after a run of zero to two other
+# blocks, orthant or SOC: the stack is read through a slice where its blocks are adjacent
+# and through a gather where they are not, and so are the orthant coordinates
+STACKED_CONES = st.builds(
+    stacked_cone,
+    st.integers(2, 6),
+    st.integers(2, 4).flatmap(
+        lambda k: st.lists(st.lists(BLOCKS, max_size=2), min_size=k + 1, max_size=k + 1)),
+)
+
+
+def outcome(entry_point, cone, x):
+    """The type of the typed error ``entry_point(cone, x)`` raises, or None."""
+    try:
+        entry_point(cone, x)
+    except (BoundaryError, FactorizationError) as exc:
+        return type(exc)
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(cone=STACKED_CONES, seed=SEEDS, data=st.data())
+def test_stacked_blocks_are_bit_equal_to_each_block_alone(cone, seed, data):
+    # each row of a k x d stack, at its own power-of-two scale, is read, factored and solved
+    # with the same floating-point operations as the block alone
+    rng, x = sample(cone, seed)
+    for _, sl in cone.slices:
+        x[sl] = np.ldexp(x[sl], data.draw(st.integers(-900, 900), label="scale"))
+    factor = barrier_factor(cone, x)
+    v = rng.standard_normal(cone.total_dim)
+    vs = rng.standard_normal((data.draw(st.integers(1, 4), label="rows"), cone.total_dim))
+    # B(x) is the sum of the blocks' terms, each formed as for the block alone, in another order
+    terms = [barrier_reads(Cone((block,)), x[sl])[0] for block, sl in cone.slices]
+    assert abs(barrier_reads(cone, x)[0] - math.fsum(terms)) <= 1e-14 * sum(map(abs, terms))
+    for block, sl, f in block_factors(factor):
+        alone = barrier_factor(Cone((block,)), x[sl])
+        [(_, _, want)] = block_factors(alone)
+        if block.kind == ORTHANT:
+            assert np.array_equal(f, want)
+        else:
+            for field in dataclasses.fields(SocFactor):
+                assert np.array_equal(getattr(f, field.name), getattr(want, field.name)), field.name
+        assert np.array_equal(factor.gradient[sl], alone.gradient)
+        for w in (v, vs):
+            assert np.array_equal(factor.solve_lower(w)[..., sl], alone.solve_lower(w[..., sl]))
+            assert np.array_equal(factor.solve_upper(w)[..., sl], alone.solve_upper(w[..., sl]))
+
+
+@PROPERTY_SETTINGS
+@given(cone=STACKED_CONES, seed=SEEDS, data=st.data())
+def test_a_bad_block_in_a_stack_raises_what_it_raises_alone(cone, seed, data):
+    # NaN, inf, a subnormal entry, a block scaled into the subnormal range, or a point outside
+    # the block, in any one block: the walk and the factor fail, or pass, as for the block alone
+    _, x = sample(cone, seed)
+    block, sl = cone.slices[data.draw(st.integers(0, len(cone.blocks) - 1), label="block")]
+    j = sl.start + data.draw(st.integers(0, block.dim - 1), label="component")
+    bad = data.draw(st.sampled_from(["nan", "inf", "-inf", "subnormal", "subnormal block",
+                                     "outside"]), label="bad")
+    if bad == "subnormal block":
+        x[sl] = np.ldexp(x[sl], -1060)
+    elif bad == "outside":
+        x[j] = -1.0 if block.kind == ORTHANT else 0.5 * np.linalg.norm(x[sl.start + 1:sl.stop])
+    else:
+        x[j] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "subnormal": 5e-324}[bad]
+    for entry_point in (barrier_reads, barrier_factor):
+        assert outcome(entry_point, cone, x) is outcome(entry_point, Cone((block,)), x[sl])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 50, 200])

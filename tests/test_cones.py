@@ -20,7 +20,7 @@ from conebarrier.linops import IterationWorkspace, empty_affine
 from conebarrier.problems import builtin
 from conebarrier.solver import SolverParams, first_order_gate, solve
 
-from conftest import CONE_FAMILIES, dense_lower, primal_local_norm, random_interior_point
+from conftest import CONE_FAMILIES, block_factors, dense_lower, primal_local_norm, random_interior_point
 
 
 def finite_diff_gradient(cone, x, h=1e-6):
@@ -152,7 +152,7 @@ class TestBarrierFactor:
             expected = -2.0 * math.log(t)
             assert abs(barrier_reads(cone, x)[0] - expected) <= 1e-14 * abs(expected), k
             factor = barrier_factor(cone, x)
-            assert factor.blocks[0].root[0] > 0.0 and np.isfinite(factor.gradient).all()
+            assert block_factors(factor)[0][2].root[0] > 0.0 and np.isfinite(factor.gradient).all()
 
     def test_orthant_extreme_scale_hessian_raises_typed_error(self):
         # 1/x^2 overflows where the factor 1/x does not; RuntimeWarnings are errors here
@@ -220,7 +220,7 @@ class TestMembership:
             with pytest.raises(BoundaryError):
                 entry_point(orthant(2), x)
         x[0] = 2.0**-1022
-        assert barrier_factor(orthant(2), x).blocks[0][0] == 2.0**1022
+        assert block_factors(barrier_factor(orthant(2), x))[0][2][0] == 2.0**1022
 
     def test_interior_boundary(self):
         assert not is_interior(orthant(2), np.array([0.0, 1.0]))
@@ -288,7 +288,7 @@ class TestMembership:
             t = 10.0**k
             inside, outside = np.array([t, 0.5 * t, 0.0]), np.array([t, 0.0, 2.0 * t])
             assert is_interior(cone, inside) and not is_interior(cone, outside), k
-            assert barrier_factor(cone, inside).blocks[0].root[0] > 0.0
+            assert block_factors(barrier_factor(cone, inside))[0][2].root[0] > 0.0
             expected = -math.log(0.75) - 2.0 * math.log(t)
             assert abs(barrier_reads(cone, inside)[0] - expected) <= 1e-14 * abs(expected), k
             with pytest.raises(BoundaryError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conebarrier.certify import is_interior
+from conebarrier.cones import SOC, ConeBlock, second_order
 from conebarrier.errors import SchemaError, UnknownProblem
 from conebarrier.problems import (
     BUILTIN_NAMES,
@@ -56,6 +57,40 @@ class TestBuiltins:
         p = builtin("soc_quadratic", 10, m=2, seed=0)
         assert is_interior(p.cone, p.x0)
         np.testing.assert_allclose(p.affine.A @ p.x0, p.affine.b, atol=1e-14)
+
+    def test_soc_quadratic_blocks(self):
+        # k equal SOC blocks, each anchored at (2, w/||w||), the first row summing their t
+        p = builtin("soc_quadratic", 12, m=2, seed=3, blocks=4)
+        assert p.cone.blocks == (ConeBlock(SOC, 3),) * 4
+        x0 = p.x0.reshape(4, 3)
+        np.testing.assert_array_equal(x0[:, 0], 2.0)
+        np.testing.assert_allclose(np.linalg.norm(x0[:, 1:], axis=1), 1.0, rtol=1e-15)
+        np.testing.assert_array_equal(p.affine.A[0], np.tile([1.0, 0.0, 0.0], 4))
+        assert p.affine.b[0] == 8.0
+        assert is_interior(p.cone, p.x0)
+        np.testing.assert_allclose(p.affine.A @ p.x0, p.affine.b, atol=1e-14)
+        assert p.serial == {"builtin": "soc_quadratic", "n": 12,
+                            "params": {"m": 2, "seed": 3, "blocks": 4}}
+        again = problem_from_dict(json.loads(json.dumps(p.serial)))
+        assert again.cone == p.cone and again.x0.tobytes() == p.x0.tobytes()
+
+    def test_soc_quadratic_one_block_keeps_its_draws_and_serial(self):
+        one = builtin("soc_quadratic", 10, m=3, seed=1, blocks=1)
+        default = builtin("soc_quadratic", 10, m=3, seed=1)
+        assert one.serial == default.serial == {"builtin": "soc_quadratic", "n": 10,
+                                                "params": {"m": 3, "seed": 1}}
+        assert one.cone == default.cone == second_order(10)
+        for got, want in ((one.x0, default.x0), (one.affine.A, default.affine.A),
+                          (one.affine.b, default.affine.b),
+                          (one.hessian(one.x0), default.hessian(default.x0))):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, blocks", [(12, 5), (12, 12), (12, 0), (12, -2)])
+    def test_soc_quadratic_blocks_must_divide_n_into_cones(self, n, blocks):
+        with pytest.raises(ValueError, match="blocks must divide n"):
+            builtin("soc_quadratic", n, blocks=blocks)
+        with pytest.raises(SchemaError, match="bad builtin parameters"):
+            problem_from_dict({"builtin": "soc_quadratic", "n": n, "params": {"blocks": blocks}})
 
     def test_all_builtins_ship_interior_feasible_start(self):
         for name in BUILTIN_NAMES:
