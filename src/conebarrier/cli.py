@@ -6,6 +6,7 @@ certified, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,31 +26,24 @@ EXIT_USAGE = 2
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beta", type=float, default=None,
+    # an omitted flag is None and keeps the SolverParams default; each dest is a field name
+    parser.add_argument("--beta", type=float,
                         help="trust radius in the local norm; default max(sqrt(eps), 0.5)")
-    parser.add_argument("--zeta", type=float, default=0.5, help="inner CG relative accuracy")
-    parser.add_argument("--theta", type=float, default=0.5, help="backtracking ratio")
-    parser.add_argument("--eta", type=float, default=0.2, help="sufficient-decrease constant")
-    parser.add_argument("--delta", type=float, default=0.01,
-                        help="eigenvalue-oracle failure probability")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--max-iters", type=int, default=50000, help="outer iteration budget")
-    parser.add_argument("--fosp-only", action="store_true",
+    parser.add_argument("--zeta", type=float, help="inner CG relative accuracy")
+    parser.add_argument("--theta", type=float, help="backtracking ratio")
+    parser.add_argument("--eta", type=float, help="sufficient-decrease constant")
+    parser.add_argument("--delta", type=float, help="eigenvalue-oracle failure probability")
+    parser.add_argument("--seed", type=int, help="random seed")
+    parser.add_argument("--max-iters", dest="max_outer_iters", type=int,
+                        help="outer iteration budget")
+    parser.add_argument("--fosp-only", action="store_true", default=None,
                         help="stop at a first-order point; skip the eigenvalue oracle")
 
 
 def _params_from_args(args, eps: float | None = None) -> SolverParams:
-    return SolverParams(
-        epsilon=args.eps if eps is None else eps,
-        zeta=args.zeta,
-        beta=args.beta,
-        theta=args.theta,
-        eta=args.eta,
-        delta=args.delta,
-        seed=args.seed,
-        max_outer_iters=args.max_iters,
-        fosp_only=args.fosp_only,
-    )
+    given = {f.name: value for f in dataclasses.fields(SolverParams)
+             if (value := getattr(args, f.name, None)) is not None}
+    return SolverParams(epsilon=args.eps if eps is None else eps, **given)
 
 
 def _summary_line(result) -> str:
@@ -105,19 +99,16 @@ def cmd_sweep(args) -> int:
     problem = load_problem(args.problem)
     rows = []
     all_certified = True
-    print("eps,iterations,cholesky,hess_vec,tri_solve,grad_eval,fun_eval,status")
+    print(",".join(("eps", "iterations", *CATEGORIES, "status")))
     for eps in args.eps_list:
         params = _params_from_args(args, eps=eps)
         result = solve(problem, problem.x0, params)
         all_certified &= result.certified
         counters = result.trace.counters
         rows.append((eps, result.iterations))
-        print(
-            f"{eps!r},{result.iterations},{counters.get('cholesky', 0)},"
-            f"{counters.get('hess_vec', 0)},{counters.get('tri_solve', 0)},"
-            f"{counters.get('grad_eval', 0)},{counters.get('fun_eval', 0)},"
-            f"{result.status.value}"
-        )
+        print(",".join((repr(eps), str(result.iterations),
+                        *(str(counters.get(name, 0)) for name in CATEGORIES),
+                        result.status.value)))
     slope = fit_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
     print(f"loglog_slope={slope:.4f}")
     return EXIT_OK if all_certified else EXIT_NOT_CERTIFIED

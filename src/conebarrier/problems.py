@@ -22,7 +22,7 @@ bit on load; explicit instances carry a dense quadratic objective:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -32,15 +32,6 @@ from . import cones
 from .cones import Cone
 from .errors import CallbackError, ParseError, SchemaError, UnknownProblem
 from .linops import AffineData, empty_affine
-
-BUILTIN_NAMES = (
-    "pnorm_simplex",
-    "negnorm_simplex",
-    "nonconvex_qp_simplex",
-    "regularized_loss",
-    "soc_quadratic",
-)
-
 
 @dataclass
 class ConicProblem:
@@ -103,136 +94,108 @@ def _pnorm_terms(p: float) -> tuple[Callable, Callable, Callable]:
     )
 
 
+def _pnorm_simplex(n: int, p: float) -> ConicProblem:
+    value, gradient, hess_diag = _pnorm_terms(p)
+    return ConicProblem(name="", cone=cones.orthant(n), affine=_simplex_affine(n), value=value,
+                        gradient=gradient, hessian=lambda x: np.diag(hess_diag(x)),
+                        x0=np.full(n, 1.0 / n))
+
+
+def _negnorm_simplex(n: int) -> ConicProblem:
+    return ConicProblem(name="", cone=cones.orthant(n), affine=_simplex_affine(n),
+                        value=lambda x: -0.5 * float(x.dot(x)), gradient=lambda x: -x,
+                        hessian=lambda x: -np.eye(n), x0=np.full(n, 1.0 / n))
+
+
+def _nonconvex_qp_simplex(n: int, seed: int) -> ConicProblem:
+    rng = np.random.default_rng(seed)
+    q_mat = _symmetric_indefinite(n, rng)
+    c = rng.standard_normal(n)
+    return _quadratic_problem(q_mat, c, cones.orthant(n), _simplex_affine(n), np.full(n, 1.0 / n))
+
+
+def _regularized_loss(n: int, p: float, seed: int) -> ConicProblem:
+    pnorm_value, pnorm_grad, pnorm_hess_diag = _pnorm_terms(p)
+    rng = np.random.default_rng(seed)
+    c_mat = rng.standard_normal((n, n)) / np.sqrt(n)
+    d = rng.standard_normal(n)
+
+    def value(x: np.ndarray) -> float:
+        res = c_mat @ x - d
+        return float(res @ res) + pnorm_value(x)
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        return 2.0 * c_mat.T @ (c_mat @ x - d) + pnorm_grad(x)
+
+    def hessian(x: np.ndarray) -> np.ndarray:
+        return 2.0 * c_mat.T @ c_mat + np.diag(pnorm_hess_diag(x))
+
+    return ConicProblem(name="", cone=cones.orthant(n), affine=empty_affine(n), value=value,
+                        gradient=gradient, hessian=hessian, x0=np.ones(n))
+
+
+def _soc_quadratic(n: int, m: int, seed: int, blocks: int) -> ConicProblem:
+    if n < 2:
+        raise ValueError("soc_quadratic needs n >= 2")
+    if not 1 <= m <= n - 1:
+        raise ValueError("need 1 <= m <= n - 1")
+    if blocks < 1 or n % blocks or n // blocks < 2:
+        raise ValueError("blocks must divide n into second-order cones of dimension >= 2")
+    d = n // blocks
+    rng = np.random.default_rng(seed)
+    q_mat = _symmetric_indefinite(n, rng)
+    c = rng.standard_normal(n)
+    # each block is anchored at the interior point (2, w) with ||w|| = 1; the first
+    # constraint row sums the blocks' radial coordinates, keeping the feasible slice compact
+    w = rng.standard_normal((blocks, d - 1))
+    x0 = np.concatenate([np.concatenate(([2.0], wb / np.linalg.norm(wb))) for wb in w])
+    a_mat = np.zeros((m, n))
+    a_mat[0, ::d] = 1.0
+    if m > 1:
+        a_mat[1:] = rng.standard_normal((m - 1, n))
+    cone = cones.Cone((cones.ConeBlock(cones.SOC, d),) * blocks)
+    return _quadratic_problem(q_mat, c, cone, AffineData(A=a_mat, b=a_mat @ x0), x0)
+
+
+# The builtin instances: name -> (constructor, its parameters with their defaults).
+# A constructor takes n and every parameter, coerced by its default's type; builtin()
+# names the instance and writes its serial form, which leaves out the parameters in
+# _SERIAL_OMITS_DEFAULT while they hold their defaults.
+_BUILTINS = {
+    "pnorm_simplex": (_pnorm_simplex, {"p": 0.5}),
+    "negnorm_simplex": (_negnorm_simplex, {}),
+    "nonconvex_qp_simplex": (_nonconvex_qp_simplex, {"seed": 0}),
+    "regularized_loss": (_regularized_loss, {"p": 0.5, "seed": 0}),
+    "soc_quadratic": (_soc_quadratic, {"m": 2, "seed": 0, "blocks": 1}),
+}
+_SERIAL_OMITS_DEFAULT = ("blocks",)
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin(name: str, n: int, **params) -> ConicProblem:
     """Construct a builtin instance; each ships its own interior x0."""
     if n < 1:
         raise ValueError("n must be positive")
-    if name == "pnorm_simplex":
-        p = float(params.pop("p", 0.5))
-        _reject_extra(name, params)
-        value, gradient, hess_diag = _pnorm_terms(p)
-        return ConicProblem(
-            name=name,
-            cone=cones.orthant(n),
-            affine=_simplex_affine(n),
-            value=value,
-            gradient=gradient,
-            hessian=lambda x: np.diag(hess_diag(x)),
-            x0=np.full(n, 1.0 / n),
-            serial={"builtin": name, "n": n, "params": {"p": p}},
-        )
-
-    if name == "negnorm_simplex":
-        _reject_extra(name, params)
-
-        return ConicProblem(
-            name=name,
-            cone=cones.orthant(n),
-            affine=_simplex_affine(n),
-            value=lambda x: -0.5 * float(x.dot(x)),
-            gradient=lambda x: -x,
-            hessian=lambda x: -np.eye(n),
-            x0=np.full(n, 1.0 / n),
-            serial={"builtin": name, "n": n, "params": {}},
-        )
-
-    if name == "nonconvex_qp_simplex":
-        seed = int(params.pop("seed", 0))
-        _reject_extra(name, params)
-        rng = np.random.default_rng(seed)
-        q_mat = _symmetric_indefinite(n, rng)
-        c = rng.standard_normal(n)
-        return _quadratic_problem(
-            name,
-            q_mat,
-            c,
-            cone=cones.orthant(n),
-            affine=_simplex_affine(n),
-            x0=np.full(n, 1.0 / n),
-            serial={"builtin": name, "n": n, "params": {"seed": seed}},
-        )
-
-    if name == "regularized_loss":
-        p = float(params.pop("p", 0.5))
-        seed = int(params.pop("seed", 0))
-        _reject_extra(name, params)
-        pnorm_value, pnorm_grad, pnorm_hess_diag = _pnorm_terms(p)
-        rng = np.random.default_rng(seed)
-        c_mat = rng.standard_normal((n, n)) / np.sqrt(n)
-        d = rng.standard_normal(n)
-
-        def value(x: np.ndarray) -> float:
-            res = c_mat @ x - d
-            return float(res @ res) + pnorm_value(x)
-
-        def gradient(x: np.ndarray) -> np.ndarray:
-            return 2.0 * c_mat.T @ (c_mat @ x - d) + pnorm_grad(x)
-
-        def hessian(x: np.ndarray) -> np.ndarray:
-            return 2.0 * c_mat.T @ c_mat + np.diag(pnorm_hess_diag(x))
-
-        return ConicProblem(
-            name=name,
-            cone=cones.orthant(n),
-            affine=empty_affine(n),
-            value=value,
-            gradient=gradient,
-            hessian=hessian,
-            x0=np.ones(n),
-            serial={"builtin": name, "n": n, "params": {"p": p, "seed": seed}},
-        )
-
-    if name == "soc_quadratic":
-        if n < 2:
-            raise ValueError("soc_quadratic needs n >= 2")
-        m = int(params.pop("m", 2))
-        seed = int(params.pop("seed", 0))
-        blocks = int(params.pop("blocks", 1))
-        _reject_extra(name, params)
-        if not 1 <= m <= n - 1:
-            raise ValueError("need 1 <= m <= n - 1")
-        if blocks < 1 or n % blocks or n // blocks < 2:
-            raise ValueError("blocks must divide n into second-order cones of dimension >= 2")
-        d = n // blocks
-        rng = np.random.default_rng(seed)
-        q_mat = _symmetric_indefinite(n, rng)
-        c = rng.standard_normal(n)
-        # each block is anchored at the interior point (2, w) with ||w|| = 1; the first
-        # constraint row sums the blocks' radial coordinates, keeping the feasible slice compact
-        w = rng.standard_normal((blocks, d - 1))
-        x0 = np.concatenate([np.concatenate(([2.0], wb / np.linalg.norm(wb))) for wb in w])
-        a_mat = np.zeros((m, n))
-        a_mat[0, ::d] = 1.0
-        if m > 1:
-            a_mat[1:] = rng.standard_normal((m - 1, n))
-        b = a_mat @ x0
-        serial = {"m": m, "seed": seed} if blocks == 1 else {"m": m, "seed": seed, "blocks": blocks}
-        return _quadratic_problem(
-            name,
-            q_mat,
-            c,
-            cone=cones.Cone((cones.ConeBlock(cones.SOC, d),) * blocks),
-            affine=AffineData(A=a_mat, b=b),
-            x0=x0,
-            serial={"builtin": name, "n": n, "params": serial},
-        )
-
-    raise UnknownProblem(f"no builtin problem named {name!r}")
-
-
-def _reject_extra(name: str, params: dict) -> None:
-    if params:
-        raise UnknownProblem(f"unknown parameters for builtin {name!r}: {sorted(params)}")
+    if name not in BUILTIN_NAMES:
+        raise UnknownProblem(f"no builtin problem named {name!r}")
+    make, defaults = _BUILTINS[name]
+    if unknown := sorted(params.keys() - defaults.keys()):
+        raise UnknownProblem(f"unknown parameters for builtin {name!r}: {unknown}")
+    values = {key: type(default)(params.get(key, default)) for key, default in defaults.items()}
+    serial = {key: value for key, value in values.items()
+              if key not in _SERIAL_OMITS_DEFAULT or value != defaults[key]}
+    return replace(make(n, **values), name=name,
+                   serial={"builtin": name, "n": n, "params": serial})
 
 
 def _quadratic_problem(
-    name: str,
     q_mat: np.ndarray,
     c: np.ndarray,
     cone: Cone,
     affine: AffineData,
     x0: np.ndarray,
-    serial: dict | None,
+    name: str = "",
+    serial: dict | None = None,
 ) -> ConicProblem:
     return ConicProblem(
         name=name,
@@ -286,11 +249,8 @@ def problem_from_dict(data: dict) -> ConicProblem:
         _require("n" in data, "builtin reference needs field 'n'")
         params = data.get("params", {})
         _require(isinstance(params, dict), "'params' must be an object")
-        name = data["builtin"]
-        if name not in BUILTIN_NAMES:
-            raise UnknownProblem(f"no builtin problem named {name!r}")
         try:
-            return builtin(name, int(data["n"]), **params)
+            return builtin(data["builtin"], int(data["n"]), **params)
         except (ValueError, TypeError) as exc:
             raise SchemaError(f"bad builtin parameters: {exc}") from exc
 
@@ -344,9 +304,7 @@ def problem_from_dict(data: dict) -> ConicProblem:
     if affine.m > 0:
         serial["A"] = affine.A.tolist()
         serial["b"] = affine.b.tolist()
-    return _quadratic_problem(
-        data.get("name", "quadratic"), q_mat, c, cone, affine, x0, serial
-    )
+    return _quadratic_problem(q_mat, c, cone, affine, x0, serial["name"], serial)
 
 
 def load_problem(path: str | Path) -> ConicProblem:

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from conebarrier.cli import fit_loglog_slope, main
+from conebarrier.cli import _params_from_args, build_parser, fit_loglog_slope, main
+from conebarrier.problems import load_problem
+from conebarrier.solver import SolverParams, solve
 from conebarrier.trace import CSV_HEADER
 
 
@@ -69,7 +72,39 @@ class TestSolveCommand:
         assert code == 0
 
 
+class TestSolverFlags:
+    def test_omitted_flags_keep_the_solver_defaults(self):
+        solve_args = build_parser().parse_args(["solve", "p.json"])
+        assert _params_from_args(solve_args) == SolverParams(epsilon=1e-3)
+        sweep_args = build_parser().parse_args(["sweep", "p.json", "--eps", "1e-2"])
+        assert _params_from_args(sweep_args, eps=1e-2) == SolverParams(epsilon=1e-2)
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--beta", "0.7"], "beta"), (["--zeta", "0.3"], "zeta"), (["--theta", "0.7"], "theta"),
+        (["--eta", "0.1"], "eta"), (["--delta", "0.05"], "delta"), (["--seed", "5"], "seed"),
+        (["--max-iters", "10"], "max_outer_iters"), (["--fosp-only"], "fosp_only"),
+    ])
+    def test_one_flag_changes_only_its_own_field(self, argv, field):
+        got = _params_from_args(build_parser().parse_args(["solve", "p.json", *argv]))
+        default = SolverParams(epsilon=1e-3)
+        changed = {f.name for f in dataclasses.fields(SolverParams)
+                   if getattr(got, f.name) != getattr(default, f.name)}
+        assert changed == {field}
+
+
 class TestSweepCommand:
+    def test_header_and_rows_carry_every_counter(self, qp_file, capsys):
+        code = main(["sweep", str(qp_file), "--eps", "1e-2"])
+        assert code == 0
+        header, row, _ = capsys.readouterr().out.splitlines()
+        assert header == ("eps,iterations,cholesky,hess_vec,tri_solve,matT_mat,"
+                          "grad_eval,fun_eval,status")
+        problem = load_problem(qp_file)
+        result = solve(problem, problem.x0, SolverParams(epsilon=1e-2))
+        assert row.split(",") == ["0.01", str(result.iterations),
+                                  *map(str, result.trace.counters.values()),
+                                  result.status.value]
+
     def test_single_eps_degenerates(self, qp_file, capsys):
         code = main(["sweep", str(qp_file), "--eps", "1e-2", "--max-iters", "100000"])
         assert code == 0

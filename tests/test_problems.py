@@ -109,6 +109,46 @@ class TestBuiltins:
             builtin("negnorm_simplex", 5, gamma=2.0)
 
 
+# one set of non-default parameters per builtin, at n = 12
+NON_DEFAULT = {
+    "pnorm_simplex": {"p": 0.3},
+    "negnorm_simplex": {},
+    "nonconvex_qp_simplex": {"seed": 4},
+    "regularized_loss": {"p": 0.7, "seed": 2},
+    "soc_quadratic": {"m": 3, "seed": 5, "blocks": 4},
+}
+
+
+class TestBuiltinTable:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("non_default", [False, True])
+    def test_serial_rebuilds_the_instance_bit_for_bit(self, name, non_default):
+        p = builtin(name, 12, **(NON_DEFAULT[name] if non_default else {}))
+        if non_default:
+            assert p.serial["params"] == NON_DEFAULT[name]
+        q = problem_from_dict(json.loads(json.dumps(p.serial)))
+        assert (q.name, q.cone, q.serial) == (p.name, p.cone, p.serial)
+        x = p.x0
+        for got, want in ((q.x0, x), (q.affine.A, p.affine.A), (q.affine.b, p.affine.b),
+                          (q.hessian(x), p.hessian(x))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert q.value(x) == p.value(x)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_unknown_parameter(self, name):
+        with pytest.raises(UnknownProblem, match="unknown parameters"):
+            builtin(name, 12, gamma=2.0)
+        with pytest.raises(UnknownProblem, match="unknown parameters"):
+            problem_from_dict({"builtin": name, "n": 12, "params": {"gamma": 2.0}})
+
+    @pytest.mark.parametrize("name, key", [(name, key) for name in BUILTIN_NAMES
+                                           for key in NON_DEFAULT[name]])
+    @pytest.mark.parametrize("value", ["abc", [1.0], None])
+    def test_non_numeric_parameter_in_a_file(self, name, key, value):
+        with pytest.raises(SchemaError, match="bad builtin parameters"):
+            problem_from_dict({"builtin": name, "n": 12, "params": {key: value}})
+
+
 class TestPerturb:
     def test_value_and_gradient(self):
         base = builtin("negnorm_simplex", 2)

@@ -32,7 +32,7 @@ from conebarrier.solver import (
 )
 from conebarrier.trace import BRANCH_CG_SOL
 
-from conftest import dense_lower, dense_operators, norm2, primal_local_norm
+from conftest import dense_lower, dense_operators, exact_difference, norm2, primal_local_norm
 from test_cone_properties import CONES, PROPERTY_SETTINGS, SEEDS
 from test_linops_properties import M_ROWS, workspace
 
@@ -501,7 +501,8 @@ class TestSolveBasics:
             assert is_interior(p.cone, x)
             assert np.max(np.abs(p.affine.A @ x - p.affine.b)) <= 1e-9 * 2.0
         for x_prev, x_next in zip(iterates, iterates[1:]):
-            assert primal_local_norm(p.cone, x_prev, x_next - x_prev) <= params.beta * (1 + 1e-9)
+            step = exact_difference(x_next, x_prev)
+            assert primal_local_norm(p.cone, x_prev, step) <= params.beta * (1 + 1e-9)
 
     def test_linear_objective_reaches_lp_solution(self):
         # min c^T x over the simplex: solution at the argmin vertex, with the

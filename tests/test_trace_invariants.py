@@ -15,10 +15,10 @@ checks each one against its predecessor as it is factored:
 
 The random instances stay on Ax = b to roundoff, so one fixed unbounded
 instance, which drifts and is re-projected, covers that path.
-None of the checks reads the solver's cone layer.  The local norm is taken in
-exact rational arithmetic: near a second-order cone boundary the dense form
-v^T nabla^2 B(x) v of ``conftest.primal_local_norm`` cancels, and reads a step
-that the solver capped at beta = 0.5 as 0.5000000066.
+None of the checks reads the solver's cone layer.  The local norm is
+``conftest.local_norm_squared`` of the exact step, in rational arithmetic: near
+a second-order cone boundary the dense form v^T nabla^2 B(x) v cancels, and read
+a step that the solver capped at beta = 0.5 as 0.5000000066.
 """
 import math
 from fractions import Fraction
@@ -29,13 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conebarrier import solver as solver_mod
-from conebarrier.certify import is_interior
-from conebarrier.cones import ORTHANT
+from conebarrier.certify import barrier_hessian, is_interior
+from conebarrier.cones import ORTHANT, SOC, ConeBlock, product
 from conebarrier.linops import AffineData, empty_affine
 from conebarrier.problems import ConicProblem
 from conebarrier.solver import FEAS_TOL, SolverParams, solve
 
-from conftest import random_interior_point
+from conftest import exact_difference, local_norm_squared, primal_local_norm, random_interior_point
 from test_cone_properties import CONES, SEEDS
 from test_solver import mixed_cone_quadratic
 
@@ -82,26 +82,6 @@ def barrier(cone, x) -> float:
     return total
 
 
-def local_norm_squared(cone, x, x_next) -> Fraction:
-    """||x_next - x||_x^2 = v^T nabla^2 B(x) v, exactly, from the float points.
-
-    An SOC block's Hessian is -2J/gamma + 4 (Jx)(Jx)^T / gamma^2 with
-    J = diag(1, -1, ..., -1) and gamma = x^T J x.
-    """
-    total = Fraction(0)
-    for block, sl in cone.slices:
-        xb = [Fraction(a) for a in x[sl]]
-        vb = [Fraction(a) - Fraction(b) for a, b in zip(x_next[sl], x[sl])]
-        if block.kind == ORTHANT:
-            total += sum((vi / xi) ** 2 for vi, xi in zip(vb, xb))
-            continue
-        gap = xb[0] ** 2 - sum(ui * ui for ui in xb[1:])
-        xjv = xb[0] * vb[0] - sum(ui * wi for ui, wi in zip(xb[1:], vb[1:]))
-        vjv = vb[0] ** 2 - sum(wi * wi for wi in vb[1:])
-        total += 2 * (2 * xjv**2 - gap * vjv) / gap**2
-    return total
-
-
 def checked_solve(problem, params):
     """solve(problem, x0, params), with the invariants checked at each accepted point.
 
@@ -128,7 +108,7 @@ def checked_solve(problem, params):
             x_prev, phi_prev = points[-1]
             assert phi < phi_prev, f"phi_mu does not decrease at iterate {k}"
             if k not in reprojected:
-                norm = local_norm_squared(cone, x_prev, x)
+                norm = local_norm_squared(cone, x_prev, exact_difference(x, x_prev))
                 assert norm <= bound, f"step {k} has local norm {math.sqrt(norm)} > beta"
         points.append((x.copy(), phi))
         return factor_fn(cone_, x, *args)
@@ -153,3 +133,15 @@ def test_invariants_hold_across_reprojections():
         mixed_cone_quadratic(), SolverParams(epsilon=1e-3, seed=7, max_outer_iters=60)
     )
     assert reprojections > 0
+
+
+def test_dense_local_norm_cancels_near_an_soc_boundary():
+    # a step along the boundary of soc(2), from t - u = 0.01, whose exact local norm is below
+    # beta = 0.5 while the dense form v^T nabla^2 B(x) v reads it above beta (1 + 1e-9)
+    cone = product(ConeBlock(ORTHANT, 1), ConeBlock(SOC, 2))
+    x = np.array([4.9, 1060.89, 1060.88])
+    x_next = np.array([5.283525470753039, 1584.6095834164344, 1584.5997140273196])
+    v = x_next - x
+    assert exact_difference(x_next, x).tolist() == v.tolist()  # the float step is exact
+    assert math.sqrt(v @ barrier_hessian(cone, x) @ v) > 0.5 * (1 + 1e-9)
+    assert primal_local_norm(cone, x, v) <= 0.5
