@@ -1,7 +1,7 @@
 """Command-line driver: solve, parameter sweeps, and certificate checks.
 
 Exit codes: 0 success (certified where that applies), 1 ran but not
-certified, 2 usage or I/O error.
+certified, 2 a usage error, a package error (``ConeBarrierError``) or an OS error.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 from . import certify as certify_mod
 from .counters import CATEGORIES
 from .errors import ConeBarrierError
-from .problems import load_problem
+from .problems import load_problem, load_vector
 from .solver import SolverParams, solve
 
 EXIT_OK = 0
@@ -114,22 +114,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if all_certified else EXIT_NOT_CERTIFIED
 
 
-def _load_vector(path: str, expected: int, what: str) -> np.ndarray:
-    data = json.loads(Path(path).read_text())
-    if isinstance(data, dict):
-        data = data.get(what, data.get("values"))
-        if data is None:
-            raise ValueError(f"{path}: the JSON object has no {what!r} or 'values' key")
-    vec = np.asarray(data, dtype=float).reshape(-1)
-    if vec.shape != (expected,):
-        raise ValueError(f"{what} has length {vec.shape[0]}, expected {expected}")
-    return vec
-
-
 def cmd_certify(args) -> int:
     problem = load_problem(args.problem)
-    x = _load_vector(args.point, problem.n, "x")
-    lam = _load_vector(args.lam, problem.m, "lambda") if problem.m else np.zeros(0)
+    x = load_vector(args.point, problem.n, "x")
+    lam = load_vector(args.lam, problem.m, "lambda") if problem.m else np.zeros(0)
     if args.sosp:
         report = certify_mod.check_sosp_dense(
             problem, x, lam, eps_g=args.eps_g,
@@ -187,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConeBarrierError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (ConeBarrierError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -154,10 +154,6 @@ def product(*blocks: ConeBlock) -> Cone:
     return Cone(tuple(blocks))
 
 
-def cone_from_description(desc: list[dict]) -> Cone:
-    return Cone(tuple(ConeBlock(d["type"], int(d["dim"])) for d in desc))
-
-
 def _soc_read(xb: np.ndarray) -> tuple[np.ndarray, int, float, float]:
     """(y, e, gap, -ln gap(x)) of an interior SOC block (t, u) = 2^e y, read at y.
 

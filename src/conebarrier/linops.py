@@ -87,6 +87,9 @@ class AffineData:
             raise ValueError(f"b has length {self.b.shape[0]}, expected {m}")
         if m > n:
             raise ValueError("more equality constraints than variables")
+        for name, value in (("A", self.A), ("b", self.b)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has a non-finite entry")
         # the rank of A with column j scaled by 2^-e_j, its largest entry then in [1/2, 1): the
         # scaling is exact, so any power-of-two column scaling of A gets the same decision
         if m > 0 and np.linalg.matrix_rank(np.ldexp(self.A, -np.frexp(abs(self.A).max(0))[1])) < m:

@@ -22,6 +22,7 @@ bit on load; explicit instances carry a dense quadratic objective:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import cones
 from .cones import Cone
-from .errors import CallbackError, ParseError, SchemaError, UnknownProblem
+from .errors import CallbackError, FactorizationError, ParseError, SchemaError, UnknownProblem
 from .linops import AffineData, empty_affine
 
 @dataclass
@@ -158,8 +159,8 @@ def _soc_quadratic(n: int, m: int, seed: int, blocks: int) -> ConicProblem:
 
 
 # The builtin instances: name -> (constructor, its parameters with their defaults).
-# A constructor takes n and every parameter, coerced by its default's type; builtin()
-# names the instance and writes its serial form, which leaves out the parameters in
+# A constructor takes n and every parameter, read as an integer where its default is one;
+# builtin() names the instance and writes its serial form, which leaves out the parameters in
 # _SERIAL_OMITS_DEFAULT while they hold their defaults.
 _BUILTINS = {
     "pnorm_simplex": (_pnorm_simplex, {"p": 0.5}),
@@ -172,8 +173,9 @@ _SERIAL_OMITS_DEFAULT = ("blocks",)
 BUILTIN_NAMES = tuple(_BUILTINS)
 
 
-def builtin(name: str, n: int, **params) -> ConicProblem:
+def builtin(name: str, n: int, /, **params) -> ConicProblem:
     """Construct a builtin instance; each ships its own interior x0."""
+    n = _number(n, "n", integer=True)
     if n < 1:
         raise ValueError("n must be positive")
     if name not in BUILTIN_NAMES:
@@ -181,7 +183,8 @@ def builtin(name: str, n: int, **params) -> ConicProblem:
     make, defaults = _BUILTINS[name]
     if unknown := sorted(params.keys() - defaults.keys()):
         raise UnknownProblem(f"unknown parameters for builtin {name!r}: {unknown}")
-    values = {key: type(default)(params.get(key, default)) for key, default in defaults.items()}
+    values = {key: _number(params.get(key, default), key, integer=isinstance(default, int))
+              for key, default in defaults.items()}
     serial = {key: value for key, value in values.items()
               if key not in _SERIAL_OMITS_DEFAULT or value != defaults[key]}
     return replace(make(n, **values), name=name,
@@ -211,8 +214,8 @@ def _quadratic_problem(
 
 def perturb(problem: ConicProblem, sigma: float) -> ConicProblem:
     """Add sigma * ||x||^2 to the objective (gradient +2 sigma x, Hessian +2 sigma I)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     n = problem.n
     base_value, base_grad = problem.value, problem.gradient
     base_hess, base_hv = problem.hessian, problem.hess_vec_fn
@@ -242,43 +245,58 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
+def _number(value, name: str, integer: bool = False) -> float | int:
+    """A finite number, no bool or string, an int where ``integer``; else SchemaError naming it."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer)  # np.float64 is a float
+    if isinstance(value, kinds) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return int(value) if integer else float(value)
+    kind = "integer" if integer else "number"
+    raise SchemaError(f"{name!r} must be a finite {kind}, got {value!r:.40}")
+
+
+def _array(value, name: str, shape: tuple) -> np.ndarray:
+    """Lists nested as ``shape`` (None: any positive length) of numbers; else SchemaError."""
+    items = [value]
+    for size in shape:
+        _require(all(isinstance(x, list) and x and size in (None, len(x)) for x in items),
+                 f"{name!r} must be an array of numbers of shape {str(shape).replace('None', 'k')}")
+        items = [entry for item in items for entry in item]
+    for entry in items:
+        _number(entry, name)
+    return np.array(value, dtype=float)
+
+
 def problem_from_dict(data: dict) -> ConicProblem:
     if not isinstance(data, dict):
         raise SchemaError("problem file must contain a JSON object")
     if "builtin" in data:
-        _require("n" in data, "builtin reference needs field 'n'")
         params = data.get("params", {})
         _require(isinstance(params, dict), "'params' must be an object")
         try:
-            return builtin(data["builtin"], int(data["n"]), **params)
-        except (ValueError, TypeError) as exc:
+            return builtin(data["builtin"], data.get("n"), **params)
+        except (ValueError, SchemaError) as exc:
             raise SchemaError(f"bad builtin parameters: {exc}") from exc
 
     for key in ("n", "cone", "objective", "x0"):
         _require(key in data, f"missing field '{key}'")
-    n = int(data["n"])
-    _require(isinstance(data["cone"], list) and data["cone"], "'cone' must be a nonempty list")
-    for entry in data["cone"]:
-        _require(isinstance(entry, dict) and "type" in entry and "dim" in entry,
-                 "cone blocks need 'type' and 'dim'")
+    n = _number(data["n"], "n", integer=True)
+    name = data.get("name", "quadratic")
+    _require(isinstance(name, str), "'name' must be a string")
+    _require(isinstance(data["cone"], list) and all(isinstance(b, dict) for b in data["cone"]),
+             "'cone' must be a list of {'type': ..., 'dim': ...} blocks")
     try:
-        cone = cones.cone_from_description(data["cone"])
-    except (ValueError, KeyError) as exc:
+        cone = Cone(tuple(cones.ConeBlock(b.get("type"), _number(b.get("dim"), "dim", True))
+                          for b in data["cone"]))
+    except ValueError as exc:
         raise SchemaError(f"bad cone description: {exc}") from exc
     _require(cone.total_dim == n, "cone dimensions do not sum to n")
 
-    if "A" in data:
-        _require("b" in data, "'A' present without 'b'")
-        a_mat = np.asarray(data["A"], dtype=float)
-        b = np.asarray(data["b"], dtype=float)
-        _require(a_mat.ndim == 2 and a_mat.shape[1] == n, "'A' must be m x n")
-        try:
-            affine = AffineData(A=a_mat, b=b)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    else:
-        _require("b" not in data, "'b' present without 'A'")
-        affine = empty_affine(n)
+    _require(("A" in data) == ("b" in data), "'A' and 'b' must be given together")
+    try:
+        affine = (AffineData(_array(data["A"], "A", (None, n)), _array(data["b"], "b", (None,)))
+                  if "A" in data else empty_affine(n))
+    except (ValueError, FactorizationError) as exc:
+        raise SchemaError(str(exc)) from exc
 
     obj = data["objective"]
     _require(isinstance(obj, dict) and "quadratic" in obj,
@@ -286,16 +304,15 @@ def problem_from_dict(data: dict) -> ConicProblem:
     quad = obj["quadratic"]
     _require(isinstance(quad, dict) and "Q" in quad and "c" in quad,
              "'quadratic' needs fields 'Q' and 'c'")
-    q_mat = np.asarray(quad["Q"], dtype=float)
-    c = np.asarray(quad["c"], dtype=float)
-    _require(q_mat.shape == (n, n), "'Q' must be n x n")
-    _require(c.shape == (n,), "'c' must have length n")
-    q_mat = 0.5 * (q_mat + q_mat.T)
-    x0 = np.asarray(data["x0"], dtype=float)
-    _require(x0.shape == (n,), "'x0' must have length n")
+    q_mat = _array(quad["Q"], "Q", (n, n))
+    with np.errstate(over="ignore"):
+        q_mat = 0.5 * (q_mat + q_mat.T)
+    _require(np.isfinite(q_mat).all(), "'Q' overflows when made symmetric")
+    c = _array(quad["c"], "c", (n,))
+    x0 = _array(data["x0"], "x0", (n,))
 
     serial = {
-        "name": data.get("name", "quadratic"),
+        "name": name,
         "n": n,
         "cone": cone.describe(),
         "objective": {"quadratic": {"Q": q_mat.tolist(), "c": c.tolist()}},
@@ -304,20 +321,32 @@ def problem_from_dict(data: dict) -> ConicProblem:
     if affine.m > 0:
         serial["A"] = affine.A.tolist()
         serial["b"] = affine.b.tolist()
-    return _quadratic_problem(q_mat, c, cone, affine, x0, serial["name"], serial)
+    return _quadratic_problem(q_mat, c, cone, affine, x0, name, serial)
+
+
+def _read_json(path: str | Path):
+    """The JSON value in a file; ParseError if it cannot be read or decoded."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
 def load_problem(path: str | Path) -> ConicProblem:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return problem_from_dict(data)
+    return problem_from_dict(_read_json(path))
+
+
+def load_vector(path: str | Path, expected: int, what: str) -> np.ndarray:
+    """A vector in a JSON file: a bare array, or an object's ``what`` or 'values' key."""
+    data = _read_json(path)
+    if isinstance(data, dict):
+        data = data.get(what, data.get("values"))
+        _require(data is not None, f"{path}: the JSON object has no {what!r} or 'values' key")
+    vec = _array(data, what, (None,))
+    _require(vec.shape == (expected,), f"{what} has length {vec.shape[0]}, expected {expected}")
+    return vec
 
 
 def save_problem(problem: ConicProblem, path: str | Path) -> None:

@@ -80,8 +80,11 @@ class SolverParams:
             val = getattr(self, name)
             if not 0.0 < val < 1.0:
                 raise ParamError(f"{name} must lie in (0, 1)")
-        if self.max_outer_iters < 1 or self.max_backtracks < 1:
-            raise ParamError("iteration budgets must be positive")
+        for name, low in (("max_outer_iters", 1), ("max_backtracks", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ParamError(f"{name} must be an integer >= {low}: iteration budgets are "
+                                 f"positive and the seed nonnegative; got {value!r}")
 
 
 @dataclass

@@ -1,9 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conebarrier import cones
 from conebarrier.certify import barrier_hessian, dual_norm, in_dual_cone, is_interior
 from conebarrier.cones import (
     ConeBlock,
@@ -17,7 +17,7 @@ from conebarrier.cones import (
 from conebarrier.counters import OpCounters
 from conebarrier.errors import BoundaryError, FactorizationError
 from conebarrier.linops import IterationWorkspace, empty_affine
-from conebarrier.problems import builtin
+from conebarrier.problems import builtin, problem_from_dict
 from conebarrier.solver import SolverParams, first_order_gate, solve
 
 from conftest import CONE_FAMILIES, block_factors, dense_lower, primal_local_norm, random_interior_point
@@ -59,8 +59,11 @@ class TestConeStructure:
             ConeBlock("simplex", 3)
 
     def test_describe_round_trip(self):
+        # a cone's description is a problem file's "cone" field, which the loader reads back
         cone = product(ConeBlock("orthant", 2), ConeBlock("soc", 3))
-        assert cones.cone_from_description(cone.describe()) == cone
+        data = {"n": 5, "cone": cone.describe(), "x0": [1, 1, 2, 0, 0],
+                "objective": {"quadratic": {"Q": np.eye(5).tolist(), "c": [0.0] * 5}}}
+        assert problem_from_dict(json.loads(json.dumps(data))).cone == cone
 
 
 class TestBarrierValue:

@@ -14,7 +14,7 @@ from conebarrier.cones import Cone, barrier_factor, orthant
 from conebarrier.counters import OpCounters
 from conebarrier.errors import InfeasibleStart, ParamError, SchemaError, SizeError, UnknownProblem
 from conebarrier.lanczos import min_eig_oracle
-from conebarrier.linops import IterationWorkspace, empty_affine
+from conebarrier.linops import AffineData, IterationWorkspace, empty_affine
 from conebarrier.problems import ConicProblem, problem_from_dict, save_problem
 from conftest import tridiagonal_min_ritz
 
@@ -30,12 +30,35 @@ class TestSolver:
         with pytest.raises(ParamError, match="budgets"):
             SolverParams(epsilon=1e-2, **{budget: 0})
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_outer_iters", 2.5), ("max_backtracks", 60.0), ("max_outer_iters", True),
+        ("seed", False), ("seed", "3"), ("seed", 1.0), ("seed", -1), ("seed", np.int64(-2)),
+    ])
+    def test_budget_or_seed_not_a_nonnegative_integer(self, field, value):
+        with pytest.raises(ParamError, match=field):
+            SolverParams(epsilon=1e-2, **{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        params = SolverParams(epsilon=1e-2, max_outer_iters=np.int64(5),
+                              max_backtracks=np.int32(7), seed=np.uint8(3))
+        assert (params.max_outer_iters, params.max_backtracks, params.seed) == (5, 7, 3)
+
 
 class TestLinops:
     def test_factor_and_affine_disagree_on_n(self):
         factor = barrier_factor(orthant(3), np.ones(3))
         with pytest.raises(ValueError, match="disagree"):
             IterationWorkspace(empty_affine(4), factor, OpCounters())
+
+    @pytest.mark.parametrize("a_entry, b_entry, field", [
+        (np.nan, 1.0, "A"), (np.inf, 1.0, "A"), (1.0, np.nan, "b"), (1.0, -np.inf, "b"),
+    ])
+    def test_non_finite_affine_data(self, a_entry, b_entry, field):
+        # checked before the rank, which reads NaN as an SVD failure and inf as rank deficiency
+        a_mat = np.ones((1, 10))
+        a_mat[0, 3] = a_entry
+        with pytest.raises(ValueError, match=f"{field} has a non-finite entry"):
+            AffineData(A=a_mat, b=np.array([b_entry]))
 
 
 class TestCertify:
@@ -142,3 +165,25 @@ class TestCli:
         point.write_text(json.dumps({key: [1.0, 1.0]}))
         assert main(["certify", str(problem), str(point), str(point)]) == 2
         assert "x has length 2, expected 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem_text, point_text, argv, shown", [
+        (b'{"builtin": "nonconvex_qp_simplex", "n": Infinity}', None, ["--eps", "1e-2"], "'n'"),
+        (b'{"builtin": "nonconvex_qp_simplex", "n": 2.5}', None, [], "'n'"),
+        (b'{"builtin": "\xff"}', None, [], "cannot read"),
+        (json.dumps(explicit_qp()).encode(), b'{"x": [1, 1,', [], "x.json:1:"),
+        (json.dumps(explicit_qp()).encode(), b'{"x": [[1, 1, 1]]}', [], "'x'"),
+        (json.dumps(explicit_qp()).encode(), None, ["--seed", "-1"], "seed"),
+    ])
+    def test_bad_input_exits_2_without_a_traceback(self, tmp_path, capsys, problem_text,
+                                                   point_text, argv, shown):
+        # main catches only ConeBarrierError and OSError: any other exception would escape here
+        problem, point = tmp_path / "p.json", tmp_path / "x.json"
+        problem.write_bytes(problem_text)
+        if point_text is None:
+            argv = ["solve", str(problem), *argv]
+        else:
+            point.write_bytes(point_text)
+            argv = ["certify", str(problem), str(point), str(point), *argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert shown in err and "Traceback" not in err

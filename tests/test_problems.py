@@ -1,8 +1,12 @@
+import copy
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conebarrier.certify import is_interior
 from conebarrier.cones import SOC, ConeBlock, second_order
@@ -167,8 +171,10 @@ class TestPerturb:
         np.testing.assert_allclose(w1, w0 + 2 * sigma, atol=1e-12)
 
     def test_sigma_positive(self):
-        with pytest.raises(ValueError):
-            perturb(builtin("negnorm_simplex", 2), 0.0)
+        # NaN fails no "<= 0" test, and would give a NaN objective
+        for sigma in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                perturb(builtin("negnorm_simplex", 2), sigma)
 
     def test_hessian_bit_equal_to_adding_the_identity_and_base_unwritten(self):
         # the shift goes onto the diagonal of a fresh array: the same bits as
@@ -347,3 +353,111 @@ class TestFileFormat:
         path.write_text("{ not json }")
         with pytest.raises(ParseError, match=r":\d+:\d+:"):
             load_problem(path)
+
+
+# one explicit file with A and b, and builtin references with integer and float parameters
+EXPLICIT = {
+    "name": "probe", "n": 3, "cone": [{"type": "orthant", "dim": 1}, {"type": "soc", "dim": 2}],
+    "A": [[1.0, 1.0, 0.0]], "b": [1.5],
+    "objective": {"quadratic": {"Q": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.2], [0.0, 0.2, 1.0]],
+                                "c": [0.0, -1.0, 0.5]}},
+    "x0": [0.5, 1.0, 0.2],
+}
+SOC_REFERENCE = {"builtin": "soc_quadratic", "n": 12, "params": {"m": 2, "seed": 0, "blocks": 4}}
+LOSS_REFERENCE = {"builtin": "regularized_loss", "n": 6, "params": {"p": 0.5, "seed": 1}}
+
+
+def substituted(doc, path, value):
+    """A deep copy of doc with the value at path (keys and indices) replaced."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def field_paths(node, path=()):
+    """The path of node and of every value nested in it."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from field_paths(child, path + (key,))
+
+
+INF, NAN = math.inf, math.nan
+# (id, document, the field its error must name); before the loader read every value through
+# _number and _array, each of these raised an untyped error (OverflowError, TypeError, numpy's
+# ValueError or "SVD did not converge"), loaded a value other than the one written (truncated,
+# from a bool or a string, non-finite, flattened), or was refused for another reason ("A" with
+# an infinite entry as "not of full row rank")
+PROBES = [
+    ("builtin-n-inf", substituted(SOC_REFERENCE, ("n",), INF), "n"),
+    ("builtin-n-nan", substituted(SOC_REFERENCE, ("n",), NAN), "n"),
+    ("builtin-n-2.5", substituted(SOC_REFERENCE, ("n",), 2.5), "n"),
+    ("builtin-n-12.0", substituted(SOC_REFERENCE, ("n",), 12.0), "n"),
+    ("builtin-n-string", substituted(SOC_REFERENCE, ("n",), "12"), "n"),
+    ("builtin-n-true", substituted(SOC_REFERENCE, ("n",), True), "n"),
+    ("builtin-n-null", substituted(SOC_REFERENCE, ("n",), None), "n"),
+    ("builtin-n-list", substituted(SOC_REFERENCE, ("n",), [12]), "n"),
+    ("seed-true", substituted(SOC_REFERENCE, ("params", "seed"), True), "seed"),
+    ("seed-2.7", substituted(SOC_REFERENCE, ("params", "seed"), 2.7), "seed"),
+    ("seed-inf", substituted(SOC_REFERENCE, ("params", "seed"), INF), "seed"),
+    ("seed-string", substituted(SOC_REFERENCE, ("params", "seed"), "3"), "seed"),
+    ("m-inf", substituted(SOC_REFERENCE, ("params", "m"), INF), "m"),
+    ("m-nan", substituted(SOC_REFERENCE, ("params", "m"), NAN), "m"),
+    ("blocks-4.5", substituted(SOC_REFERENCE, ("params", "blocks"), 4.5), "blocks"),
+    ("p-string", substituted(LOSS_REFERENCE, ("params", "p"), "0.3"), "p"),
+    ("p-inf", substituted(LOSS_REFERENCE, ("params", "p"), INF), "p"),
+    ("explicit-n-inf", substituted(EXPLICIT, ("n",), INF), "n"),
+    ("explicit-n-3.0", substituted(EXPLICIT, ("n",), 3.0), "n"),
+    ("explicit-n-string", substituted(EXPLICIT, ("n",), "3"), "n"),
+    ("dim-1.7", substituted(EXPLICIT, ("cone", 0, "dim"), 1.7), "dim"),
+    ("dim-inf", substituted(EXPLICIT, ("cone", 1, "dim"), INF), "dim"),
+    ("dim-null", substituted(EXPLICIT, ("cone", 0, "dim"), None), "dim"),
+    ("dim-string", substituted(EXPLICIT, ("cone", 0, "dim"), "1"), "dim"),
+    ("A-inf", substituted(EXPLICIT, ("A", 0, 1), INF), "A"),
+    ("A-nan", substituted(EXPLICIT, ("A", 0, 1), NAN), "A"),
+    ("A-string", substituted(EXPLICIT, ("A", 0, 1), "a"), "A"),
+    ("A-ragged", substituted(EXPLICIT, ("A",), [[1.0, 1.0], [1.0]]), "A"),
+    ("b-inf", substituted(EXPLICIT, ("b", 0), INF), "b"),
+    ("b-nested", substituted(EXPLICIT, ("b",), [[1.5]]), "b"),
+    ("Q-inf", substituted(EXPLICIT, ("objective", "quadratic", "Q", 0, 0), INF), "Q"),
+    ("Q-object", substituted(EXPLICIT, ("objective", "quadratic", "Q"), {"a": 1}), "Q"),
+    ("c-strings", substituted(EXPLICIT, ("objective", "quadratic", "c"), ["0", "-1", "0.5"]), "c"),
+    ("x0-nan", substituted(EXPLICIT, ("x0", 0), NAN), "x0"),
+    ("x0-bool", substituted(EXPLICIT, ("x0", 2), True), "x0"),
+    ("name-number", substituted(EXPLICIT, ("name",), 5), "name"),
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-64, 64) | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=3)),
+    max_leaves=8,
+)
+
+
+class TestReaders:
+    @pytest.mark.parametrize("doc, field", [probe[1:] for probe in PROBES],
+                             ids=[probe[0] for probe in PROBES])
+    def test_malformed_value_raises_a_schema_error_naming_its_field(self, doc, field):
+        with pytest.raises(SchemaError, match=f"'{field}'"):
+            problem_from_dict(json.loads(json.dumps(doc)))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_any_value_in_any_field_loads_and_round_trips_or_is_refused(self, data, value):
+        # integers are drawn within [-64, 64], so that no size or seed allocates more than a few MB
+        base = data.draw(st.sampled_from([EXPLICIT, SOC_REFERENCE, LOSS_REFERENCE]))
+        doc = substituted(base, data.draw(st.sampled_from(list(field_paths(base)))), value)
+        try:
+            p = problem_from_dict(doc)
+        except (SchemaError, UnknownProblem):
+            return
+        q = problem_from_dict(json.loads(json.dumps(p.serial)))
+        assert json.dumps(q.serial) == json.dumps(p.serial)
+        assert q.x0.tobytes() == p.x0.tobytes() and q.cone == p.cone
