@@ -23,7 +23,14 @@ products, c_p <- beta c_p - c_r and c_y <- c_y + alpha c_p, and a SOL result
 reports c_y, the coefficient of its direction, with no further matvec.  An NC
 result reports d^T H d / d^T d from the product its exit test read: the
 pre-loop product, the recurrences' products with y or p, or the residual-growth
-scan's difference of carried products (a fresh product in its rescan).
+scan's difference of carried products (a fresh product in its second pass).
+
+A residual-growth exit at iteration j scans y^(j+1) - y^i, i = 0, ..., j-1, for
+the first with curvature below -eps.  No iterate is stored: a replay of the loop
+from y^0 = 0 makes each y^i and H y^i again, bit for bit, as the operator must be
+pure (the same floats for the same input).  It reads carried products and spends
+i + 1 products to reach y^i; if none qualifies (j products), a second replay takes
+a fresh product of each difference, 2 (i + 1), and raises after 2 j of them.
 """
 from __future__ import annotations
 
@@ -59,11 +66,13 @@ class CappedCgResult:
 
 
 def _monitors(u: float, eps: float, zeta: float) -> tuple[float, float, float]:
-    """(zeta_hat, tau, T) for the operator-norm estimate U = u, through kappa."""
+    """(zeta_hat, tau, T) for U = u, through kappa; T = +inf where sqrt(tau) rounds to 1."""
     kappa = (u + 2.0 * eps) / eps
     sqrt_kappa = math.sqrt(kappa)
     tau = sqrt_kappa / (sqrt_kappa + 1.0)
-    return zeta / (3.0 * kappa), tau, 4.0 * kappa**4 / (1.0 - math.sqrt(tau)) ** 2
+    root_tau = math.sqrt(tau)
+    cap_t = 4.0 * kappa**4 / (1.0 - root_tau) ** 2 if root_tau < 1.0 else math.inf
+    return zeta / (3.0 * kappa), tau, cap_t
 
 
 def capped_cg(
@@ -71,10 +80,14 @@ def capped_cg(
     g: np.ndarray,
     eps: float,
     zeta: float,
+    *,
+    _scan: tuple | None = None,
 ) -> CappedCgResult:
-    """Run capped CG on (H + 2 eps I) d = -g for a symmetric operator v -> (H v, c(v)).
+    """Run capped CG on (H + 2 eps I) d = -g for a symmetric, pure operator v -> (H v, c(v)).
 
-    eps and zeta lie in (0, 1); ``SolverParams`` checks them for the solver.
+    eps and zeta lie in (0, 1); ``SolverParams`` checks them for the solver.  Only the
+    residual-growth exit passes ``_scan`` = (y^(j+1), H y^(j+1), j, fresh): that replay
+    returns the scan's (direction, curvature), or None, unless it left the run's path.
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
@@ -93,16 +106,25 @@ def capped_cg(
     u = math.sqrt(hp.dot(hp)) / g_norm  # U starts at 0, and ||p|| = ||g||
     u_formed = -1.0  # the U that zeta_hat, tau and T were formed from; none yet
 
-    # the first step from y^0 = 0 is alpha p, and y^0 enters the scan lists as 0.0
+    # the first step from y^0 = 0 is alpha p, and a replay's scan reads y^0 as 0.0
     alpha = rr / quad_p
     y = alpha * p
     hy = alpha * hp
     cy = alpha * cp
     r = g
-    ys = [0.0]
-    hys = [0.0]
+    y_i = hy_i = 0.0
     j = 0
     while True:
+        if _scan is not None:  # a replay at y^j: test y^(j+1) - y^j of the run it replays
+            y_next, hy_next, stop, fresh = _scan
+            dy = y_next - y_i
+            dy_sq = float(dy.dot(dy))
+            dhd = float(dy.dot(matvec(dy)[0] if fresh else hy_next - hy_i))
+            if dhd + 2.0 * eps * dy_sq < eps * dy_sq:
+                return dy, dhd / dy_sq
+            if j + 1 == stop:
+                return None
+            y_i, hy_i = y, hy
         r_new = r + alpha * (hp + 2.0 * eps * p)
         rr_new = float(r_new.dot(r_new))
         beta = rr_new / rr
@@ -118,8 +140,6 @@ def capped_cg(
                 "the operator may not be symmetric, or floating-point error on an "
                 "ill-conditioned operator may have stalled the recurrences"
             )
-        ys.append(y)
-        hys.append(hy)
 
         p_norm = math.sqrt(p.dot(p))
         y_norm = math.sqrt(y.dot(y))
@@ -150,33 +170,11 @@ def capped_cg(
         y = y + alpha * p
         hy = hy + alpha * hp
         cy = cy + alpha * cp
-        if grown:  # scan back from the next iterate
-            direction, curvature = _backtrack_nc(ys, hys, y, hy, eps, matvec)
+        if grown and _scan is None:  # scan back from the next iterate; a replay scans no run of its own
+            found = (capped_cg(matvec, g, eps, zeta, _scan=(y, hy, j, False))
+                     or capped_cg(matvec, g, eps, zeta, _scan=(y, hy, j, True)))
+            if not isinstance(found, tuple):  # None, or a replay that left the run's path
+                raise HardCapExceeded("residual-growth exit found no negative-curvature difference")
+            direction, curvature = found
             break
     return CappedCgResult(DirectionKind.NC, direction, j, zeta_hat, tau, cap_t, curvature=curvature)
-
-
-def _backtrack_nc(
-    ys: list[np.ndarray],
-    hys: list[np.ndarray],
-    y_next: np.ndarray,
-    hy_next: np.ndarray,
-    eps: float,
-    matvec: Callable[[np.ndarray], tuple[np.ndarray, Any]],
-) -> tuple[np.ndarray, float]:
-    """The first iterate difference y_next - y_i with curvature < -eps, and its Rayleigh quotient."""
-    # ys holds y^0 .. y^j, y^0 = 0 as the scalar 0.0; the search range is i in {0, ..., j-1}
-    for i in range(len(ys) - 1):
-        dy = y_next - ys[i]
-        dy_sq = float(dy.dot(dy))
-        dhd = float(dy.dot(hy_next - hys[i]))
-        if dhd + 2.0 * eps * dy_sq < eps * dy_sq:
-            return dy, dhd / dy_sq
-    # Recurrence-tracked products drifted; redo the scan with fresh matvecs.
-    for i in range(len(ys) - 1):
-        dy = y_next - ys[i]
-        dy_sq = float(dy.dot(dy))
-        dhd = float(dy.dot(matvec(dy)[0]))
-        if dhd + 2.0 * eps * dy_sq < eps * dy_sq:
-            return dy, dhd / dy_sq
-    raise HardCapExceeded("residual-growth exit found no negative-curvature difference")

@@ -43,7 +43,7 @@ from typing import Any
 import numpy as np
 
 from .cones import ORTHANT, Cone
-from .errors import BoundaryError, FactorizationError, SizeError
+from .errors import BoundaryError, FactorizationError, ParamError, SizeError
 from .problems import ConicProblem
 
 DESK_SCALE_LIMIT = 500
@@ -163,13 +163,22 @@ def dual_norm(cone: Cone, x: np.ndarray, s: np.ndarray) -> float:
     return math.sqrt(max(total, 0.0))
 
 
+def _require_tolerances(**tolerances: float) -> None:
+    """ParamError unless every tolerance lies in (0, inf)."""
+    for name, tol in tolerances.items():
+        if not 0.0 < tol < math.inf:
+            raise ParamError(f"{name} must lie in (0, inf), got {tol!r}")
+
+
 def check_fosp(
     problem: ConicProblem,
     x: np.ndarray,
     lam: np.ndarray,
     eps_g: float,
 ) -> CertificateReport:
-    """First-order report; certificate failures are reported, and wrong shapes raise ValueError."""
+    """First-order report; certificate failures are reported, wrong shapes raise ValueError,
+    and a tolerance outside (0, inf) raises ParamError."""
+    _require_tolerances(eps_g=eps_g)
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if x.shape != (problem.n,):
@@ -241,6 +250,7 @@ def check_sosp_dense(
     eps_h: float,
 ) -> CertificateReport:
     """First- plus second-order report using a dense reduced eigensolve."""
+    _require_tolerances(eps_g=eps_g, eps_h=eps_h)
     report = check_fosp(problem, x, lam, eps_g)
     if report.interior_ok:
         report.sosp_min_eig = reduced_min_eig(problem, x)

@@ -121,7 +121,8 @@ def cmd_certify(args) -> int:
     if args.sosp:
         report = certify_mod.check_sosp_dense(
             problem, x, lam, eps_g=args.eps_g,
-            eps_h=args.eps_h if args.eps_h is not None else math.sqrt(args.eps_g),
+            # a negative eps_g reaches the certificate's own check, which refuses it first
+            eps_h=args.eps_h if args.eps_h is not None else math.sqrt(max(args.eps_g, 0.0)),
         )
         ok = bool(report.sosp_ok)
     else:

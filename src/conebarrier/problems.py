@@ -185,6 +185,8 @@ def builtin(name: str, n: int, /, **params) -> ConicProblem:
         raise UnknownProblem(f"unknown parameters for builtin {name!r}: {unknown}")
     values = {key: _number(params.get(key, default), key, integer=isinstance(default, int))
               for key, default in defaults.items()}
+    if values.get("seed", 0) < 0:
+        raise ValueError(f"'seed' must be nonnegative, got {values['seed']}")
     serial = {key: value for key, value in values.items()
               if key not in _SERIAL_OMITS_DEFAULT or value != defaults[key]}
     return replace(make(n, **values), name=name,

@@ -335,8 +335,10 @@ class SolveSpy:
 
     Installed with ``monkeypatch`` around ``solve``: ``unit_steps`` counts the
     direction scalings that returned exactly 1.0 (a step taken from the
-    projection at hand; any other scale projects afresh), and ``rescan_products``
-    counts the fresh products of capped CG's residual-growth rescan.
+    projection at hand; any other scale projects afresh), and ``replay_products``
+    counts the products of the replays that capped CG's residual-growth exit runs.
+    ``solve`` holds its own reference to ``capped_cg``, so only the replays, which
+    capped CG starts through its module's name, reach the counting wrapper.
     """
 
     def __init__(self, monkeypatch) -> None:
@@ -344,8 +346,8 @@ class SolveSpy:
         from conebarrier import solver
 
         self.unit_steps = 0
-        self.rescan_products = 0
-        backtrack_nc = cg_module._backtrack_nc
+        self.replay_products = 0
+        capped_cg = cg_module.capped_cg
 
         def scaled(fn):
             def spy(*args):
@@ -354,15 +356,15 @@ class SolveSpy:
                 return c
             return spy
 
-        def backtrack(ys, hys, y_next, hy_next, eps, matvec):
+        def replay(matvec, g, eps, zeta, *, _scan):
             def counted(v):
-                self.rescan_products += 1
+                self.replay_products += 1
                 return matvec(v)
-            return backtrack_nc(ys, hys, y_next, hy_next, eps, counted)
+            return capped_cg(counted, g, eps, zeta, _scan=_scan)
 
         monkeypatch.setattr(solver, "_sol_scale", scaled(solver._sol_scale))
         monkeypatch.setattr(solver, "_curvature_scale", scaled(solver._curvature_scale))
-        monkeypatch.setattr(cg_module, "_backtrack_nc", backtrack)
+        monkeypatch.setattr(cg_module, "capped_cg", replay)
 
 
 def rebuilt_counters(result, m: int, params, spy: SolveSpy) -> dict[str, int]:
@@ -379,13 +381,11 @@ def rebuilt_counters(result, m: int, params, spy: SolveSpy) -> dict[str, int]:
     range coefficients already formed and cost nothing; lambda1 at
     ``max_outer_iters`` costs a gradient and 3 substitutions.  Each accepted step
     with ``alpha = theta^j`` takes j + 1 merit values and builds one workspace: one
-    ``cholesky``, and with m >= 1 one ``matT_mat`` and m substitutions.  Raises
-    ValueError for a run that takes the residual-growth rescan, whose fresh
-    products do not show in the trace, and for a certifying oracle whose norm
-    estimate stopped its power iteration early.
+    ``cholesky``, and with m >= 1 one ``matT_mat`` and m substitutions.  The
+    products of capped CG's residual-growth replays, which the trace does not
+    show, come from ``spy``, each a reduced product.  Raises ValueError for a
+    certifying oracle whose norm estimate stopped its power iteration early.
     """
-    if spy.rescan_products:
-        raise ValueError("the residual-growth rescan spent products that the trace does not show")
     if result.status is SolveStatus.SOSP_CERTIFIED and not result.estimated_hess_norm:
         raise ValueError("the norm estimate stopped its power iteration early")
     trace = result.trace
@@ -419,7 +419,8 @@ def rebuilt_counters(result, m: int, params, spy: SolveSpy) -> dict[str, int]:
         else:
             counts["fun_eval"] += round(math.log(alpha) / math.log(params.theta)) + 1
             builds += 1
-    counts["tri_solve"] += proj * (steps - spy.unit_steps) + m * builds
+    counts["hess_vec"] += spy.replay_products
+    counts["tri_solve"] += proj * (steps - spy.unit_steps) + m * builds + product * spy.replay_products
     if result.status is SolveStatus.MAX_ITERS_EXCEEDED and m:
         counts["grad_eval"] += 1  # lambda1 at x_final
         counts["tri_solve"] += lambda1

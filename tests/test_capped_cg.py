@@ -1,7 +1,11 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conebarrier.capped_cg import DirectionKind, _backtrack_nc, capped_cg
+from conebarrier.capped_cg import DirectionKind, capped_cg
 from conebarrier.errors import HardCapExceeded, ZeroGradient
 
 from conftest import REFERENCE_CG_EXITS, iteration_bound, paired, reference_capped_cg
@@ -73,44 +77,28 @@ class TestHandExamples:
             capped_cg(matvec_of(h_mat), np.ones(40), 1e-4, 0.5)
         assert "hard cap of 500 iterations" in str(info.value)
 
+    @pytest.mark.parametrize("scale, iterations", [(1e30, 1), (1e80, 6)])
+    def test_huge_operator_norm_gives_an_infinite_cap(self, scale, iterations):
+        # tau rounds to 1 at scale 1e30 and kappa^4 overflows at 1e80; T is then +inf,
+        # so the growth test cannot fire, and a positive-definite operator reaches SOL
+        out = capped_cg(lambda v: (scale * v, 0.0), np.ones(5), 0.01, 0.5)
+        assert (out.kind, out.iterations) == (DirectionKind.SOL, iterations)
+        assert (out.tau, out.cap_t) == (1.0, math.inf)
 
-class TestBacktrackNc:
-    """The residual-growth exit's scan of iterate differences y_next - y_i, i < j."""
-
-    YS = [np.zeros(2), np.array([0.0, 1.0]), np.array([0.5, 1.0])]
-    Y_NEXT = np.array([1.0, 1.0])
-
-    def run(self, h_mat, hys):
-        calls = []
-
-        def matvec(v):
-            calls.append(v)
-            return h_mat @ v, 0.0
-
-        out = _backtrack_nc(self.YS, hys, self.Y_NEXT, h_mat @ self.Y_NEXT, 0.1, matvec)
-        return out, len(calls)
-
-    def test_tracked_products_find_the_first_difference(self):
-        # y_next - y_0 = (1, 1) has damped curvature 1.4 >= 0.2; y_next - y_1 = (1, 0) has -0.8
-        h_mat = np.diag([-1.0, 2.0])
-        (direction, curvature), matvecs = self.run(h_mat, [h_mat @ y for y in self.YS])
-        np.testing.assert_array_equal(direction, [1.0, 0.0])
-        assert curvature == -1.0  # (1, 0)^T H (1, 0) / 1, from the tracked products
-        assert matvecs == 0
-
-    def test_drifted_product_is_rescanned_with_fresh_matvecs(self):
-        h_mat = np.diag([-1.0, 2.0])
-        hys = [h_mat @ y for y in self.YS]
-        hys[1] = np.array([-100.0, 2.0])  # hides the negative curvature of (1, 0)
-        (direction, curvature), matvecs = self.run(h_mat, hys)
-        np.testing.assert_array_equal(direction, [1.0, 0.0])
-        assert curvature == -1.0  # from the rescan's fresh product, not the drifted one
-        assert matvecs == 2
-
-    def test_positive_definite_operator_raises(self):
-        h_mat = np.diag([1.0, 2.0])
-        with pytest.raises(HardCapExceeded):
-            self.run(h_mat, [h_mat @ y for y in self.YS])
+    def test_a_long_call_holds_a_constant_number_of_vectors(self):
+        # 849 iterations at n = 20000; keeping every iterate and its product held 1707 vectors
+        rng = np.random.default_rng(0)
+        n = 20000
+        d = rng.permutation(np.geomspace(1e-3, 1e3, n))
+        g = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            out = capped_cg(lambda v: (d * v, 0.0), g, 1e-3 ** 0.5, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.kind, out.iterations) == (DirectionKind.SOL, 849)
+        assert peak < 16 * d.nbytes
 
 
 class TestPositiveDefinite:
@@ -221,17 +209,18 @@ class TestReferenceEquivalence:
     agree in every float; the direction may differ only in the sign of an exact
     zero, which np.array_equal ignores.  The families between them reach every
     exit: an asymmetric operator (a symmetric part with some curvature below
-    -eps plus a skew part) stalls CG into the residual-growth exit, and an
-    operator whose products drift with each call, so that the products the
-    recurrences carry no longer match fresh ones, sends that exit's scan on
-    to its rescan with fresh matvecs.
+    -eps plus a skew part) stalls CG into the residual-growth exit, and a
+    drifting one, the asymmetric kind less 0.1 eps ||v|| v, is pure but not
+    linear, so that the products the recurrences carry no longer match fresh
+    ones and that exit's scan goes on to its pass with fresh products.  Every
+    operator is pure, as capped CG's replays of its loop require.
 
     Each NC result's curvature is checked against d^T H d / d^T d from a fresh
     product: equal at the pre-loop exit, whose product it is, and within
     CURVATURE_DRIFT_TOL at the others, whose products the recurrences carry.
-    The drifting family's products change with every call, so a fresh product
-    matches only at the pre-loop exit, the first call of a fresh operator; at
-    every exit the quotient is below -eps, the NC test that the exit read.
+    The drifting family's carried products differ from fresh ones, so it is
+    checked only at the pre-loop exit; at every exit the quotient is below
+    -eps, the NC test that the exit read.
     """
 
     DRAWS = 40  # per family
@@ -248,8 +237,7 @@ class TestReferenceEquivalence:
         return (q * rng.uniform(lo, hi, n)) @ q.T
 
     def operator(self, family, n, eps, rng):
-        """A factory of plain matvecs v -> H v: a fresh callable per run, so each run sees
-        the same products."""
+        """A plain matvec v -> H v of the family."""
         if family == "positive_definite":
             h_mat = self.symmetric(n, rng, 0.05, 1.05)
         elif family == "indefinite":
@@ -265,21 +253,11 @@ class TestReferenceEquivalence:
         elif family == "drifting":
             b = rng.standard_normal((n, n))
             h_mat = eps * (self.symmetric(n, rng, 0.0, 1.0) + (b - b.T) / np.sqrt(2 * n))
-
-            def drifting():
-                calls = [0]
-
-                def matvec(v):
-                    calls[0] += 1
-                    return h_mat @ v - 0.1 * eps * calls[0] * v
-
-                return matvec
-
-            return drifting
+            return lambda v: h_mat @ v - 0.1 * eps * math.sqrt(v.dot(v)) * v
         else:  # ill_conditioned: a spectrum from 1e-6 to 1e12 stalls into the hard cap
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             h_mat = (q * np.geomspace(1e-6, 1e12, n)) @ q.T
-        return lambda: (lambda v: h_mat @ v)
+        return lambda v: h_mat @ v
 
     @staticmethod
     def run(fn, *args):
@@ -298,10 +276,10 @@ class TestReferenceEquivalence:
             for trial in range(self.DRAWS):
                 n = int(rng.integers(3, 25))
                 eps = (0.1, 0.03, 0.01)[trial % 3]
-                make = self.operator(family, n, eps, rng)
+                matvec = self.operator(family, n, eps, rng)
                 g = rng.standard_normal(n)
-                out, err = self.run(capped_cg, paired(make()), g, eps, 0.5)
-                ref, ref_err = self.run(reference_capped_cg, make(), g, eps, 0.5)
+                out, err = self.run(capped_cg, paired(matvec), g, eps, 0.5)
+                ref, ref_err = self.run(reference_capped_cg, matvec, g, eps, 0.5)
                 assert err == ref_err
                 if ref is None:
                     exits.add(ref_err)
@@ -317,7 +295,7 @@ class TestReferenceEquivalence:
                     continue
                 assert out.curvature < -eps  # the NC test, read off the quotient it reports
                 d = out.direction
-                fresh = float(d.dot(make()(d))) / float(d.dot(d))
+                fresh = float(d.dot(matvec(d))) / float(d.dot(d))
                 if exit_ == "preloop_nc":
                     assert out.curvature == fresh
                     checked["exact"] += 1
@@ -326,3 +304,85 @@ class TestReferenceEquivalence:
                     checked["carried"] += 1
         assert exits == set(REFERENCE_CG_EXITS) | {"hard cap", "failed scan"}
         assert min(checked.values()) >= 20
+
+
+class TestResidualGrowthScan:
+    """The residual-growth exit at iteration j scans y^(j+1) - y^i, i < j, on iterates
+    that replays of the loop make again: first with the carried products, then with fresh
+    products of the differences.  Read through the inputs of every product the operator sees.
+    """
+
+    EPS = 0.1
+
+    def first_draw(self, family, exit_):
+        """(matvec, g) of the first draw of a ``TestReferenceEquivalence`` family, n <= 9,
+        on which the reference takes ``exit_``."""
+        rng = np.random.default_rng(33)
+        while True:
+            n = int(rng.integers(3, 10))
+            matvec = TestReferenceEquivalence().operator(family, n, self.EPS, rng)
+            g = rng.standard_normal(n)
+            ref, err = TestReferenceEquivalence.run(reference_capped_cg, matvec, g, self.EPS, 0.5)
+            if (err or ref[1]) == exit_:
+                return matvec, g
+
+    def run(self, matvec, g, inputs):
+        def recorded(v):
+            inputs.append(v)
+            return matvec(v), 0.0
+        return capped_cg(recorded, g, self.EPS, 0.5)
+
+    def test_carried_products_find_the_difference(self):
+        matvec, g = self.first_draw("asymmetric", "growth")
+        inputs = []
+        out = self.run(matvec, g, inputs)
+        j = out.iterations
+        replay = inputs[1 + j:]
+        # the replay repeats the run's products up to y^i, and takes no fresh one
+        assert 1 <= len(replay) <= j
+        assert all(np.array_equal(a, b) for a, b in zip(replay, inputs))
+        assert out.kind is DirectionKind.NC and out.curvature < -self.EPS
+
+    def test_fresh_products_when_the_carried_ones_find_none(self):
+        matvec, g = self.first_draw("drifting", "growth_rescan")
+        inputs = []
+        out = self.run(matvec, g, inputs)
+        j = out.iterations
+        first, second = inputs[1 + j:1 + 2 * j], inputs[1 + 2 * j:]
+        # the first replay repeats the run's j products up to y^(j-1); the second repeats
+        # them too, each followed by a fresh product of a difference, the last of d
+        assert len(first) == j and all(np.array_equal(a, b) for a, b in zip(first, inputs))
+        assert len(second) % 2 == 0 and len(second) <= 2 * j
+        assert all(np.array_equal(a, b) for a, b in zip(second[::2], inputs))
+        d = out.direction
+        assert np.array_equal(second[-1], d)
+        assert out.curvature == float(d.dot(matvec(d))) / float(d.dot(d)) < -self.EPS
+
+    def test_no_qualifying_difference_raises(self):
+        matvec, g = self.first_draw("asymmetric", "failed scan")
+        inputs = []
+        with pytest.raises(HardCapExceeded, match="no negative-curvature difference"):
+            self.run(matvec, g, inputs)
+        # the run's 1 + j products, then j in the first replay and 2 j in the second
+        j = (len(inputs) - 1) // 4
+        assert len(inputs) == 1 + 4 * j
+        assert all(np.array_equal(a, b) for a, b in zip(inputs[1 + j:1 + 2 * j], inputs))
+
+    def test_an_impure_operator_gets_hard_cap_exceeded(self):
+        # products that drift with each call break the purity the replays need, and a replay
+        # may leave the run's path for an exit of its own; the scan refuses it as it refuses
+        # a scan that finds no difference, rather than reading that exit as one
+        rng = np.random.default_rng(2500)
+        refused = 0
+        for _ in range(10):
+            n = int(rng.integers(3, 25))
+            b = rng.standard_normal((n, n))
+            h_mat = self.EPS * (TestReferenceEquivalence.symmetric(n, rng, 0.0, 1.0)
+                                + (b - b.T) / np.sqrt(2 * n))
+            calls = itertools.count(1)
+            try:
+                capped_cg(lambda v: (h_mat @ v - 0.1 * self.EPS * next(calls) * v, 0.0),
+                          rng.standard_normal(n), self.EPS, 0.5)
+            except HardCapExceeded:
+                refused += 1
+        assert refused > 0

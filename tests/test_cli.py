@@ -42,6 +42,16 @@ class TestSolveCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_huge_hessian_ends_with_a_status(self, tmp_path, capsys):
+        # Q = 1e32 I puts capped CG's tau at 1.0 and its T at +inf, where T was a bare
+        # ZeroDivisionError; the solve now ends with a status, not a traceback
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "n": 2, "cone": [{"type": "orthant", "dim": 2}], "A": [[1, 1]], "b": [2], "x0": [1, 1],
+            "objective": {"quadratic": {"Q": [[1e32, 0], [0, 1e32]], "c": [1e32, -1e32]}}}))
+        assert main(["solve", str(path)]) == 1
+        assert "status=line_search_failure" in capsys.readouterr().out
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["solve", str(tmp_path / "nope.json")])
         assert code == 2

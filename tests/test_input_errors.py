@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conebarrier import SolverParams, builtin, solve
-from conebarrier.certify import check_fosp, reduced_min_eig
+from conebarrier.certify import check_fosp, check_sosp_dense, reduced_min_eig
 from conebarrier.cli import main
 from conebarrier.cones import Cone, barrier_factor, orthant
 from conebarrier.counters import OpCounters
@@ -66,6 +66,19 @@ class TestCertify:
         p = builtin("nonconvex_qp_simplex", 5)
         with pytest.raises(ValueError, match="lambda"):
             check_fosp(p, p.x0, np.zeros(2), eps_g=1e-2)
+
+    @pytest.mark.parametrize("eps_g, eps_h, field", [
+        (-1.0, 1e-2, "eps_g"), (0.0, 1e-2, "eps_g"), (np.nan, 1e-2, "eps_g"), (np.inf, 1e-2, "eps_g"),
+        (1e-2, -5.0, "eps_h"), (1e-2, 0.0, "eps_h"), (1e-2, np.nan, "eps_h"), (1e-2, np.inf, "eps_h"),
+    ])
+    def test_tolerance_outside_positive_reals(self, eps_g, eps_h, field):
+        p = builtin("nonconvex_qp_simplex", 5)
+        lam = np.zeros(1)
+        with pytest.raises(ParamError, match=field):
+            check_sosp_dense(p, p.x0, lam, eps_g=eps_g, eps_h=eps_h)
+        if field == "eps_g":
+            with pytest.raises(ParamError, match=field):
+                check_fosp(p, p.x0, lam, eps_g=eps_g)
 
     def test_hess_vec_only_problem(self):
         base = builtin("nonconvex_qp_simplex", 5)
@@ -173,6 +186,13 @@ class TestCli:
         (json.dumps(explicit_qp()).encode(), b'{"x": [1, 1,', [], "x.json:1:"),
         (json.dumps(explicit_qp()).encode(), b'{"x": [[1, 1, 1]]}', [], "'x'"),
         (json.dumps(explicit_qp()).encode(), None, ["--seed", "-1"], "seed"),
+        (json.dumps(explicit_qp()).encode(), b"[1, 1, 1]", ["--eps-g", "-1"], "eps_g"),
+        (json.dumps(explicit_qp()).encode(), b"[1, 1, 1]", ["--eps-g", "nan"], "eps_g"),
+        (json.dumps(explicit_qp()).encode(), b"[1, 1, 1]", ["--eps-g", "inf"], "eps_g"),
+        (json.dumps(explicit_qp()).encode(), b"[1, 1, 1]", ["--eps-g", "0", "--sosp"], "eps_g"),
+        (json.dumps(explicit_qp()).encode(), b"[1, 1, 1]", ["--eps-g", "-1", "--sosp"], "eps_g"),
+        (json.dumps(explicit_qp()).encode(), b"[1, 1, 1]", ["--eps-g", "1e-2", "--eps-h", "-5",
+                                                            "--sosp"], "eps_h"),
     ])
     def test_bad_input_exits_2_without_a_traceback(self, tmp_path, capsys, problem_text,
                                                    point_text, argv, shown):

@@ -145,6 +145,14 @@ class TestBuiltinTable:
         with pytest.raises(UnknownProblem, match="unknown parameters"):
             problem_from_dict({"builtin": name, "n": 12, "params": {"gamma": 2.0}})
 
+    @pytest.mark.parametrize("name", [name for name in BUILTIN_NAMES if "seed" in NON_DEFAULT[name]])
+    def test_negative_seed_is_refused_by_name(self, name):
+        # before numpy's generator sees it, whose message names no field
+        with pytest.raises(ValueError, match="'seed' must be nonnegative"):
+            builtin(name, 12, seed=-1)
+        with pytest.raises(SchemaError, match="'seed' must be nonnegative"):
+            problem_from_dict({"builtin": name, "n": 12, "params": {"seed": -1}})
+
     @pytest.mark.parametrize("name, key", [(name, key) for name in BUILTIN_NAMES
                                            for key in NON_DEFAULT[name]])
     @pytest.mark.parametrize("value", ["abc", [1.0], None])
@@ -407,6 +415,7 @@ PROBES = [
     ("seed-2.7", substituted(SOC_REFERENCE, ("params", "seed"), 2.7), "seed"),
     ("seed-inf", substituted(SOC_REFERENCE, ("params", "seed"), INF), "seed"),
     ("seed-string", substituted(SOC_REFERENCE, ("params", "seed"), "3"), "seed"),
+    ("seed-negative", substituted(SOC_REFERENCE, ("params", "seed"), -1), "seed"),
     ("m-inf", substituted(SOC_REFERENCE, ("params", "m"), INF), "m"),
     ("m-nan", substituted(SOC_REFERENCE, ("params", "m"), NAN), "m"),
     ("blocks-4.5", substituted(SOC_REFERENCE, ("params", "blocks"), 4.5), "blocks"),
