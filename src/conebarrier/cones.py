@@ -46,10 +46,10 @@ one group at a time, and this module is the only one that knows that format:
   closed forms of its own.
 
 Everything else applies L through ``BarrierFactor.solve_lower`` and
-``solve_upper``; the dual local norm ||v||_x* = ||L^{-1} v|| is one forward
-substitution.  This module counts nothing: the solver counts each
-``barrier_factor`` as one Cholesky and each ``local_norm_dual`` as one
-triangular solve.
+``solve_upper``, which a factor binds once from its groups' own solves; the
+dual local norm ||v||_x* = ||L^{-1} v|| is one forward substitution.  This
+module counts nothing: the solver counts each ``barrier_factor`` as one
+Cholesky and each ``local_norm_dual`` as one triangular solve.
 """
 from __future__ import annotations
 
@@ -76,9 +76,10 @@ class ConeBlock:
     def __post_init__(self) -> None:
         if self.kind not in (ORTHANT, SOC):
             raise ValueError(f"unknown cone block kind: {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("cone block dimension must be positive")
-        if self.kind == SOC and self.dim < 2:
+        dim = self.dim  # the problem-file reader's integer rule: an int or numpy integer, no bool
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError(f"cone block dimension must be a positive integer, got {dim!r:.40}")
+        if self.kind == SOC and dim < 2:
             raise ValueError("second-order cone blocks need dimension >= 2")
 
     @property
@@ -93,8 +94,8 @@ class Cone:
     blocks: tuple[ConeBlock, ...]
 
     def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("a cone needs at least one block")
+        if not self.blocks or not all(isinstance(b, ConeBlock) for b in self.blocks):
+            raise ValueError(f"a cone needs at least one block, all ConeBlocks: {self.blocks!r:.40}")
 
     @cached_property
     def total_dim(self) -> int:
@@ -139,7 +140,7 @@ class Cone:
 
     def describe(self) -> list[dict]:
         """JSON-ready block list, the wire format used in problem files."""
-        return [{"type": b.kind, "dim": b.dim} for b in self.blocks]
+        return [{"type": b.kind, "dim": int(b.dim)} for b in self.blocks]
 
 
 def orthant(dim: int) -> Cone:
@@ -341,19 +342,16 @@ def _soc_factor(y: np.ndarray, e: int | np.ndarray, gap: float | np.ndarray) -> 
     return SocFactor(root, w, p, q, e, p[..., :-1], q[..., :0:-1]), gradient
 
 
-def _groupwise(groups: tuple, factors: tuple, lower: bool, v: np.ndarray) -> np.ndarray:
-    """L^{-1} v or L^{-T} v one group at a time, for a cone of several groups or a row stack."""
+def _stacked(rows: tuple[int, int], solve: Callable, v: np.ndarray) -> np.ndarray:
+    """A group's k x d stacked solve applied to v's last axis, read as k rows of d."""
+    return solve(v.reshape(v.shape[:-1] + rows)).reshape(v.shape)
+
+
+def _groupwise(indices: tuple, solves: tuple, v: np.ndarray) -> np.ndarray:
+    """L^{-1} v or L^{-T} v on a cone of several groups, each group's coordinates by its solve."""
     out = np.empty(v.shape)
-    for (kind, index, rows), f in zip(groups, factors):
-        vb = v[..., index]
-        if kind == ORTHANT:
-            out[..., index] = vb / f
-            continue
-        solve = f.solve_lower if lower else f.solve_upper
-        if rows is None:
-            out[..., index] = solve(vb)
-        else:
-            out[..., index] = solve(vb.reshape(vb.shape[:-1] + rows)).reshape(vb.shape)
+    for index, solve in zip(indices, solves):
+        out[..., index] = solve(v[..., index])
     return out
 
 
@@ -369,10 +367,10 @@ class BarrierFactor:
     * ``solve_lower(v)`` = L^{-1} v, forward substitution;
     * ``solve_upper(v)`` = L^{-T} v, backward substitution.
 
-    Both are chosen once, when the factor is built: on a cone of one orthant
-    group each is the one division v / (1/x), on a lone SOC block its own
-    solve, and otherwise a walk over the groups.  Immutable after
-    construction and safe to share between threads.
+    Both are bound once, from each group's solve pair (v / (1/x) for the
+    orthant group, a ``SocFactor``'s solves for an SOC group, reshaped for a
+    stack): a cone of one group binds its pair, one of several a walk over
+    the pairs.  Immutable after construction and safe to share between threads.
     """
 
     cone: Cone
@@ -393,25 +391,26 @@ def barrier_factor(cone: Cone, x: np.ndarray, reads: list | None = None) -> Barr
     if reads is None:
         x = np.asarray(x, dtype=float)
         reads = barrier_reads(cone, x)[1]
-    groups = cone.groups
-    if len(groups) == 1 and groups[0][2] is None:  # one group, read as a vector, spans x
-        if groups[0][0] == ORTHANT:  # L = diag(f), and the bound f.__rtruediv__(v) is v / f
-            f = 1.0 / reads[0]
-            return BarrierFactor(cone, x.copy(), (f,), -f, f.__rtruediv__, f.__rtruediv__)
-        f, gradient = _soc_factor(*reads[0])
-        return BarrierFactor(cone, x.copy(), (f,), gradient, f.solve_lower, f.solve_upper)
-    factors, gradient = [], np.empty(cone.total_dim)
-    for (kind, index, _), b in zip(groups, reads):
-        if kind == ORTHANT:
+    parts = []
+    for (kind, index, rows), b in zip(cone.groups, reads):
+        if kind == ORTHANT:  # L = diag(f), and the bound f.__rtruediv__(v) is v / f
             f = 1.0 / b
-            gradient[index] = -f
+            gradient, lower, upper = -f, f.__rtruediv__, f.__rtruediv__
         else:
-            f, grad = _soc_factor(*b)
-            gradient[index] = grad.reshape(-1)
-        factors.append(f)
-    factors = tuple(factors)
-    return BarrierFactor(cone, x.copy(), factors, gradient, partial(_groupwise, groups, factors, True),
-                         partial(_groupwise, groups, factors, False))
+            f, gradient = _soc_factor(*b)
+            lower, upper = f.solve_lower, f.solve_upper
+            if rows is not None:
+                gradient = gradient.reshape(-1)
+                lower, upper = partial(_stacked, rows, lower), partial(_stacked, rows, upper)
+        parts.append((index, f, gradient, lower, upper))
+    if len(parts) == 1:  # the group spans x, and its solves are the factor's
+        return BarrierFactor(cone, x.copy(), (f,), gradient, lower, upper)
+    indices, factors, gradients, lowers, uppers = zip(*parts)
+    gradient = np.empty(cone.total_dim)
+    for index, g in zip(indices, gradients):
+        gradient[index] = g
+    return BarrierFactor(cone, x.copy(), factors, gradient, partial(_groupwise, indices, lowers),
+                         partial(_groupwise, indices, uppers))
 
 
 def local_norm_dual(factor: BarrierFactor, v: np.ndarray) -> float:

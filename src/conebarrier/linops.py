@@ -29,7 +29,7 @@ and exposes the derived linear maps, each applied through triangular solves:
                       with the range coefficient of scale_dual(v)
 * ``multipliers(v)``  -(A M M^T A^T)^{-1} A M M^T v, least-squares
                       multiplier estimate for the gradient v, applied as
-                      -(N^T N)^{-1} N^T (L^{-1} v) since N^T = A M
+                      minus the range coefficient of L^{-1} v, since N^T = A M
 
 The multipliers solve that least-squares problem, so in exact arithmetic
 L^{-1}(v + A^T multipliers(v)) = null_step_t(v): the dual local norm of the
@@ -44,8 +44,8 @@ m-vector when m >= 2, and 0.0 when m = 0.  Capped CG carries the reduced
 product's coefficient through its recurrences, and the solver forms the
 multiplier lambda2 of a Newton step from the two, with no product of its own.
 The solver's lambda1 at a stop is minus the coefficient of ``null_step_t``,
-which equals multipliers(v) bit for bit; ``multipliers`` itself runs only for
-the lambda1 at a new point, where no such coefficient is at hand.
+the same value that multipliers(v) returns; ``multipliers`` itself runs only
+for the lambda1 at a new point, where no such coefficient is at hand.
 
 ``reduced_hessian_apply`` composes these into one product of the damped,
 scaled and projected objective Hessian with a vector, the workhorse of the
@@ -203,7 +203,7 @@ class IterationWorkspace:
         """Transpose map project(scale_dual(v)) and the range coefficient of scale_dual(v).
 
         Returns the pair ``_split(scale_dual(v))``, so multipliers(v) is minus the
-        coefficient in exact arithmetic; three triangular solves (one when m = 0).
+        coefficient; three triangular solves (one when m = 0).
         """
         self.counters.add("tri_solve", 1 + self._project_cost)
         return self._split(self.factor.solve_lower(v))
@@ -211,14 +211,13 @@ class IterationWorkspace:
     def multipliers(self, v: np.ndarray) -> np.ndarray:
         """Least-squares multiplier estimate -(A M M^T A^T)^{-1} A M M^T v.
 
-        Applied through the cached N as -(N^T N)^{-1} N^T (L^{-1} v): three
-        triangular solves (none when m = 0).
+        Minus the range coefficient of L^{-1} v, since N^T = A M: the value the
+        solver's lambda1 takes at a stop.  Three triangular solves (none when m = 0).
         """
         if self.m == 0:
             return np.zeros(0)
         self.counters.add("tri_solve", 3)
-        w = self.scaled_AT.T.dot(self.factor.solve_lower(v))
-        return -(w / self._schur_sq if self.m == 1 else self._schur_inv.dot(w))
+        return -np.reshape(self._split(self.factor.solve_lower(v))[1], self.m)
 
     def reduced_hessian_apply(
         self,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conebarrier import cones
 from conebarrier.certify import barrier_hessian, dual_norm, in_dual_cone, is_interior
 from conebarrier.cones import (
     ConeBlock,
@@ -181,6 +182,36 @@ class TestBarrierFactor:
                 dense_lower(factor) @ dense_lower(factor).T, hess, rtol=1e-10, atol=1e-12
             )
             assert np.all(np.diag(dense_lower(factor)) > 0)
+
+
+class TestSolveBinding:
+    """A cone of one group binds that group's solves; only a cone of several walks the groups."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked the groups")
+
+        monkeypatch.setattr(cones, "_groupwise", walk)
+
+    @pytest.mark.parametrize("cone", [orthant(5), second_order(4),
+                                      builtin("soc_quadratic", 30, m=2, blocks=10).cone],
+                             ids=["orthant", "soc", "soc_stack"])
+    def test_one_group_cone_solves_without_the_walk(self, cone, no_walk, rng):
+        factor = barrier_factor(cone, random_interior_point(cone, rng))
+        lower = dense_lower(factor)
+        for v in (rng.standard_normal(cone.total_dim), rng.standard_normal((3, cone.total_dim))):
+            # row by row, L z = v for the forward solve and L^T z = v for the backward one
+            np.testing.assert_allclose(factor.solve_lower(v) @ lower.T, v, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(factor.solve_upper(v) @ lower, v, rtol=1e-12, atol=1e-12)
+
+    def test_two_group_cone_walks(self, no_walk, rng):
+        cone = product(ConeBlock("orthant", 2), ConeBlock("soc", 3))
+        factor = barrier_factor(cone, random_interior_point(cone, rng))
+        for v in (rng.standard_normal(cone.total_dim), rng.standard_normal((3, cone.total_dim))):
+            for solve in (factor.solve_lower, factor.solve_upper):
+                with pytest.raises(AssertionError, match="walked"):
+                    solve(v)
 
 
 class TestLocalNorms:

@@ -10,7 +10,7 @@ import pytest
 from conebarrier import SolverParams, builtin, solve
 from conebarrier.certify import check_fosp, check_sosp_dense, reduced_min_eig
 from conebarrier.cli import main
-from conebarrier.cones import Cone, barrier_factor, orthant
+from conebarrier.cones import Cone, ConeBlock, barrier_factor, orthant, product
 from conebarrier.counters import OpCounters
 from conebarrier.errors import InfeasibleStart, ParamError, SchemaError, SizeError, UnknownProblem
 from conebarrier.lanczos import min_eig_oracle
@@ -108,6 +108,25 @@ class TestCones:
     def test_cone_without_blocks(self):
         with pytest.raises(ValueError, match="at least one block"):
             Cone(())
+
+    @pytest.mark.parametrize("make", [lambda: ConeBlock("soc", 3.0), lambda: orthant(2.5),
+                                      lambda: ConeBlock("orthant", True),
+                                      lambda: ConeBlock("soc", np.float64(3.0)),
+                                      lambda: ConeBlock("orthant", "2")],
+                             ids=["float", "orthant_fraction", "bool", "numpy_float", "string"])
+    def test_block_dimension_not_an_integer(self, make):
+        with pytest.raises(ValueError, match="positive integer"):
+            make()
+
+    def test_numpy_integer_dimensions_are_accepted(self):
+        cone = product(ConeBlock("orthant", np.int32(2)), ConeBlock("soc", np.int64(3)))
+        assert cone.total_dim == 5
+        assert json.loads(json.dumps(cone.describe())) == [{"type": "orthant", "dim": 2},
+                                                           {"type": "soc", "dim": 3}]
+
+    def test_cone_entry_not_a_block(self):
+        with pytest.raises(ValueError, match="ConeBlock"):
+            Cone((ConeBlock("orthant", 2), ("soc", 3)))
 
 
 def explicit_qp(n=3):
