@@ -15,6 +15,12 @@ directions and a cubic target for negative-curvature directions.
 
 All steps lie in the null space of A by construction; a least-squares
 re-projection guards against floating-point drift.
+
+``solve`` forms mu and the constraint scale once, then loops over
+``_iteration``: one outer iteration from a ``_State`` (the point's workspace,
+phi_mu there, the carried lambda2 and mu nabla B at the previous point) to its
+trace row and either the next state or the solve's end (status, multiplier,
+oracle).  A stop, a line-search failure and ``max_outer_iters`` share one exit.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -118,14 +124,19 @@ def phi_value(problem: ConicProblem, x: np.ndarray, mu: float,
               counters: OpCounters) -> tuple[float, list]:
     """(f(x) + mu B(x), the cone reads of x); x is walked once, and its reads can build its factor.
 
-    The walk comes first, so f is only called at an interior x (else BoundaryError);
-    a NaN f raises CallbackError, while +inf is a value to backtrack from.
+    The walk comes first, so f is only called at an interior x (else BoundaryError).
+    An f that is not a real scalar, or is NaN or -inf, raises CallbackError, while
+    +inf is a value to backtrack from.
     """
     counters.add("fun_eval")
     barrier, reads = barrier_reads(problem.cone, x)
     value = problem.value(x)
-    if math.isnan(value):
-        raise CallbackError("objective value callback returned NaN")
+    if type(value) is not float:  # a numpy or Python real scalar is read as a float
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer, np.floating)):
+            raise CallbackError(f"objective value callback returned {value!r:.60}, not a real scalar")
+        value = float(value)
+    if value != value or value == -math.inf:
+        raise CallbackError(f"objective value callback returned {'NaN' if value != value else '-inf'}")
     return value + mu * barrier, reads
 
 
@@ -243,42 +254,126 @@ def _backtrack(
     )
 
 
-def line_search_sol(
-    problem: ConicProblem,
-    ws: IterationWorkspace,
-    mu: float,
-    d: np.ndarray,
-    params: SolverParams,
-    counters: OpCounters,
-    *,
-    step: np.ndarray,
-    phi0: float,
-    dd: float,
-) -> tuple[float, np.ndarray, float, list]:
+def line_search_sol(problem: ConicProblem, ws: IterationWorkspace, mu: float, d: np.ndarray,
+                    params: SolverParams, counters: OpCounters, *, step: np.ndarray, phi0: float,
+                    dd: float) -> tuple[float, np.ndarray, float, list]:
     """Quadratic decrease target eta sqrt(eps) theta^{2j} ||d||^2; ``dd`` is d^T d."""
     decrease = params.eta * math.sqrt(params.epsilon) * dd
     return _backtrack(problem, ws, mu, d, decrease, params, counters, step, phi0)
 
 
-def line_search_nc(
-    problem: ConicProblem,
-    ws: IterationWorkspace,
-    mu: float,
-    d: np.ndarray,
-    params: SolverParams,
-    counters: OpCounters,
-    *,
-    step: np.ndarray,
-    phi0: float,
-    dd: float,
-) -> tuple[float, np.ndarray, float, list]:
+def line_search_nc(problem: ConicProblem, ws: IterationWorkspace, mu: float, d: np.ndarray,
+                   params: SolverParams, counters: OpCounters, *, step: np.ndarray, phi0: float,
+                   dd: float) -> tuple[float, np.ndarray, float, list]:
     """Cubic decrease target eta theta^{2j} ||d||^3 / 2; ``dd`` is d^T d."""
     decrease = params.eta * math.sqrt(dd) ** 3 / 2.0
     return _backtrack(problem, ws, mu, d, decrease, params, counters, step, phi0)
 
 
+class _State(NamedTuple):
+    """What one outer iteration hands the next; the point is ``ws.factor.point``."""
+
+    ws: IterationWorkspace  # the point's factor and constraint workspace
+    phi: float  # phi_mu at the point
+    lambda2: np.ndarray  # the carried multiplier
+    mu_grad_b_prev: np.ndarray  # mu nabla B at the previous point, which the gate reads
+
+
+def _iteration(problem, params, counters, gradient, rng, mu, b_scale, b0, state):
+    """One outer iteration from ``state``: (the trace row's fields after k, next state, end).
+
+    ``end`` is None, or (status, multiplier, oracle) when the iteration ends the
+    solve; the state it returns then is ``state``, whose point is the final one.
+    """
+    ws, phi, lambda2, mu_grad_b_prev = state
+    x, m, affine, cone = ws.factor.point, ws.m, ws.affine, problem.cone
+    beta, sqrt_eps = params.beta, math.sqrt(params.epsilon)
+    mu_grad_b = mu * ws.factor.gradient  # mu nabla B at x, formed once per point
+    grad_f = gradient(x)
+    g, c_g = ws.null_step_t(grad_f + mu_grad_b)
+    triggered, which, res_min = first_order_gate(
+        ws, mu, beta, g, grad_f, lambda2, mu_grad_b_prev, counters
+    )
+
+    if not (triggered and params.fosp_only):
+        hess_vec = _checked_callback("hess_vec", problem.hess_vec_at(x), x.size, counters, "hess_vec")
+    # each branch yields d_hat, its projection q and the multiplier c of d = c d_hat
+    if not triggered:
+        cg_out = capped_cg(partial(ws.reduced_hessian_apply, hess_vec, mu), g, sqrt_eps,
+                           params.zeta)
+        d_hat = cg_out.direction
+        q = ws.project(d_hat)
+        if cg_out.kind is DirectionKind.NC:
+            rate = abs(cg_out.curvature) / math.sqrt(d_hat.dot(d_hat))
+            c = _curvature_scale(d_hat, math.sqrt(q.dot(q)), rate, g, beta)
+            branch, searcher = BRANCH_CG_NC, line_search_nc
+        else:
+            c = _sol_scale(d_hat, math.sqrt(q.dot(q)), beta)
+            branch, searcher = BRANCH_CG_SOL, line_search_sol
+        cg_iters, lanczos_iters = cg_out.iterations, 0
+    else:
+        oracle = None if params.fosp_only else min_eig_oracle(
+            partial(ws.reduced_hessian_apply, hess_vec, 0.0), x.size, sqrt_eps, params.delta, rng
+        )
+        cg_iters, lanczos_iters = 0, (0 if oracle is None else oracle.iterations)
+        if oracle is None or not oracle.found_negative_curvature:
+            status = SolveStatus.FOSP_CERTIFIED if oracle is None else SolveStatus.SOSP_CERTIFIED
+            # lambda1 = multipliers(grad phi) is minus the range coefficient c_g
+            end = (status, -c_g if which == "lambda1" else lambda2, oracle)
+            return (phi, res_min, BRANCH_TERMINATE, 0.0, 0.0, 0, lanczos_iters), state, end
+        # the step runs along q = P v / ||P v||, the part of v that the oracle's
+        # operator P H P sees: q^T (P H P + mu P) q = v^T (P H P) v / ||P v||^2 + mu
+        pv = ws.project(oracle.direction)
+        pv_sq = float(pv.dot(pv))
+        d_hat = q = pv / math.sqrt(pv_sq)
+        c = _curvature_scale(d_hat, 1.0, abs(oracle.curvature / pv_sq + mu), g, beta)
+        branch, searcher = BRANCH_MEO_NC, line_search_nc
+
+    # the step is null_step(d): from the projection at hand when d = d_hat, and
+    # projected afresh when d is scaled, so that it is exactly null_step(d) either way
+    d = d_hat if c == 1.0 else c * d_hat  # a product with 1.0 is exact
+    step = ws.unscale(q) if c == 1.0 else ws.null_step(d)
+    dd = float(d.dot(d))
+    dir_norm = math.sqrt(dd)
+    try:
+        alpha, x, phi_next, reads = searcher(
+            problem, ws, mu, d, params, counters, step=step, phi0=phi, dd=dd
+        )
+    except LineSearchFailure:
+        # the failed step's row, with alpha = 0.0
+        end = (SolveStatus.LINE_SEARCH_FAILURE, -c_g, None)
+        return (phi, res_min, branch, 0.0, dir_norm, cg_iters, lanczos_iters), state, end
+    row = (phi, res_min, branch, alpha, dir_norm, cg_iters, lanczos_iters)
+
+    # lambda2 = multipliers(H step + grad phi) from the Newton-step residual holds
+    # only after a unit SOL step; otherwise the previous lambda2 carries over.  Both
+    # range coefficients are at hand: c c_y of L^{-1} H step, carried by capped CG,
+    # and c_g of L^{-1} grad phi, from null_step_t
+    if m and branch == BRANCH_CG_SOL and alpha == 1.0:
+        lam = -(c * cg_out.coef + c_g)
+        lambda2 = np.array([lam]) if m == 1 else lam
+    if m:
+        if m == 1:  # the same 1 x n product, read as a scalar
+            drift = abs(float(affine.A.dot(x)[0]) - b0)
+        else:
+            drift = float(np.maximum.reduce(np.abs(affine.A.dot(x) - affine.b)))
+        if drift > FEAS_TOL * b_scale / 10.0:
+            x, reads = _reproject(affine, cone, x)
+    # the accepted point's reads, from the line search or the re-projection, so it
+    # is not walked again
+    ws = IterationWorkspace(affine, barrier_factor(cone, x, reads), counters)
+    counters.add("cholesky")
+    return row, _State(ws, phi_next, lambda2, mu_grad_b), None
+
+
 def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveResult:
     """Run the barrier Newton-CG method from a strictly feasible x0."""
+    try:
+        real = np.asarray(x0).dtype.kind in "iuf"
+    except ValueError:  # a ragged nesting
+        real = False
+    if not real:
+        raise InfeasibleStart(f"x0 must be an array of real numbers, got {x0!r:.60}")
     x0 = np.asarray(x0, dtype=float)
     cone, affine = problem.cone, problem.affine
     n, m = problem.n, problem.m
@@ -288,135 +383,49 @@ def solve(problem: ConicProblem, x0: np.ndarray, params: SolverParams) -> SolveR
     counters = OpCounters()
     trace = SolveTrace()
     eps = params.epsilon
-    beta = params.beta
-    mu = mu_from_epsilon(eps, beta, cone.theta)
-    sqrt_eps = math.sqrt(eps)
+    mu = mu_from_epsilon(eps, params.beta, cone.theta)
     rng = np.random.default_rng(params.seed)
 
     gradient = _checked_callback("gradient", problem.gradient, n, counters, "grad_eval")
-    x = x0.copy()
     try:  # x0 is checked by the walk that values it
-        phi, reads = phi_value(problem, x, mu, counters)
+        phi, reads = phi_value(problem, x0, mu, counters)
     except BoundaryError:
         raise InfeasibleStart("x0 is not strictly interior to the cone") from None
     b_scale = 1.0 + (float(np.max(np.abs(affine.b))) if m else 0.0)
     b0 = float(affine.b[0]) if m == 1 else None
     if m and float(np.max(np.abs(affine.A @ x0 - affine.b))) > FEAS_TOL * b_scale:
         raise InfeasibleStart("x0 violates the equality constraints")
-    ws = IterationWorkspace(affine, barrier_factor(cone, x, reads), counters)
+    ws = IterationWorkspace(affine, barrier_factor(cone, x0.copy(), reads), counters)
     counters.add("cholesky")
-    # mu nabla B at x, formed once per point; the gate reads the previous point's
-    lambda2, mu_grad_b = np.zeros(m), mu * ws.factor.gradient
-    mu_grad_b_prev = mu_grad_b
-
-    def finish(status, k, lam, oracle=None):
-        trace.counters = counters.snapshot()
-        lam = np.asarray(lam, dtype=float).reshape(m) if m else np.zeros(0)
-        if status is SolveStatus.SOSP_CERTIFIED and problem.has_dense_hessian \
-                and n <= certify_mod.DESK_SCALE_LIMIT:
-            trace.certificate = certify_mod.check_sosp_dense(problem, x, lam, eps_g=eps, eps_h=sqrt_eps)
-        else:
-            trace.certificate = certify_mod.check_fosp(problem, x, lam, eps_g=eps)
-        return SolveResult(
-            status=status,
-            x_final=x.copy(),
-            lambda_final=lam,
-            iterations=k,
-            mu=mu,
-            trace=trace,
-            probability_bound=None if oracle is None else oracle.probability_bound,
-            estimated_hess_norm=None if oracle is None else oracle.estimated_norm,
-        )
+    # the first gate reads the start's own mu nabla B as the previous point's
+    state = _State(ws, phi, np.zeros(m), mu * ws.factor.gradient)
 
     for k in range(params.max_outer_iters):
-        grad_f = gradient(x)
-        gphi = grad_f + mu_grad_b
-        g, c_g = ws.null_step_t(gphi)
-        triggered, which, res_min = first_order_gate(
-            ws, mu, beta, g, grad_f, lambda2, mu_grad_b_prev, counters
-        )
+        row, state, end = _iteration(problem, params, counters, gradient, rng, mu, b_scale, b0,
+                                     state)
+        trace.append(k, *row)
+        if end is not None:
+            break
+    else:
+        # lambda1 at x_final itself, from its workspace and one more gradient
+        ws = state.ws
+        lambda1 = ws.multipliers(gradient(ws.factor.point) + mu * ws.factor.gradient) if m else None
+        k, end = params.max_outer_iters, (SolveStatus.MAX_ITERS_EXCEEDED, lambda1, None)
 
-        # each branch yields d_hat, its projection q and the multiplier c of d = c d_hat
-        if not triggered:
-            hess_vec = _checked_callback(
-                "hess_vec", problem.hess_vec_at(x), n, counters, "hess_vec"
-            )
-            cg_out = capped_cg(partial(ws.reduced_hessian_apply, hess_vec, mu), g, sqrt_eps,
-                               params.zeta)
-            d_hat = cg_out.direction
-            q = ws.project(d_hat)
-            if cg_out.kind is DirectionKind.NC:
-                rate = abs(cg_out.curvature) / math.sqrt(d_hat.dot(d_hat))
-                c = _curvature_scale(d_hat, math.sqrt(q.dot(q)), rate, g, beta)
-                branch, searcher = BRANCH_CG_NC, line_search_nc
-            else:
-                c = _sol_scale(d_hat, math.sqrt(q.dot(q)), beta)
-                branch, searcher = BRANCH_CG_SOL, line_search_sol
-            cg_iters, lanczos_iters = cg_out.iterations, 0
-        else:
-            oracle = None
-            if not params.fosp_only:
-                hess_vec = _checked_callback(
-                    "hess_vec", problem.hess_vec_at(x), n, counters, "hess_vec"
-                )
-                oracle = min_eig_oracle(
-                    partial(ws.reduced_hessian_apply, hess_vec, 0.0), n, sqrt_eps, params.delta, rng
-                )
-            cg_iters, lanczos_iters = 0, (0 if oracle is None else oracle.iterations)
-            if oracle is None or not oracle.found_negative_curvature:
-                status = SolveStatus.FOSP_CERTIFIED if oracle is None else SolveStatus.SOSP_CERTIFIED
-                trace.append(k, phi, res_min, BRANCH_TERMINATE, 0.0, 0.0, 0, lanczos_iters)
-                # lambda1 = multipliers(grad phi) is minus the range coefficient c_g
-                return finish(status, k, -c_g if which == "lambda1" else lambda2, oracle)
-            # the step runs along q = P v / ||P v||, the part of v that the oracle's
-            # operator P H P sees: q^T (P H P + mu P) q = v^T (P H P) v / ||P v||^2 + mu
-            pv = ws.project(oracle.direction)
-            pv_sq = float(pv.dot(pv))
-            d_hat = q = pv / math.sqrt(pv_sq)
-            c = _curvature_scale(d_hat, 1.0, abs(oracle.curvature / pv_sq + mu), g, beta)
-            branch, searcher = BRANCH_MEO_NC, line_search_nc
-
-        # the step is null_step(d): from the projection at hand when d = d_hat, and
-        # projected afresh when d is scaled, so that it is exactly null_step(d) either way
-        d = d_hat if c == 1.0 else c * d_hat  # a product with 1.0 is exact
-        step = ws.unscale(q) if c == 1.0 else ws.null_step(d)
-        dd = float(d.dot(d))
-        dir_norm = math.sqrt(dd)
-        try:
-            alpha, x_next, phi_next, reads = searcher(
-                problem, ws, mu, d, params, counters, step=step, phi0=phi, dd=dd
-            )
-        except LineSearchFailure:
-            # the failed step's row, with alpha = 0.0
-            trace.append(k, phi, res_min, branch, 0.0, dir_norm, cg_iters, lanczos_iters)
-            return finish(SolveStatus.LINE_SEARCH_FAILURE, k, -c_g)
-        trace.append(k, phi, res_min, branch, alpha, dir_norm, cg_iters, lanczos_iters)
-        x, phi = x_next, phi_next
-
-        # lambda2 = multipliers(H step + grad phi) from the Newton-step residual holds
-        # only after a unit SOL step; otherwise the previous lambda2 carries over.  Both
-        # range coefficients are at hand: c c_y of L^{-1} H step, carried by capped CG,
-        # and c_g of L^{-1} grad phi, from null_step_t
-        if m and branch == BRANCH_CG_SOL and alpha == 1.0:
-            lam = -(c * cg_out.coef + c_g)
-            lambda2 = np.array([lam]) if m == 1 else lam
-        mu_grad_b_prev = mu_grad_b
-        if m:
-            if m == 1:  # the same 1 x n product, read as a scalar
-                drift = abs(float(affine.A.dot(x)[0]) - b0)
-            else:
-                drift = float(np.maximum.reduce(np.abs(affine.A.dot(x) - affine.b)))
-            if drift > FEAS_TOL * b_scale / 10.0:
-                x, reads = _reproject(affine, cone, x)
-        # the accepted point's reads, from the line search or the re-projection, so it
-        # is not walked again
-        ws = IterationWorkspace(affine, barrier_factor(cone, x, reads), counters)
-        counters.add("cholesky")
-        mu_grad_b = mu * ws.factor.gradient
-
-    # lambda1 at x_final itself, from its workspace and one more gradient
-    lambda1 = ws.multipliers(gradient(x) + mu_grad_b) if m else None
-    return finish(SolveStatus.MAX_ITERS_EXCEEDED, params.max_outer_iters, lambda1)
+    status, lam, oracle = end
+    x = state.ws.factor.point
+    trace.counters = counters.snapshot()
+    lam = np.asarray(lam, dtype=float).reshape(m) if m else np.zeros(0)
+    if status is SolveStatus.SOSP_CERTIFIED and problem.has_dense_hessian \
+            and n <= certify_mod.DESK_SCALE_LIMIT:
+        trace.certificate = certify_mod.check_sosp_dense(problem, x, lam, eps_g=eps, eps_h=math.sqrt(eps))
+    else:
+        trace.certificate = certify_mod.check_fosp(problem, x, lam, eps_g=eps)
+    return SolveResult(
+        status, x.copy(), lam, k, mu, trace,
+        probability_bound=None if oracle is None else oracle.probability_bound,
+        estimated_hess_norm=None if oracle is None else oracle.estimated_norm,
+    )
 
 
 def _reproject(affine, cone, x: np.ndarray) -> tuple[np.ndarray, list]:

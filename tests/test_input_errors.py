@@ -25,6 +25,16 @@ class TestSolver:
         with pytest.raises(InfeasibleStart, match="shape"):
             solve(p, np.full(4, 0.25), SolverParams(epsilon=1e-2))
 
+    @pytest.mark.parametrize("x0", [
+        np.full(5, 0.2 + 0.1j), np.full(5, 0.2 + 0j), ["0.2"] * 5, [0.2, 0.2, 0.2, 0.2, None],
+        [0.2, 0.2, 0.2, 0.2, [0.2]], np.full(5, True), "0.2",
+    ], ids=["complex", "complex-zero-imaginary", "strings", "none", "ragged", "bool", "string"])
+    def test_x0_not_real_numbers(self, x0):
+        # a complex x0 was read as its real part, with only a ComplexWarning
+        p = builtin("nonconvex_qp_simplex", 5)
+        with pytest.raises(InfeasibleStart, match="real numbers"):
+            solve(p, x0, SolverParams(epsilon=1e-2))
+
     @pytest.mark.parametrize("budget", ["max_outer_iters", "max_backtracks"])
     def test_budget_below_one(self, budget):
         with pytest.raises(ParamError, match="budgets"):

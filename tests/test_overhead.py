@@ -9,9 +9,12 @@ package's own directory.  ``c_call`` events are not counted, because they
 would penalise the cheaper form: ``v.dot(w)`` is one, while ``v @ w`` is
 none.
 
-The limits are the measured counts plus 5 %.  Before one walk per accepted
-point and the leaner solve and product paths, the same instances took 119.5
-and 156.4 frames per iteration, 79.4 and 86.9 while the barrier value
+The limits are the counts measured before ``solve`` ran each outer iteration
+as one call of ``solver._iteration``, plus 5 %.  That call is one package frame
+per iteration, so the same instances now take 48.2 and 60.4 frames, within the
+limits of 49.6 and 62.4.  Before one walk per accepted point and the leaner
+solve and product paths, the same instances took 119.5 and 156.4 frames per
+iteration, 79.4 and 86.9 while the barrier value
 was summed in a second walk over the reads, 78.4 and 85.0 while the
 cone layer counted its own operations, and 74.4 and 80.9 while the outer
 iteration took its norms through ``norm2``, built the barrier gradient by

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -692,6 +694,53 @@ class TestSolveBasics:
         assert r1.trace.counters == r2.trace.counters
 
 
+def bits(value):
+    """``value`` with every float and array replaced by its bytes, so that == is bit equality."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):  # np.float64 too
+        return value.hex()
+    if isinstance(value, IterationWorkspace):  # built from its factor's point
+        value = (value.factor.point, value.factor.gradient, value.scaled_AT)
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return value
+
+
+class TestIteration:
+    """One outer iteration is a function of its arguments, the solver's own state among them."""
+
+    @pytest.mark.parametrize("name, n, params, branch", [
+        ("negnorm_simplex", 5, {}, "MEO_NC"),
+        ("soc_quadratic", 20, {"m": 3}, "CG_NC"),
+        ("nonconvex_qp_simplex", 30, {}, "CG_SOL"),
+    ])
+    def test_a_rerun_from_a_copied_state_is_bit_equal(self, monkeypatch, name, n, params, branch):
+        from conebarrier import solver as solver_mod
+
+        iteration = solver_mod._iteration
+        reruns = []
+
+        def spy(*args):
+            copied = copy.deepcopy(args)  # the state, the generator and the counters
+            row, state, end = iteration(*args)
+            again = iteration(*copied)
+            rng, copied_rng = args[4], copied[4]  # _iteration's generator argument
+            reruns.append((row[2], bits((row, state, end)), bits(again), rng.bit_generator.state,
+                           copied_rng.bit_generator.state))
+            return row, state, end
+
+        monkeypatch.setattr(solver_mod, "_iteration", spy)
+        p = builtin(name, n, **params)
+        res = solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7))
+        assert res.status is SolveStatus.SOSP_CERTIFIED and len(reruns) == res.iterations + 1
+        assert branch in [rerun[0] for rerun in reruns]
+        for _, first, again, rng_state, copied_rng_state in reruns:
+            assert first == again and rng_state == copied_rng_state
+
+
 class TestOneWalkPerPoint:
     """The solver walks the cone blocks of each point it evaluates once, for the
     barrier value, and builds the accepted point's factor from those reads; x0 is
@@ -758,16 +807,45 @@ class TestCallbackErrors:
         p = dataclasses.replace(base, **callbacks)
         return solve(p, p.x0, SolverParams(epsilon=1e-3, seed=7))
 
-    def test_nan_value_raises_on_first_evaluation(self):
+    @pytest.mark.parametrize("bad, named", [
+        (math.nan, "NaN"), (-math.inf, "-inf"), (np.array([1.0, 2.0]), "array([1., 2.])"),
+        (np.array([1.0]), "array([1.])"), (None, "None"), ("1.5", "'1.5'"), (1.5 + 0j, "(1.5+0j)"),
+        (True, "True"),
+    ], ids=["nan", "-inf", "shape-2", "shape-1", "none", "string", "complex", "bool"])
+    def test_bad_value_raises_on_first_evaluation(self, bad, named):
         calls = []
 
         def value(x):
             calls.append(x)
-            return math.nan
+            return bad
 
-        with pytest.raises(CallbackError, match="NaN"):
+        with pytest.raises(CallbackError, match=re.escape(f"value callback returned {named}")):
             self.solve_with(value=value)
         assert len(calls) == 1
+
+    def test_minus_inf_trial_value_raises(self):
+        # accepted as a decrease, it ended the solve in a line-search failure at k = 1
+        base = builtin("nonconvex_qp_simplex", 10)
+        calls = []
+
+        def value(x):
+            calls.append(x)
+            return -math.inf if len(calls) == 2 else base.value(x)  # the first trial point
+
+        with pytest.raises(CallbackError, match="-inf"):
+            self.solve_with(value=value)
+
+    @pytest.mark.parametrize("real", [np.float32, np.int64, int], ids=["float32", "int64", "int"])
+    def test_real_scalars_are_values(self, real):
+        p = dataclasses.replace(builtin("nonconvex_qp_simplex", 10), value=lambda x: real(3))
+        assert phi_value(p, p.x0, 0.0, OpCounters())[0] == 3.0
+
+    def test_a_float64_value_solves_as_its_float(self):
+        base = builtin("nonconvex_qp_simplex", 10)
+        res = self.solve_with(value=lambda x: np.float64(base.value(x)))
+        ref = solve(base, base.x0, SolverParams(epsilon=1e-3, seed=7))
+        assert list(res.trace.phi_mu) == list(ref.trace.phi_mu)
+        assert res.x_final.tobytes() == ref.x_final.tobytes()
 
     def test_inf_trial_value_backtracks(self):
         base = builtin("nonconvex_qp_simplex", 10)
